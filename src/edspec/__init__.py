@@ -43,6 +43,7 @@ from .operators import (
     build_kleingordon,
     build_laplacian,
     build_parity,
+    build_problem,
     build_schrodinger,
 )
 from .physical_basis import (
@@ -71,7 +72,8 @@ __all__ = [
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "FVSystem", "GeneralMassSquared", "Grid", "HOQuadratic",
     "MassModel", "OperatorMatrix", "assemble_fv", "assemble_fv_metric",
-    "build_kleingordon", "build_laplacian", "build_parity", "build_schrodinger",
+    "build_kleingordon", "build_laplacian", "build_parity", "build_problem",
+    "build_schrodinger",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
     "build_charge", "build_K", "build_L", "build_metrics",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",

@@ -20,15 +20,9 @@ from . import closed_form as cf
 from .config import ConfigError, RunConfig, load_config, require
 from .errors import SolverError
 from .evolution import FVState, conservation_report, evolve, pseudo_norm
-from .fixedpoint import collect_physical
+from .fixedpoint import CollectResult, collect_physical
 from .frozen_spectrum import classify_spectrum, decompose
-from .operators import (
-    Grid,
-    HOQuadratic,
-    assemble_fv,
-    build_kleingordon,
-    build_schrodinger,
-)
+from .operators import HOQuadratic, assemble_fv, build_problem
 from .physical_basis import (
     build_basis,
     build_K,
@@ -44,17 +38,11 @@ def _report_header(cfg: RunConfig) -> dict:
     return {"config": cfg.echo, "version": __version__}
 
 
-def _build_problem(cfg: RunConfig, z: float) -> np.ndarray:
-    if cfg.problem_kind == "kleingordon":
-        return build_kleingordon(cfg.grid, cfg.model, z)
-    return build_schrodinger(cfg.grid, cfg.model, z)
-
-
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     require(cfg, "model", "a [model] section")
     require(cfg, "grid", "a [grid] section")
     z = require(cfg, "spectrum_z", "a [spectrum] section with a z value")
-    dec = decompose(_build_problem(cfg, z), z=z, tol_real=cfg.tol_real)
+    dec = decompose(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
     rows = [
         [i, float(dec.eigenvalues[i].real), float(dec.eigenvalues[i].imag),
          bool(dec.reality_flags[i])]
@@ -64,7 +52,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     # broken conjugation symmetry is reported through the JSON classification
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        classification = classify_spectrum(dec, cfg.tol_real)
+        classification = classify_spectrum(dec)
     report = _report_header(cfg)
     report.update({
         "z": float(z),
@@ -108,16 +96,19 @@ def _closed_form_table(model: HOQuadratic, levels) -> list[dict]:
     return table
 
 
-def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
+def _collect_levels(cfg: RunConfig) -> CollectResult:
     require(cfg, "model", "a [model] section")
     require(cfg, "grid", "a [grid] section")
     require(cfg, "branches", "a [fixedpoint] section with branches")
     require(cfg, "windows", "a [fixedpoint] section with non-empty windows")
-    result = collect_physical(
+    return collect_physical(
         cfg.model, cfg.grid, cfg.branches, cfg.windows, cfg.problem_kind,
-        steps=cfg.steps, refine_tol=cfg.refine_tol,
-        overlap_floor=cfg.overlap_floor, tol_real=cfg.tol_real,
+        steps=cfg.steps, refine_tol=cfg.refine_tol, overlap_floor=cfg.overlap_floor,
     )
+
+
+def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
+    result = _collect_levels(cfg)
     rows = [
         [lv.multi_index[0], lv.multi_index[1], lv.energy, lv.residual]
         for lv in result.levels
@@ -145,15 +136,7 @@ def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
-    require(cfg, "model", "a [model] section")
-    require(cfg, "grid", "a [grid] section")
-    require(cfg, "branches", "a [fixedpoint] section with branches")
-    require(cfg, "windows", "a [fixedpoint] section with non-empty windows")
-    result = collect_physical(
-        cfg.model, cfg.grid, cfg.branches, cfg.windows, cfg.problem_kind,
-        steps=cfg.steps, refine_tol=cfg.refine_tol,
-        overlap_floor=cfg.overlap_floor, tol_real=cfg.tol_real,
-    )
+    result = _collect_levels(cfg)
     if not result.levels:
         print("no physical levels found in the configured windows", file=sys.stderr)
         return 3
@@ -197,9 +180,11 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
     require(cfg, "model", "a [model] section")
     require(cfg, "grid", "a [grid] section")
     require(cfg, "evolve", "an [evolve] section")
+    if cfg.problem_kind != "kleingordon":
+        raise ConfigError(
+            f"evolve needs [problem] kind = kleingordon, got {cfg.problem_kind!r}")
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
-    H = build_kleingordon(cfg.grid, cfg.model, z)
-    system = assemble_fv(H)
+    system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
     metric = (np.eye(2 * system.base_dimension) if cfg.evolve.metric == "identity"
               else system.eta_sr)
     state = _initial_state(cfg, system)
@@ -227,22 +212,22 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig | None, out_dir: Path, seed: int) -> int:
-    grid_sizes = cfg.validate_grid_sizes if cfg is not None else (100, 200, 400)
-    results = run_all(seed=seed, grid_sizes=grid_sizes)
+    if cfg is None:
+        cfg = RunConfig()
+    results = run_all(seed=seed, grid_sizes=cfg.validate_grid_sizes)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{r.name:<{width}}  {'PASS' if r.passed else 'FAIL'}")
-    report = {
-        "config": cfg.echo if cfg is not None else {},
-        "version": __version__,
+    report = _report_header(cfg)
+    report.update({
         "seed": seed,
-        "grid_sizes": list(grid_sizes),
+        "grid_sizes": list(cfg.validate_grid_sizes),
         "all_passed": all(r.passed for r in results),
         "criteria": [
             {"name": r.name, "passed": r.passed, "details": r.details}
             for r in results
         ],
-    }
+    })
     write_json(out_dir / "validation.json", report)
     return 0 if report["all_passed"] else 4
 

@@ -10,7 +10,9 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .operators import ConstantMass, Grid, HOQuadratic, MassModel
+from .fixedpoint import OVERLAP_FLOOR, REFINE_TOL, WINDOW_STEPS
+from .operators import PROBLEM_KINDS, ConstantMass, Grid, HOQuadratic, MassModel
+from .validate import GRID_SIZES
 
 
 class ConfigError(Exception):
@@ -22,8 +24,7 @@ _SCHEMA = {
     "grid": {"x_min", "x_max", "n_points"},
     "problem": {"kind"},
     "spectrum": {"z"},
-    "fixedpoint": {"branches", "windows", "steps", "refine_tol",
-                   "overlap_floor", "tol_real"},
+    "fixedpoint": {"branches", "windows", "steps", "refine_tol", "overlap_floor"},
     "evolve": {"t_final", "steps", "metric", "state", "center", "width",
                "momentum", "index"},
     "output": {"dump_matrices"},
@@ -51,13 +52,12 @@ class RunConfig:
     spectrum_z: float | None = None
     branches: list = field(default_factory=list)
     windows: list = field(default_factory=list)
-    steps: int = 64
-    refine_tol: float = 1e-10
-    overlap_floor: float = 0.7
-    tol_real: float = 1e-8
+    steps: int = WINDOW_STEPS
+    refine_tol: float = REFINE_TOL
+    overlap_floor: float = OVERLAP_FLOOR
     evolve: EvolveSpec | None = None
     dump_matrices: bool = False
-    validate_grid_sizes: tuple = (100, 200, 400)
+    validate_grid_sizes: tuple = GRID_SIZES
     echo: dict = field(default_factory=dict)
 
 
@@ -117,6 +117,22 @@ def _parse_model(parser) -> MassModel:
     raise ConfigError(f"unknown model kind {kind!r} (expected constant | hoquadratic)")
 
 
+def _check_fixedpoint(cfg: RunConfig) -> None:
+    if cfg.steps < 2:
+        raise ConfigError(f"fixedpoint steps must be >= 2, got {cfg.steps}")
+    if not 0 < cfg.overlap_floor <= 1:
+        raise ConfigError(f"overlap_floor must be in (0, 1], got {cfg.overlap_floor}")
+    for n in cfg.branches:
+        if n < 0:
+            raise ConfigError(f"branch index {n} is negative")
+        if cfg.grid is not None and n >= cfg.grid.n_points:
+            raise ConfigError(f"branch index {n} outside the spectrum of size "
+                              f"{cfg.grid.n_points}")
+    for lo, hi in cfg.windows:
+        if not lo < hi:
+            raise ConfigError(f"window {lo}:{hi} needs lo < hi")
+
+
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
@@ -154,7 +170,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(str(exc)) from exc
     if parser.has_section("problem"):
         kind = _get(parser, "problem", "kind", str, required=True).strip().lower()
-        if kind not in ("schrodinger", "kleingordon"):
+        if kind not in PROBLEM_KINDS:
             raise ConfigError(f"unknown problem kind {kind!r}")
         cfg.problem_kind = kind
     if parser.has_section("spectrum"):
@@ -165,15 +181,12 @@ def load_config(path: str | Path) -> RunConfig:
             cfg.windows = _get(parser, "fixedpoint", "windows", _windows, required=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg.steps = _get(parser, "fixedpoint", "steps", int, default=64)
+        cfg.steps = _get(parser, "fixedpoint", "steps", int, default=cfg.steps)
         cfg.refine_tol = _positive(
-            "refine_tol", _get(parser, "fixedpoint", "refine_tol", float, default=1e-10))
-        cfg.overlap_floor = _positive(
-            "overlap_floor", _get(parser, "fixedpoint", "overlap_floor", float, default=0.7))
-        cfg.tol_real = _positive(
-            "tol_real", _get(parser, "fixedpoint", "tol_real", float, default=1e-8))
-        if cfg.steps < 2:
-            raise ConfigError(f"fixedpoint steps must be >= 2, got {cfg.steps}")
+            "refine_tol", _get(parser, "fixedpoint", "refine_tol", float, default=cfg.refine_tol))
+        cfg.overlap_floor = _get(parser, "fixedpoint", "overlap_floor", float,
+                                 default=cfg.overlap_floor)
+        _check_fixedpoint(cfg)
     if parser.has_section("evolve"):
         metric = _get(parser, "evolve", "metric", str, default="swap").strip().lower()
         if metric not in ("swap", "identity"):

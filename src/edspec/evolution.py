@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch
-from .frozen_spectrum import decompose
+from .frozen_spectrum import decompose, reality_mask
 from .operators import FVSystem, OperatorMatrix
 
 #: Relative pseudo-norm drift accepted as conservation.
@@ -37,7 +37,7 @@ class FVState:
     def __post_init__(self):
         if self.phi1.shape != self.phi2.shape or self.phi1.ndim != 1:
             raise ValueError("phi1 and phi2 must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(self.phi1.real)) and np.all(np.isfinite(self.phi2.real))):
+        if not (np.all(np.isfinite(self.phi1)) and np.all(np.isfinite(self.phi2))):
             raise ValueError("state entries must be finite")
 
     def stacked(self) -> np.ndarray:
@@ -130,10 +130,7 @@ def conservation_report(trajectory: list[FVState], metric: OperatorMatrix,
     intertwines = None
     if system is not None:
         h = system.h_sr
-        eigenvalues = np.linalg.eigvals(h)
-        spectrum_real = bool(
-            np.all(np.abs(eigenvalues.imag) <= 1e-8 * (1.0 + np.abs(eigenvalues)))
-        )
+        spectrum_real = bool(np.all(reality_mask(np.linalg.eigvals(h))))
         residual = float(
             np.linalg.norm(metric @ h - h.conj().T @ metric)
             / max(np.linalg.norm(h) * np.linalg.norm(metric), NORM_FLOOR)

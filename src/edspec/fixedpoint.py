@@ -16,8 +16,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
-from .frozen_spectrum import REAL_TOLERANCE, FrozenDecomposition, decompose
-from .operators import Grid, HOQuadratic, MassModel, build_kleingordon, build_schrodinger
+from .frozen_spectrum import FrozenDecomposition, decompose
+from .operators import Grid, HOQuadratic, MassModel, build_problem
 
 #: Minimal admissible continuation overlap between consecutive samples.
 OVERLAP_FLOOR = 0.7
@@ -89,16 +89,16 @@ def _pick_by_overlap(dec: FrozenDecomposition, ref_ket: np.ndarray,
     return idx, best
 
 
-def _real_or_raise(e: complex, z: float, n: int, tol_real: float) -> float:
-    if abs(e.imag) > tol_real * (1.0 + abs(e)):
+def _real_or_raise(dec: FrozenDecomposition, idx: int, z: float, n: int) -> float:
+    e = dec.eigenvalues[idx]
+    if not dec.reality_flags[idx]:
         raise ComplexBranch(f"branch {n} left the real axis at z = {z}: E = {e}")
     return float(e.real)
 
 
 def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
                         steps: int = WINDOW_STEPS, *,
-                        overlap_floor: float = OVERLAP_FLOOR,
-                        tol_real: float = REAL_TOLERANCE) -> EnergyBranch:
+                        overlap_floor: float = OVERLAP_FLOOR) -> EnergyBranch:
     """Follow branch n of a matrix family H(z) across [z_lo, z_hi].
 
     The branch starts at the n-th eigenvalue (by (Re, Im) order) of the first
@@ -114,7 +114,7 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
     kets = None
     ref = None
     for k, z in enumerate(z_samples):
-        dec = decompose(family(float(z)), z=float(z), tol_real=tol_real)
+        dec = decompose(family(float(z)))
         if k == 0:
             if n < 0 or n >= dec.size:
                 raise ValueError(f"branch index {n} outside spectrum of size {dec.size}")
@@ -122,7 +122,7 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
             kets = np.empty((dec.right_kets.shape[0], steps), dtype=complex)
         else:
             idx, overlaps[k - 1] = _pick_by_overlap(dec, ref, overlap_floor)
-        e_values[k] = _real_or_raise(dec.eigenvalues[idx], float(z), n, tol_real)
+        e_values[k] = _real_or_raise(dec, idx, float(z), n)
         ref = dec.right_kets[:, idx]
         kets[:, k] = ref
     return EnergyBranch(
@@ -135,39 +135,28 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
     )
 
 
-def _family_for(model: MassModel, grid: Grid, kind: str) -> Family:
-    if kind == "schrodinger":
-        return lambda z: build_schrodinger(grid, model, z)
-    if kind == "kleingordon":
-        return lambda z: build_kleingordon(grid, model, z)
-    raise ValueError(f"kind must be 'schrodinger' or 'kleingordon', got {kind!r}")
-
-
 def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
                  steps: int = WINDOW_STEPS, kind: str = "schrodinger", *,
-                 overlap_floor: float = OVERLAP_FLOOR,
-                 tol_real: float = REAL_TOLERANCE) -> EnergyBranch:
+                 overlap_floor: float = OVERLAP_FLOOR) -> EnergyBranch:
     """Trace branch n of the discretized model over a singularity-free window."""
     if isinstance(model, HOQuadratic) and z_lo <= model.E0 <= z_hi:
         raise DegenerateMass(
             f"window [{z_lo}, {z_hi}] contains the mass singularity z = {model.E0}; "
             "split the window around it"
         )
-    family = _family_for(model, grid, kind)
-    return trace_branch_family(family, n, z_lo, z_hi, steps,
-                               overlap_floor=overlap_floor, tol_real=tol_real)
+    return trace_branch_family(lambda z: build_problem(kind, grid, model, z),
+                               n, z_lo, z_hi, steps, overlap_floor=overlap_floor)
 
 
 def _eval_branch(family: Family, z: float, ref_ket: np.ndarray, n: int,
-                 overlap_floor: float, tol_real: float) -> float:
-    dec = decompose(family(z), z=z, tol_real=tol_real)
+                 overlap_floor: float) -> float:
+    dec = decompose(family(z))
     idx, _ = _pick_by_overlap(dec, ref_ket, overlap_floor)
-    return _real_or_raise(dec.eigenvalues[idx], z, n, tol_real)
+    return _real_or_raise(dec, idx, z, n)
 
 
 def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
-                       overlap_floor: float = OVERLAP_FLOOR,
-                       tol_real: float = REAL_TOLERANCE) -> list[FixedPointRoot]:
+                       overlap_floor: float = OVERLAP_FLOOR) -> list[FixedPointRoot]:
     """All fixed points z = E_n(z) bracketed by the branch samples.
 
     Every sign change of f(z) = E_n(z) - z is refined by bisection with fresh
@@ -185,7 +174,7 @@ def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
             continue
         if f[k] * f[k + 1] >= 0.0:
             continue
-        raw.append((_bisect(branch, k, refine_tol, overlap_floor, tol_real), k))
+        raw.append((_bisect(branch, k, refine_tol, overlap_floor), k))
     if f[-1] == 0.0:
         raw.append((float(z[-1]), z.shape[0] - 2))
 
@@ -200,7 +189,7 @@ def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
 
 
 def _bisect(branch: EnergyBranch, k: int, refine_tol: float,
-            overlap_floor: float, tol_real: float) -> float:
+            overlap_floor: float) -> float:
     lo, hi = float(branch.z_samples[k]), float(branch.z_samples[k + 1])
     f_lo = float(branch.e_values[k] - lo)
     ref = branch.kets[:, k]
@@ -214,7 +203,7 @@ def _bisect(branch: EnergyBranch, k: int, refine_tol: float,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        f_mid = _eval_branch(branch.family, mid, ref, n, overlap_floor, tol_real) - mid
+        f_mid = _eval_branch(branch.family, mid, ref, n, overlap_floor) - mid
         if f_mid == 0.0:
             return mid
         if (f_mid > 0.0) == (f_lo > 0.0):
@@ -231,8 +220,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                      kind: str = "schrodinger", *,
                      steps: int = WINDOW_STEPS,
                      refine_tol: float = REFINE_TOL,
-                     overlap_floor: float = OVERLAP_FLOOR,
-                     tol_real: float = REAL_TOLERANCE) -> CollectResult:
+                     overlap_floor: float = OVERLAP_FLOOR) -> CollectResult:
     """Assemble the physical level set over branches and search windows.
 
     Each (branch, window) pair is traced and solved independently; solver
@@ -249,11 +237,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
         for window in z_windows:
             try:
                 branch = trace_branch(model, grid, n, window[0], window[1], steps,
-                                      kind, overlap_floor=overlap_floor,
-                                      tol_real=tol_real)
-                roots = solve_fixed_points(branch, refine_tol,
-                                           overlap_floor=overlap_floor,
-                                           tol_real=tol_real)
+                                      kind, overlap_floor=overlap_floor)
+                roots = solve_fixed_points(branch, refine_tol, overlap_floor=overlap_floor)
             except SolverError as exc:
                 failures.append(CollectFailure(
                     branch_index=n,
@@ -266,7 +251,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
         found.sort(key=lambda item: item[0].z)
         for j, (root, branch) in enumerate(found):
             H_star = branch.family(root.z)
-            dec = decompose(H_star, z=root.z, tol_real=tol_real)
+            dec = decompose(H_star)
             idx, _ = _pick_by_overlap(dec, branch.kets[:, root.bracket], overlap_floor)
             ket = dec.right_kets[:, idx]
             bra = dec.left_bras[:, idx]

@@ -32,7 +32,7 @@ from .operators import OperatorMatrix
 DEGENERACY_FACTOR = 1e-8
 #: Relative tolerance for matching H and H^dagger spectra.
 PAIRING_FACTOR = 1e-6
-#: Default reality tolerance: |Im E| <= tol * (1 + |E|).
+#: Relative tolerance of the reality rule applied by ``reality_mask``.
 REAL_TOLERANCE = 1e-8
 
 
@@ -51,7 +51,6 @@ class FrozenDecomposition:
     biorth_residual: float
     completeness_residual: float
     reality_flags: np.ndarray
-    z: float | None = None
 
     @property
     def size(self) -> int:
@@ -95,8 +94,12 @@ def _match_conjugate(w_right: np.ndarray, w_left: np.ndarray, tol: float) -> np.
     return perm
 
 
-def decompose(H: OperatorMatrix, z: float | None = None,
-              tol_real: float = REAL_TOLERANCE) -> FrozenDecomposition:
+def reality_mask(w: np.ndarray) -> np.ndarray:
+    """Elementwise reality rule |Im E| <= REAL_TOLERANCE * (1 + |E|)."""
+    return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
+
+
+def decompose(H: OperatorMatrix) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
     Raises DegenerateSpectrum when two eigenvalues sit closer than
@@ -106,7 +109,7 @@ def decompose(H: OperatorMatrix, z: float | None = None,
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
-    if not np.all(np.isfinite(H.real)) or not np.all(np.isfinite(np.asarray(H, complex).imag)):
+    if not np.all(np.isfinite(H)):
         raise ValueError("H has non-finite entries")
     n = H.shape[0]
     scale = max(np.linalg.norm(H), 1e-300)
@@ -148,15 +151,13 @@ def decompose(H: OperatorMatrix, z: float | None = None,
     gram = lefts.conj().T @ kets
     biorth = float(np.abs(gram - np.eye(n)).max())
     completeness = float(np.linalg.norm(kets @ lefts.conj().T - np.eye(n)))
-    flags = np.abs(w.imag) <= tol_real * (1.0 + np.abs(w))
     return FrozenDecomposition(
         eigenvalues=w,
         right_kets=kets,
         left_bras=lefts,
         biorth_residual=biorth,
         completeness_residual=completeness,
-        reality_flags=flags,
-        z=z,
+        reality_flags=reality_mask(w),
     )
 
 
@@ -206,15 +207,13 @@ class SpectrumClassification:
         return len(self.unpaired_indices) == 0
 
 
-def classify_spectrum(dec: FrozenDecomposition,
-                      tol_real: float = REAL_TOLERANCE) -> SpectrumClassification:
+def classify_spectrum(dec: FrozenDecomposition) -> SpectrumClassification:
     """Report-only classification; warns when conjugation symmetry is broken."""
     w = dec.eigenvalues
-    real = [i for i in range(dec.size) if abs(w[i].imag) <= tol_real * (1.0 + abs(w[i]))]
-    complex_idx = [i for i in range(dec.size) if i not in real]
+    real = np.flatnonzero(dec.reality_flags).tolist()
+    open_idx = np.flatnonzero(~dec.reality_flags).tolist()
     pairs = []
     unpaired = []
-    open_idx = list(complex_idx)
     while open_idx:
         i = open_idx.pop(0)
         best_j, best_d = None, np.inf
@@ -222,7 +221,7 @@ def classify_spectrum(dec: FrozenDecomposition,
             d = abs(w[i] - np.conj(w[j]))
             if d < best_d:
                 best_j, best_d = j, d
-        if best_j is not None and best_d <= tol_real * (1.0 + abs(w[i])):
+        if best_j is not None and best_d <= REAL_TOLERANCE * (1.0 + abs(w[i])):
             open_idx.remove(best_j)
             pairs.append((i, best_j))
         else:

@@ -11,7 +11,8 @@ Conventions
     ConstantMass(m)          fixed mass m > 0,
     HOQuadratic(A, E0)       2 m(z) = A^2 (z - E0)^2 (singular at z = E0),
     GeneralMassSquared(f)    f(z, x) -> m^2, possibly complex valued.
-* The one-dimensional stationary forms built here are
+* The one-dimensional stationary forms built here, selected by name through
+  ``build_problem``, are
     schrodinger:  (1/(2 m(z))) * (-d^2/dx^2) + x^2
     kleingordon:  -d^2/dx^2 + m^2(z, x)
 * The two-component rearrangement pairs (phi1, phi2) = (i d/dt psi, psi).
@@ -153,6 +154,19 @@ def build_kleingordon(grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
     if np.iscomplexobj(values) and not values.imag.any():
         values = values.real
     return build_laplacian(grid).astype(values.dtype) + np.diag(values)
+
+
+#: Stationary forms ``build_problem`` can build, named as in ``[problem] kind``.
+PROBLEM_KINDS = ("schrodinger", "kleingordon")
+
+
+def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
+    """Matrix of the stationary form named by ``kind`` at frozen parameter z."""
+    if kind == "schrodinger":
+        return build_schrodinger(grid, model, z)
+    if kind == "kleingordon":
+        return build_kleingordon(grid, model, z)
+    raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
 
 
 def build_parity(grid: Grid) -> OperatorMatrix:

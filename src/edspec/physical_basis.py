@@ -90,8 +90,6 @@ class MetricSuite:
     residual_L: float            # ||nu L - L^dagger nu||
     min_eig_mu: float            # on the spanned subspace
     min_eig_nu: float
-    eta_plus: OperatorMatrix | None = None
-    charge_C: OperatorMatrix | None = None
 
 
 @dataclass(frozen=True)
@@ -176,7 +174,7 @@ def projector_residual(basis: PhysicalBasis) -> float:
     vectors' span (the sum itself is the oblique projector along the left
     complement, so the residual reports its non-orthogonality).
     """
-    S = basis.double_kets @ basis.left_vectors.conj().T
+    S = unit_projector(basis)
     if basis.size == basis.dimension:
         target = np.eye(basis.dimension)
     else:
@@ -210,9 +208,7 @@ def _min_subspace_eig(metric: np.ndarray, span: np.ndarray, full: bool) -> float
     return float(np.linalg.eigvalsh(_hermitize(q.conj().T @ metric @ q)).min())
 
 
-def build_metrics(basis: PhysicalBasis, K: OperatorMatrix, L: OperatorMatrix,
-                  eta_plus: OperatorMatrix | None = None,
-                  charge: OperatorMatrix | None = None) -> MetricSuite:
+def build_metrics(basis: PhysicalBasis, K: OperatorMatrix, L: OperatorMatrix) -> MetricSuite:
     """Positive expansions mu, nu with inverses and intertwining residuals.
 
     On a partial level set all four matrices vanish on the orthogonal
@@ -234,8 +230,6 @@ def build_metrics(basis: PhysicalBasis, K: OperatorMatrix, L: OperatorMatrix,
         residual_L=float(np.linalg.norm(nu @ L - L.conj().T @ nu)),
         min_eig_mu=_min_subspace_eig(mu, phi_l, complete),
         min_eig_nu=_min_subspace_eig(nu, phi_l, complete),
-        eta_plus=eta_plus,
-        charge_C=charge,
     )
 
 

@@ -26,6 +26,8 @@ from .physical_basis import build_basis, build_K, build_L, build_metrics, levels
 
 #: Reference discretization box for the convergence study.
 BOX = (-12.0, 12.0)
+#: Grid sizes of the convergence study when ``[validate] grid_sizes`` is unset.
+GRID_SIZES = (100, 200, 400)
 
 
 @dataclass(frozen=True)
@@ -35,15 +37,17 @@ class CriterionResult:
     details: dict
 
 
-def _shifted_random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Non-Hermitian test matrix with well-separated eigenvalues."""
-    spread = np.diag(np.arange(n, dtype=float))
+def shifted_random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Non-Hermitian matrix with well-separated eigenvalues near 0..n-1."""
     noise = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-    return spread + 0.5 * noise
+    return np.diag(np.arange(n, dtype=float)) + 0.5 * noise
 
 
-def _pseudo_hermitian_matrix(rng: np.random.Generator, n: int):
-    """Real-spectrum non-Hermitian H = eta0^-1 M with M Hermitian, eta0 > 0."""
+def pseudo_hermitian_pair(rng: np.random.Generator, n: int):
+    """(H, eta0) with H = eta0^-1 M, M Hermitian, eta0 Hermitian positive.
+
+    By construction H has a real spectrum and satisfies H^dagger eta0 = eta0 H.
+    """
     w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     eta0 = np.eye(n) + 0.25 * (w @ w.conj().T) / n
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
@@ -107,7 +111,7 @@ def _pipeline_roots(model, grid, n, windows, steps=48):
     return sorted(roots)
 
 
-def criterion_convergence(grid_sizes=(100, 200, 400)) -> CriterionResult:
+def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     """3. Pipeline fixed points converge at second order onto the closed forms.
 
     The discrete fixed points approach the closed-form values at exactly half
@@ -193,10 +197,10 @@ def criterion_biorthogonal(seed: int = 0) -> CriterionResult:
     for i in range(100):
         n = sizes[i % len(sizes)]
         if i % 5 < 3:
-            h = _shifted_random_matrix(rng, n)
+            h = shifted_random_matrix(rng, n)
             dec = decompose(h)
         else:
-            h, _ = _pseudo_hermitian_matrix(rng, n)
+            h, _ = pseudo_hermitian_pair(rng, n)
             dec = decompose(h)
             eta = eta_from_decomposition(dec)
             rel = np.linalg.norm(h.conj().T @ eta - eta @ h) / (
@@ -323,7 +327,7 @@ def criterion_pseudo_unitarity() -> CriterionResult:
     )
 
 
-def run_all(seed: int = 0, grid_sizes=(100, 200, 400)) -> list[CriterionResult]:
+def run_all(seed: int = 0, grid_sizes=GRID_SIZES) -> list[CriterionResult]:
     from .errors import SolverError
 
     checks = [

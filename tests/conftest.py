@@ -1,23 +1,7 @@
 import numpy as np
 import pytest
 
-
-def shifted_random_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Non-Hermitian matrix with well-separated eigenvalues near 0..n-1."""
-    noise = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(n)
-    return np.diag(np.arange(n, dtype=float)) + 0.5 * noise
-
-
-def pseudo_hermitian_pair(rng: np.random.Generator, n: int):
-    """(H, eta0) with H = eta0^-1 M, M Hermitian, eta0 Hermitian positive.
-
-    By construction H has a real spectrum and satisfies H^dagger eta0 = eta0 H.
-    """
-    w = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    eta0 = np.eye(n) + 0.25 * (w @ w.conj().T) / n
-    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    m = 0.5 * (m + m.conj().T) + np.diag(np.arange(n, dtype=float))
-    return np.linalg.solve(eta0, m), eta0
+from edspec.validate import pseudo_hermitian_pair, shifted_random_matrix  # noqa: F401
 
 
 @pytest.fixture

@@ -180,6 +180,22 @@ def test_fixedpoint_no_roots(tmp_path):
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
 
 
+@pytest.mark.parametrize("old, new", [
+    ("windows = 3.1:6.0", "windows = 8.0:0.0"),
+    ("windows = 3.1:6.0", "windows = 3.1:3.1"),
+    ("branches = 0", "branches = -1"),
+    ("branches = 0", "branches = 0, 120"),
+    ("steps = 32", "steps = 32\n    overlap_floor = 1.5"),
+    ("steps = 32", "steps = 32\n    overlap_floor = 0"),
+], ids=["reversed-window", "empty-window", "negative-branch", "branch-past-grid",
+        "floor-above-one", "floor-zero"])
+def test_fixedpoint_bad_input_rejected_at_load(tmp_path, capsys, old, new):
+    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace(old, new))
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "fixedpoint.json").exists()
+
+
 # ---------------------------------------------------------------- metric
 
 METRIC_BASE = """
@@ -325,6 +341,17 @@ def test_evolve_eigenstate(tmp_path):
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     report = load_json(tmp_path / "evolve.json")
     assert report["flag"] == "PASS"
+
+
+@pytest.mark.parametrize("problem", ["kind = schrodinger", None], ids=["schrodinger", "default"])
+def test_evolve_rejects_other_problem_kinds(tmp_path, capsys, problem):
+    body = (EVOLVE_BASE.replace("kind = kleingordon", problem) if problem
+            else EVOLVE_BASE.replace("[problem]\n    kind = kleingordon\n", ""))
+    cfg = write_config(tmp_path, body)
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "[problem] kind" in err
+    assert not (tmp_path / "evolve.json").exists()
 
 
 # ---------------------------------------------------------------- determinism

@@ -64,6 +64,15 @@ def test_group_property():
     np.testing.assert_allclose(resumed.stacked(), direct.stacked(), atol=1e-8)
 
 
+@pytest.mark.parametrize("phi1, phi2", [
+    ([complex(1.0, np.nan)], [0.0]),
+    ([0.0], [complex(0.0, np.inf)]),
+    ([np.nan], [0.0]),
+], ids=["nan-imag", "inf-imag", "nan-real"])
+def test_state_rejects_non_finite_entries(phi1, phi2):
+    with pytest.raises(ValueError, match="finite"):
+        FVState(phi1=np.array(phi1, complex), phi2=np.array(phi2, complex), t=0.0)
+
 def test_complex_spectrum_warns_but_proceeds():
     grid = Grid(-6.0, 6.0, 16)
     h = build_kleingordon(grid, GeneralMassSquared(lambda z, x: 1.0 + 0.4j * x), 0.0)
