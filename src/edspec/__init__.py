@@ -1,7 +1,8 @@
 """Energy-dependent eigenvalue problems via frozen spectra and fixed points.
 
-The pipeline: discretize the energy-dependent operator family H(z), resolve
-each member bi-orthogonally, trace real eigenvalue branches E_n(z), solve the
+The pipeline: discretize the energy-dependent operator family H(z), trace its
+real eigenvalue branches E_n(z) (by Sturm index where H(z) is real symmetric
+tridiagonal, by bi-orthogonal eigenvector overlap otherwise), solve the
 fixed-point constraint z = E_n(z) for the physical level set, and build the
 energy-independent operators K and L together with the metrics that make
 them quasi-Hermitian.  A two-component rearrangement with pseudo-unitary
@@ -18,6 +19,7 @@ from .fixedpoint import (
     EnergyBranch,
     FixedPointRoot,
     PhysicalLevel,
+    WindowDiagnostics,
     collect_physical,
     solve_fixed_points,
     trace_branch,
@@ -40,11 +42,13 @@ from .operators import (
     OperatorMatrix,
     assemble_fv,
     assemble_fv_metric,
+    build_bands,
     build_kleingordon,
     build_laplacian,
     build_parity,
     build_problem,
     build_schrodinger,
+    tridiagonal,
 )
 from .physical_basis import (
     ChargeOperator,
@@ -67,13 +71,14 @@ __all__ = [
     "SolverError",
     "FVState", "conservation_report", "evolve", "pseudo_norm",
     "CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
-    "collect_physical", "solve_fixed_points", "trace_branch", "trace_branch_family",
+    "WindowDiagnostics", "collect_physical", "solve_fixed_points", "trace_branch",
+    "trace_branch_family",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "FVSystem", "GeneralMassSquared", "Grid", "HOQuadratic",
     "MassModel", "OperatorMatrix", "assemble_fv", "assemble_fv_metric",
-    "build_kleingordon", "build_laplacian", "build_parity", "build_problem",
-    "build_schrodinger",
+    "build_bands", "build_kleingordon", "build_laplacian", "build_parity",
+    "build_problem", "build_schrodinger", "tridiagonal",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
     "build_charge", "build_K", "build_L", "build_metrics",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",

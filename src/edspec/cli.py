@@ -103,7 +103,7 @@ def _collect_levels(cfg: RunConfig) -> CollectResult:
     require(cfg, "windows", "a [fixedpoint] section with non-empty windows")
     return collect_physical(
         cfg.model, cfg.grid, cfg.branches, cfg.windows, cfg.problem_kind,
-        steps=cfg.steps, refine_tol=cfg.refine_tol, overlap_floor=cfg.overlap_floor,
+        steps=cfg.steps, refine_tol=cfg.refine_tol,
     )
 
 
@@ -126,6 +126,12 @@ def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
             {"branch": int(f.branch_index), "window": list(f.window),
              "error": f.error, "message": f.message}
             for f in result.failures
+        ],
+        "diagnostics": [
+            {"branch": int(d.branch_index), "window": list(d.window),
+             "samples": d.samples, "bisection_steps": d.bisection_steps,
+             "near_miss": d.near_miss}
+            for d in result.diagnostics
         ],
     })
     if isinstance(cfg.model, HOQuadratic):
@@ -206,6 +212,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
         "metric": cfg.evolve.metric,
         "steps": cfg.evolve.steps,
         "t_final": cfg.evolve.t_final,
+        "z": z,
     })
     write_json(out_dir / "evolve.json", report)
     return 0

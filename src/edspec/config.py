@@ -10,7 +10,7 @@ import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .fixedpoint import OVERLAP_FLOOR, REFINE_TOL, WINDOW_STEPS
+from .fixedpoint import REFINE_TOL, WINDOW_STEPS
 from .operators import PROBLEM_KINDS, ConstantMass, Grid, HOQuadratic, MassModel
 from .validate import GRID_SIZES
 
@@ -24,7 +24,7 @@ _SCHEMA = {
     "grid": {"x_min", "x_max", "n_points"},
     "problem": {"kind"},
     "spectrum": {"z"},
-    "fixedpoint": {"branches", "windows", "steps", "refine_tol", "overlap_floor"},
+    "fixedpoint": {"branches", "windows", "steps", "refine_tol"},
     "evolve": {"t_final", "steps", "metric", "state", "center", "width",
                "momentum", "index"},
     "output": {"dump_matrices"},
@@ -54,7 +54,6 @@ class RunConfig:
     windows: list = field(default_factory=list)
     steps: int = WINDOW_STEPS
     refine_tol: float = REFINE_TOL
-    overlap_floor: float = OVERLAP_FLOOR
     evolve: EvolveSpec | None = None
     dump_matrices: bool = False
     validate_grid_sizes: tuple = GRID_SIZES
@@ -120,8 +119,6 @@ def _parse_model(parser) -> MassModel:
 def _check_fixedpoint(cfg: RunConfig) -> None:
     if cfg.steps < 2:
         raise ConfigError(f"fixedpoint steps must be >= 2, got {cfg.steps}")
-    if not 0 < cfg.overlap_floor <= 1:
-        raise ConfigError(f"overlap_floor must be in (0, 1], got {cfg.overlap_floor}")
     for n in cfg.branches:
         if n < 0:
             raise ConfigError(f"branch index {n} is negative")
@@ -184,8 +181,6 @@ def load_config(path: str | Path) -> RunConfig:
         cfg.steps = _get(parser, "fixedpoint", "steps", int, default=cfg.steps)
         cfg.refine_tol = _positive(
             "refine_tol", _get(parser, "fixedpoint", "refine_tol", float, default=cfg.refine_tol))
-        cfg.overlap_floor = _get(parser, "fixedpoint", "overlap_floor", float,
-                                 default=cfg.overlap_floor)
         _check_fixedpoint(cfg)
     if parser.has_section("evolve"):
         metric = _get(parser, "evolve", "metric", str, default="swap").strip().lower()

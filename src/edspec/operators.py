@@ -7,6 +7,9 @@ Conventions
   conditions are imposed at the virtual nodes x_min - h and x_max + h.
 * ``build_laplacian`` returns the 3-point matrix of -d^2/dx^2 (positive
   definite, symmetric).
+* Every stationary form is tridiagonal.  Its coefficients live in one band
+  builder per form; ``build_bands`` hands them out when the matrix is real
+  symmetric, and the dense builders assemble them with ``tridiagonal``.
 * Mass models:
     ConstantMass(m)          fixed mass m > 0,
     HOQuadratic(A, E0)       2 m(z) = A^2 (z - E0)^2 (singular at z = E0),
@@ -126,47 +129,81 @@ def mass_squared(model: MassModel, z: float, x: float) -> complex:
     return value
 
 
+def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> OperatorMatrix:
+    """Dense symmetric tridiagonal matrix with the given diagonal and off-diagonal."""
+    matrix = np.diag(diagonal)
+    idx = np.arange(off_diagonal.shape[0])
+    matrix[idx, idx + 1] = off_diagonal
+    matrix[idx + 1, idx] = off_diagonal
+    return matrix
+
+
 def build_laplacian(grid: Grid) -> OperatorMatrix:
     """3-point Dirichlet matrix of -d^2/dx^2: diagonal 2/h^2, off-diagonals -1/h^2."""
-    n = grid.n_points
     inv_h2 = 1.0 / grid.h ** 2
-    lap = np.zeros((n, n))
-    np.fill_diagonal(lap, 2.0 * inv_h2)
-    idx = np.arange(n - 1)
-    lap[idx, idx + 1] = -inv_h2
-    lap[idx + 1, idx] = -inv_h2
-    return lap
+    n = grid.n_points
+    return tridiagonal(np.full(n, 2.0 * inv_h2), np.full(n - 1, -inv_h2))
+
+
+def _schrodinger_bands(grid: Grid, model: MassModel, z: float):
+    two_m = mass_2m(model, z)
+    if two_m <= MASS_EPSILON:
+        raise DegenerateMass(f"2 m(z) = {two_m} at z = {z} is below {MASS_EPSILON}")
+    inv_h2 = 1.0 / grid.h ** 2
+    x = grid.points()
+    return 2.0 * inv_h2 / two_m + x * x, np.full(grid.n_points - 1, -inv_h2 / two_m)
+
+
+def _kleingordon_bands(grid: Grid, model: MassModel, z: float):
+    values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
+    if np.iscomplexobj(values) and not values.imag.any():
+        values = values.real
+    inv_h2 = 1.0 / grid.h ** 2
+    return 2.0 * inv_h2 + values, np.full(grid.n_points - 1, -inv_h2)
+
+
+_BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
+
+#: Stationary forms ``build_problem`` can build, named as in ``[problem] kind``.
+PROBLEM_KINDS = tuple(_BANDS)
+
+
+def _problem_bands(kind: str, grid: Grid, model: MassModel, z: float):
+    if kind not in _BANDS:
+        raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+    return _BANDS[kind](grid, model, z)
 
 
 def build_schrodinger(grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
     """Matrix of (1/(2 m(z))) * (-d^2/dx^2) + x^2 at frozen parameter z."""
-    two_m = mass_2m(model, z)
-    if two_m <= MASS_EPSILON:
-        raise DegenerateMass(f"2 m(z) = {two_m} at z = {z} is below {MASS_EPSILON}")
-    x = grid.points()
-    return build_laplacian(grid) / two_m + np.diag(x * x)
+    return tridiagonal(*_schrodinger_bands(grid, model, z))
 
 
 def build_kleingordon(grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
     """Matrix of -d^2/dx^2 + m^2(z, x); non-Hermitian iff m^2 is complex."""
-    x = grid.points()
-    values = np.array([mass_squared(model, z, xi) for xi in x])
-    if np.iscomplexobj(values) and not values.imag.any():
-        values = values.real
-    return build_laplacian(grid).astype(values.dtype) + np.diag(values)
-
-
-#: Stationary forms ``build_problem`` can build, named as in ``[problem] kind``.
-PROBLEM_KINDS = ("schrodinger", "kleingordon")
+    return tridiagonal(*_kleingordon_bands(grid, model, z))
 
 
 def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
     """Matrix of the stationary form named by ``kind`` at frozen parameter z."""
-    if kind == "schrodinger":
-        return build_schrodinger(grid, model, z)
-    if kind == "kleingordon":
-        return build_kleingordon(grid, model, z)
-    raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+    return tridiagonal(*_problem_bands(kind, grid, model, z))
+
+
+def build_bands(kind: str, grid: Grid, model: MassModel,
+                z: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """Bands of the stationary form named by ``kind`` when it is real symmetric.
+
+    Returns ``(diagonal, off_diagonal)`` of the tridiagonal matrix that
+    ``build_problem`` assembles, or None when the form at z is not real
+    symmetric (a complex mass-squared).  The off-diagonal is nonzero for any
+    finite mass, so the eigenvalues are simple.
+    """
+    diagonal, off_diagonal = _problem_bands(kind, grid, model, z)
+    if np.iscomplexobj(diagonal):
+        return None
+    if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
+        raise ValueError(f"H({z}) has non-finite entries")
+    return diagonal, off_diagonal
 
 
 def build_parity(grid: Grid) -> OperatorMatrix:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
@@ -180,6 +183,34 @@ def test_fixedpoint_no_roots(tmp_path):
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 3
 
 
+def test_fixedpoint_reports_window_diagnostics(tmp_path):
+    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace("windows = 3.1:6.0",
+                                                       "windows = 3.1:6.0, 6.5:9.0"))
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    hit, miss = load_json(tmp_path / "fixedpoint.json")["diagnostics"]
+    assert (hit["branch"], hit["window"], hit["samples"]) == (0, [3.1, 6.0], 32)
+    assert hit["near_miss"] is None and hit["bisection_steps"] > 0
+    assert miss["window"] == [6.5, 9.0] and miss["bisection_steps"] == 0
+    assert miss["near_miss"] > 0.0
+
+
+def test_fixedpoint_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency, and importing scipy would add
+    # to the start-up time and memory of every command
+    cfg = write_config(tmp_path, HO_FIXEDPOINT)
+    script = (
+        "import sys\n"
+        "from edspec.cli import main\n"
+        f"code = main(['fixedpoint', '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 @pytest.mark.parametrize("old, new", [
     ("windows = 3.1:6.0", "windows = 8.0:0.0"),
     ("windows = 3.1:6.0", "windows = 3.1:3.1"),
@@ -341,6 +372,14 @@ def test_evolve_eigenstate(tmp_path):
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     report = load_json(tmp_path / "evolve.json")
     assert report["flag"] == "PASS"
+
+
+@pytest.mark.parametrize("spectrum, z", [("", 0.0), ("[spectrum]\n    z = 1.5\n", 1.5)],
+                         ids=["unset", "set"])
+def test_evolve_reports_its_frozen_parameter(tmp_path, spectrum, z):
+    cfg = write_config(tmp_path, EVOLVE_BASE + "\n    " + spectrum)
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert load_json(tmp_path / "evolve.json")["z"] == z
 
 
 @pytest.mark.parametrize("problem", ["kind = schrodinger", None], ids=["schrodinger", "default"])

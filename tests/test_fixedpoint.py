@@ -4,12 +4,22 @@ import pytest
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 from edspec.errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall
 from edspec.fixedpoint import (
+    WINDOW_STEPS,
     collect_physical,
+    count_below,
     solve_fixed_points,
     trace_branch,
     trace_branch_family,
 )
-from edspec.operators import ConstantMass, Grid, HOQuadratic, build_schrodinger
+from edspec.operators import (
+    ConstantMass,
+    GeneralMassSquared,
+    Grid,
+    HOQuadratic,
+    build_problem,
+    build_schrodinger,
+    tridiagonal,
+)
 
 
 GRID = Grid(-10.0, 10.0, 120)
@@ -18,9 +28,69 @@ GRID = Grid(-10.0, 10.0, 120)
 # ---------------------------------------------------------------- tracing
 
 def test_constant_mass_branch_is_flat():
-    branch = trace_branch(ConstantMass(0.5), GRID, 2, 0.1, 5.0, steps=16)
+    model = ConstantMass(0.5)
+    branch = trace_branch(model, GRID, 2, 0.1, 5.0, steps=16)
     assert branch.e_values.max() - branch.e_values.min() < 1e-10
+    # the Sturm index labels this branch, so it carries no overlaps; the
+    # continuation of the same dense family keeps its eigenvector
+    assert branch.continuity_overlaps is None
+    continued = trace_branch_family(lambda z: build_schrodinger(GRID, model, z),
+                                    2, 0.1, 5.0, steps=16)
+    assert (continued.continuity_overlaps >= 0.999).all()
+
+
+def test_count_below_is_the_inertia(rng):
+    for size in (1, 2, 5, 17, 40):
+        for _ in range(10):
+            d = rng.standard_normal(size)
+            e = rng.standard_normal(size - 1)
+            w = np.linalg.eigvalsh(tridiagonal(d, e))
+            for s in rng.uniform(w[0] - 1.0, w[-1] + 1.0, 8):
+                assert count_below(d, e, s) == np.sum(w < s)
+            gap = 1e-10 * (1.0 + np.abs(w).max())
+            for k, s in enumerate(w):
+                # at a computed eigenvalue rounding decides its side ...
+                assert np.sum(w < s) <= count_below(d, e, s) <= np.sum(w <= s)
+                # ... and a hair away from it the count is exact
+                assert count_below(d, e, s - gap) == np.sum(w < s - gap)
+                assert count_below(d, e, s + gap) == np.sum(w < s + gap)
+
+
+@pytest.mark.parametrize("d, e, s", [
+    ([1.0, 1.0], [2.0], 1.0),                 # first pivot 1 - 1 = 0
+    ([1.0, 1.0, 5.0], [1.0, 2.0], 0.0),       # second pivot 1 - 1/1 = 0
+], ids=["first-pivot", "inner-pivot"])
+def test_count_below_survives_zero_pivot(d, e, s):
+    d, e = np.array(d), np.array(e)
+    w = np.linalg.eigvalsh(tridiagonal(d, e))
+    assert np.abs(w - s).min() > 0.1            # s is no eigenvalue
+    assert count_below(d, e, s) == np.sum(w < s)
+
+
+@pytest.mark.parametrize("kind, model, window", [
+    ("schrodinger", HOQuadratic(1.0, 0.0), (0.5, 4.0)),
+    ("kleingordon", HOQuadratic(1.0, 0.0), (0.5, 3.0)),
+])
+def test_index_labels_agree_with_overlap_continuation(kind, model, window):
+    refine_tol = 1e-10
+    indexed = trace_branch(model, GRID, 1, *window, steps=24, kind=kind)
+    continued = trace_branch_family(lambda z: build_problem(kind, GRID, model, z),
+                                    1, *window, steps=24)
+    np.testing.assert_allclose(indexed.e_values, continued.e_values, rtol=1e-12)
+    roots = [r.z for r in solve_fixed_points(indexed, refine_tol)]
+    expected = [r.z for r in solve_fixed_points(continued, refine_tol)]
+    assert len(roots) == len(expected) == 1
+    assert abs(roots[0] - expected[0]) <= refine_tol
+
+
+def test_complex_mass_squared_is_continued_by_overlap():
+    # i g x breaks reality of H but not of its low spectrum (PT symmetry)
+    model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
+    branch = trace_branch(model, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon")
     assert (branch.continuity_overlaps >= 0.999).all()
+    real = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z)
+    assert trace_branch(real, GRID, 0, 0.5, 2.0, steps=8,
+                        kind="kleingordon").continuity_overlaps is None
 
 
 def test_ho_branch_decreases_with_z():
@@ -258,3 +328,28 @@ def test_domain_convention_full_line_vs_half_line():
         # the half-line root reproduces only the odd-index table entries
         assert 2.0 * root_half.z == pytest.approx(
             spectrum_plus(params, 2 * n + 1), rel=5e-3)
+
+
+def test_window_diagnostics_report_near_misses():
+    # just below emergence the minus pair is absent, but f comes close to 0
+    grid = Grid(-8.0, 8.0, 100)
+    sparse = collect_physical(HOQuadratic(3.6, 1.0), grid, [0], [(0.05, 0.9)])
+    assert not sparse.levels
+    (diag,) = sparse.diagnostics
+    assert (diag.branch_index, diag.window) == (0, (0.05, 0.9))
+    assert diag.samples == WINDOW_STEPS and diag.bisection_steps == 0
+    assert np.isfinite(diag.near_miss) and 0.0 < diag.near_miss < 0.1
+    rich = collect_physical(HOQuadratic(4.4, 1.0), grid, [0], [(0.05, 0.9)])
+    (diag,) = rich.diagnostics
+    assert len(rich.levels) == 2
+    assert diag.near_miss is None and diag.bisection_steps > 0
+
+
+def test_failures_and_diagnostics_keep_branch_window_order():
+    grid = Grid(-8.0, 8.0, 80)
+    windows = [(0.5, 1.5), (1.1, 4.0)]
+    result = collect_physical(HOQuadratic(1.0, 1.0), grid, [1, 0], windows)
+    assert [(f.branch_index, f.window) for f in result.failures] == [
+        (1, (0.5, 1.5)), (0, (0.5, 1.5))]
+    assert [(d.branch_index, d.window) for d in result.diagnostics] == [
+        (1, (1.1, 4.0)), (0, (1.1, 4.0))]

@@ -16,9 +16,12 @@ from edspec.operators import (
     assemble_fv,
     assemble_fv_metric,
     build_kleingordon,
+    build_bands,
     build_laplacian,
     build_parity,
+    build_problem,
     build_schrodinger,
+    tridiagonal,
 )
 
 
@@ -126,6 +129,33 @@ def test_kleingordon_evaluator_failure():
         build_kleingordon(grid, GeneralMassSquared(bad), z=0.0)
     with pytest.raises(EvaluationFailure):
         build_kleingordon(grid, GeneralMassSquared(lambda z, x: float("nan")), z=0.0)
+
+
+@pytest.mark.parametrize("kind, model", [
+    ("schrodinger", ConstantMass(0.7)),
+    ("schrodinger", HOQuadratic(1.3, 0.4)),
+    ("kleingordon", ConstantMass(0.7)),
+    ("kleingordon", HOQuadratic(1.3, 0.4)),
+    ("kleingordon", GeneralMassSquared(lambda z, xi: z + xi * xi)),
+], ids=["schrodinger-constant", "schrodinger-ho", "kleingordon-constant",
+        "kleingordon-ho", "kleingordon-real-general"])
+def test_bands_assemble_the_dense_form(kind, model):
+    grid = Grid(-4.0, 4.0, 9)
+    diagonal, off_diagonal = build_bands(kind, grid, model, 1.7)
+    assert diagonal.dtype == off_diagonal.dtype == np.float64
+    assert (off_diagonal != 0.0).all()
+    np.testing.assert_array_equal(tridiagonal(diagonal, off_diagonal),
+                                  build_problem(kind, grid, model, 1.7))
+
+
+def test_bands_of_complex_mass_are_not_real_symmetric():
+    grid = Grid(-4.0, 4.0, 9)
+    model = GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi)
+    assert build_bands("kleingordon", grid, model, 0.0) is None
+    with pytest.raises(DegenerateMass):
+        build_bands("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
+    with pytest.raises(EvaluationFailure):
+        build_bands("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), 0.0)
 
 
 # ---------------------------------------------------------------- parity
