@@ -13,7 +13,15 @@ __version__ = "0.1.0"
 
 from .closed_form import NUMERIC_TO_CLOSED, ClosedSpectrum, HOParams
 from .errors import SolverError
-from .evolution import FVState, conservation_report, evolve, pseudo_norm
+from .evolution import (
+    FVModes,
+    FVState,
+    conservation_report,
+    eigenstate,
+    evolve,
+    fv_modes,
+    pseudo_norm,
+)
 from .fixedpoint import (
     CollectResult,
     EnergyBranch,
@@ -69,7 +77,8 @@ __all__ = [
     "__version__",
     "NUMERIC_TO_CLOSED", "ClosedSpectrum", "HOParams",
     "SolverError",
-    "FVState", "conservation_report", "evolve", "pseudo_norm",
+    "FVModes", "FVState", "conservation_report", "eigenstate", "evolve", "fv_modes",
+    "pseudo_norm",
     "CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
     "WindowDiagnostics", "collect_physical", "solve_fixed_points", "trace_branch",
     "trace_branch_family",

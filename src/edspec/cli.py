@@ -19,7 +19,7 @@ from . import __version__
 from . import closed_form as cf
 from .config import ConfigError, RunConfig, load_config, require
 from .errors import SolverError
-from .evolution import FVState, conservation_report, evolve, pseudo_norm
+from .evolution import FVModes, FVState, conservation_report, eigenstate, evolve, fv_modes
 from .fixedpoint import CollectResult, collect_physical
 from .frozen_spectrum import classify_spectrum, decompose
 from .operators import HOQuadratic, assemble_fv, build_problem
@@ -170,16 +170,11 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _initial_state(cfg: RunConfig, system) -> FVState:
+def _initial_state(cfg: RunConfig, modes: FVModes) -> FVState:
     spec = cfg.evolve
     if spec.state == "gaussian":
         return gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
-    dec = decompose(system.h_sr)
-    if spec.index < 0 or spec.index >= dec.size:
-        raise ConfigError(f"eigenstate index {spec.index} outside 0..{dec.size - 1}")
-    ket = dec.right_kets[:, spec.index]
-    n = system.base_dimension
-    return FVState(phi1=ket[:n], phi2=ket[n:], t=0.0)
+    return eigenstate(modes, spec.index)
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
@@ -191,16 +186,15 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
             f"evolve needs [problem] kind = kleingordon, got {cfg.problem_kind!r}")
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
     system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
-    metric = (np.eye(2 * system.base_dimension) if cfg.evolve.metric == "identity"
-              else system.eta_sr)
-    state = _initial_state(cfg, system)
-    trajectory = evolve(system, state, cfg.evolve.t_final, cfg.evolve.steps)
+    modes = fv_modes(system)
+    state = _initial_state(cfg, modes)
+    trajectory = evolve(system, state, cfg.evolve.t_final, cfg.evolve.steps, modes)
+    report_data = conservation_report(trajectory, cfg.evolve.metric, system, modes)
     rows = [
-        [s.t, pseudo_norm(s, metric), float(np.linalg.norm(s.stacked()) ** 2)]
-        for s in trajectory
+        [s.t, float(value), float(np.linalg.norm(s.stacked()) ** 2)]
+        for s, value in zip(trajectory, report_data.pseudo_norms)
     ]
     write_csv(out_dir / "trajectory.csv", ["t", "pseudo_norm", "euclidean_norm"], rows)
-    report_data = conservation_report(trajectory, metric, system)
     report = _report_header(cfg)
     report.update({
         "flag": "PASS" if report_data.passed else "FAIL",

@@ -7,9 +7,11 @@ than warnings, since a silently ignored typo can corrupt a physics run.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .evolution import BLOCK_METRICS
 from .fixedpoint import REFINE_TOL, WINDOW_STEPS
 from .operators import PROBLEM_KINDS, ConstantMass, Grid, HOQuadratic, MassModel
 from .validate import GRID_SIZES
@@ -72,6 +74,14 @@ def _get(parser, section, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for [{section}] {key} = {raw!r}: {exc}") from exc
 
 
+def _float(raw: str) -> float:
+    """Finite float; ``float`` alone would accept nan and inf."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -94,7 +104,7 @@ def _windows(raw: str) -> list[tuple[float, float]]:
         lo, sep, hi = tok.partition(":")
         if not sep:
             raise ValueError(f"window {tok!r} is not of the form lo:hi")
-        out.append((float(lo), float(hi)))
+        out.append((_float(lo), _float(hi)))
     return out
 
 
@@ -107,11 +117,11 @@ def _positive(name: str, value: float) -> float:
 def _parse_model(parser) -> MassModel:
     kind = _get(parser, "model", "kind", str, required=True).strip().lower()
     if kind == "constant":
-        return ConstantMass(m=_get(parser, "model", "m", float, required=True))
+        return ConstantMass(m=_get(parser, "model", "m", _float, required=True))
     if kind == "hoquadratic":
         return HOQuadratic(
-            A=_get(parser, "model", "A", float, required=True),
-            E0=_get(parser, "model", "E0", float, required=True),
+            A=_get(parser, "model", "A", _float, required=True),
+            E0=_get(parser, "model", "E0", _float, required=True),
         )
     raise ConfigError(f"unknown model kind {kind!r} (expected constant | hoquadratic)")
 
@@ -159,8 +169,8 @@ def load_config(path: str | Path) -> RunConfig:
     if parser.has_section("grid"):
         try:
             cfg.grid = Grid(
-                x_min=_get(parser, "grid", "x_min", float, required=True),
-                x_max=_get(parser, "grid", "x_max", float, required=True),
+                x_min=_get(parser, "grid", "x_min", _float, required=True),
+                x_max=_get(parser, "grid", "x_max", _float, required=True),
                 n_points=_get(parser, "grid", "n_points", int, required=True),
             )
         except ValueError as exc:
@@ -171,7 +181,7 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"unknown problem kind {kind!r}")
         cfg.problem_kind = kind
     if parser.has_section("spectrum"):
-        cfg.spectrum_z = _get(parser, "spectrum", "z", float, required=True)
+        cfg.spectrum_z = _get(parser, "spectrum", "z", _float, required=True)
     if parser.has_section("fixedpoint"):
         try:
             cfg.branches = _get(parser, "fixedpoint", "branches", _int_list, required=True)
@@ -180,11 +190,11 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(str(exc)) from exc
         cfg.steps = _get(parser, "fixedpoint", "steps", int, default=cfg.steps)
         cfg.refine_tol = _positive(
-            "refine_tol", _get(parser, "fixedpoint", "refine_tol", float, default=cfg.refine_tol))
+            "refine_tol", _get(parser, "fixedpoint", "refine_tol", _float, default=cfg.refine_tol))
         _check_fixedpoint(cfg)
     if parser.has_section("evolve"):
         metric = _get(parser, "evolve", "metric", str, default="swap").strip().lower()
-        if metric not in ("swap", "identity"):
+        if metric not in BLOCK_METRICS:
             raise ConfigError(f"unknown evolve metric {metric!r}")
         state = _get(parser, "evolve", "state", str, default="gaussian").strip().lower()
         if state not in ("gaussian", "eigenstate"):
@@ -192,15 +202,18 @@ def load_config(path: str | Path) -> RunConfig:
         steps = _get(parser, "evolve", "steps", int, required=True)
         if steps < 0:
             raise ConfigError(f"evolve steps must be >= 0, got {steps}")
+        index = _get(parser, "evolve", "index", int, default=0)
+        if index < 0 or (cfg.grid is not None and index >= 2 * cfg.grid.n_points):
+            raise ConfigError(f"evolve index {index} must satisfy 0 <= index < 2 * n_points")
         cfg.evolve = EvolveSpec(
-            t_final=_get(parser, "evolve", "t_final", float, required=True),
+            t_final=_get(parser, "evolve", "t_final", _float, required=True),
             steps=steps,
             metric=metric,
             state=state,
-            center=_get(parser, "evolve", "center", float, default=0.0),
-            width=_positive("width", _get(parser, "evolve", "width", float, default=1.0)),
-            momentum=_get(parser, "evolve", "momentum", float, default=0.0),
-            index=_get(parser, "evolve", "index", int, default=0),
+            center=_get(parser, "evolve", "center", _float, default=0.0),
+            width=_positive("width", _get(parser, "evolve", "width", _float, default=1.0)),
+            momentum=_get(parser, "evolve", "momentum", _float, default=0.0),
+            index=index,
         )
     if parser.has_section("output"):
         cfg.dump_matrices = _get(parser, "output", "dump_matrices", _bool, default=False)

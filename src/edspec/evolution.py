@@ -1,10 +1,22 @@
 """Two-component time evolution and pseudo-norm conservation checks.
 
-The first-order system i d/dt (phi1, phi2) = h_sr (phi1, phi2) is propagated
-exactly through the bi-orthogonal spectral representation of h_sr, so
-conservation tests probe the algebraic structure rather than integrator
-error.  A Hermitian metric M conserves <Phi|M|Phi> along the flow exactly
-when M intertwines h_sr with its adjoint and the spectrum is real.
+The first-order system i d/dt (phi1, phi2) = h_sr (phi1, phi2) with
+h_sr = [[0, H], [I, 0]] is propagated exactly through one bi-orthogonal
+decomposition of the N x N base operator H, never through the 2N x 2N
+generator.  An eigenpair (lambda, psi) of H gives h_sr the eigenvalues
++-omega, omega^2 = lambda, with kets (+-omega psi, psi), so in the modal
+coordinates c = L^dagger phi each mode evolves in closed form:
+
+    c2(t) = c2 cos(omega t) - i c1 sin(omega t) / omega
+    c1(t) = c1 cos(omega t) - i omega c2 sin(omega t)
+
+Both are even in omega, so the branch of the square root is immaterial and
+complex lambda needs no special case.  Conservation tests therefore probe
+the algebraic structure rather than integrator error.  A Hermitian metric M
+conserves <Phi|M|Phi> along the flow exactly when M intertwines h_sr with
+its adjoint and the spectrum is real; for the swap lift [[0, eta], [eta, 0]]
+the pseudo-norm is 2 Re <phi1|eta phi2> and the intertwining residual is
+that of eta with H, both evaluated from the blocks.
 """
 
 from __future__ import annotations
@@ -14,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .frozen_spectrum import decompose, reality_mask
+from .errors import DegenerateSpectrum, DimensionMismatch
+from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, decompose, reality_mask
 from .operators import FVSystem, OperatorMatrix
 
 #: Relative pseudo-norm drift accepted as conservation.
@@ -24,6 +36,9 @@ DRIFT_TOLERANCE = 1e-8
 INTERTWINE_TOLERANCE = 1e-10
 #: Floor protecting the relative drift against zero initial pseudo-norm.
 NORM_FLOOR = 1e-300
+#: Block metrics ``conservation_report`` evaluates from the system's blocks:
+#: the swap lift [[0, eta], [eta, 0]] and the 2N x 2N identity.
+BLOCK_METRICS = ("swap", "identity")
 
 
 @dataclass(frozen=True)
@@ -44,13 +59,71 @@ class FVState:
         return np.concatenate([self.phi1, self.phi2])
 
 
-def _unstack(vector: np.ndarray, n: int, t: float) -> FVState:
-    return FVState(phi1=vector[:n], phi2=vector[n:], t=t)
+@dataclass(frozen=True)
+class FVModes:
+    """Normal modes of the block generator, from one decomposition of H.
+
+    ``frequencies[n]`` is the principal square root of the n-th eigenvalue of
+    H; ``kets`` and ``bras`` are H's right kets and left vectors, in the order
+    of ``decompose``.  The generator's eigenvalues are +-frequencies.
+    """
+
+    frequencies: np.ndarray
+    kets: np.ndarray
+    bras: np.ndarray
+
+    @property
+    def spectrum_real(self) -> bool:
+        return bool(np.all(reality_mask(self.frequencies)))
 
 
-def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> list[FVState]:
+def fv_modes(system: FVSystem) -> FVModes:
+    """Decompose H once and check that the generator is diagonalizable.
+
+    Raises DegenerateSpectrum when two generator eigenvalues +-sqrt(lambda)
+    sit closer than 1e-8 * ||h_sr||_F, the gap rule ``decompose`` applies;
+    in particular a zero eigenvalue of H (a Jordan block of h_sr) raises.
+    """
+    dec = decompose(system.H)
+    omega = np.sqrt(dec.eigenvalues)
+    n = omega.shape[0]
+    scale = np.sqrt(np.linalg.norm(system.H) ** 2 + n)    # ||h_sr||_F >= 1
+    # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
+    # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
+    same = np.abs(omega[:, None] - omega[None, :])
+    np.fill_diagonal(same, np.inf)
+    gap = min(same.min(), np.abs(omega[:, None] + omega[None, :]).min())
+    if gap < DEGENERACY_FACTOR * scale:
+        raise DegenerateSpectrum(
+            f"minimal generator eigenvalue gap {gap:.3e} below "
+            f"{DEGENERACY_FACTOR * scale:.3e}"
+        )
+    return FVModes(frequencies=omega, kets=dec.right_kets, bras=dec.left_bras)
+
+
+def eigenstate(modes: FVModes, index: int) -> FVState:
+    """Generator eigenstate ``index``, ordered and phased as ``decompose(h_sr)``.
+
+    Eigenvalues ascend by (Re, Im); for a positive spectrum of H, index k < N
+    is -sqrt(lambda_{N-1-k}) and k >= N is +sqrt(lambda_{k-N}).  The state is
+    (E psi, psi) made unit norm with its largest component real positive.
+    """
+    omega = modes.frequencies
+    n = omega.shape[0]
+    if not 0 <= index < 2 * n:
+        raise ValueError(f"eigenstate index {index} outside 0..{2 * n - 1}")
+    energies = np.concatenate([-omega, omega])
+    k = np.lexsort((energies.imag, energies.real))[index]
+    psi = modes.kets[:, k % n]
+    ket = _fix_phases(np.concatenate([energies[k] * psi, psi])[:, None])[:, 0]
+    return FVState(phi1=ket[:n], phi2=ket[n:], t=0.0)
+
+
+def evolve(system: FVSystem, state: FVState, t_final: float, steps: int,
+           modes: FVModes | None = None) -> list[FVState]:
     """Exact spectral propagation, returning steps+1 states including t = 0.
 
+    ``modes`` are ``fv_modes(system)``, computed here when not supplied.
     Complex eigenvalues of the generator are allowed (a warning is issued and
     norms may grow); a degenerate generator spectrum raises.
     """
@@ -61,21 +134,26 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> list
         raise DimensionMismatch(
             f"state dimension {state.phi1.shape[0]} does not match system base {n}"
         )
-    dec = decompose(system.h_sr)
-    if not bool(np.all(dec.reality_flags)):
+    if modes is None:
+        modes = fv_modes(system)
+    if not modes.spectrum_real:
         warnings.warn(
             "generator spectrum is not entirely real; evolution proceeds but "
             "norms may grow",
             RuntimeWarning,
             stacklevel=2,
         )
-    coeff = dec.left_bras.conj().T @ state.stacked()
-    trajectory = [state]
-    for k in range(1, steps + 1):
-        t = t_final * k / steps if steps else 0.0
-        amplitudes = coeff * np.exp(-1j * dec.eigenvalues * t)
-        trajectory.append(_unstack(dec.right_kets @ amplitudes, n, float(t)))
-    return trajectory
+    omega = modes.frequencies
+    c1 = modes.bras.conj().T @ state.phi1
+    c2 = modes.bras.conj().T @ state.phi2
+    times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
+    phase = np.outer(times, omega)
+    cos, sin = np.cos(phase), np.sin(phase)
+    # one row per time sample; mapped back with one product per component
+    phi1 = (c1 * cos - 1j * (omega * c2) * sin) @ modes.kets.T
+    phi2 = (c2 * cos - 1j * (c1 / omega) * sin) @ modes.kets.T
+    return [state] + [FVState(phi1=p1, phi2=p2, t=float(t))
+                      for p1, p2, t in zip(phi1, phi2, times)]
 
 
 def pseudo_norm(state: FVState, metric: OperatorMatrix) -> float:
@@ -96,6 +174,50 @@ def pseudo_norm(state: FVState, metric: OperatorMatrix) -> float:
     return value.real
 
 
+def _block_pseudo_norms(trajectory: list[FVState], metric: str,
+                        system: FVSystem | None) -> np.ndarray:
+    phi1 = np.array([s.phi1 for s in trajectory])
+    phi2 = np.array([s.phi2 for s in trajectory])
+    if metric == "identity":
+        return (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
+    if system is None:
+        raise ValueError("the swap metric needs the system that carries eta")
+    if phi1.shape[1] != system.base_dimension:
+        raise DimensionMismatch(
+            f"state dimension {phi1.shape[1]} does not match system base "
+            f"{system.base_dimension}"
+        )
+    eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
+    return 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
+
+
+def _intertwine_residual(metric: OperatorMatrix | str, system: FVSystem) -> float:
+    """Relative residual ||M h_sr - h_sr^dagger M|| / (||h_sr|| ||M||)."""
+    if not isinstance(metric, str):
+        h = system.h_sr
+        return float(
+            np.linalg.norm(metric @ h - h.conj().T @ metric)
+            / max(np.linalg.norm(h) * np.linalg.norm(metric), NORM_FLOOR)
+        )
+    H = system.H
+    n = system.base_dimension
+    h_norm = np.sqrt(np.linalg.norm(H) ** 2 + n)
+    if metric == "identity":
+        # h_sr - h_sr^dagger = [[0, H - I], [I - H^dagger, 0]]
+        commutator = np.sqrt(2.0) * np.linalg.norm(H - np.eye(n))
+        metric_norm = np.sqrt(2.0 * n)
+    else:
+        # M h_sr - h_sr^dagger M = [[0, 0], [0, eta H - H^dagger eta]]
+        eta = system.eta
+        if eta is None:
+            commutator, eta_norm = np.linalg.norm(H - H.conj().T), np.sqrt(n)
+        else:
+            commutator = np.linalg.norm(eta @ H - H.conj().T @ eta)
+            eta_norm = np.linalg.norm(eta)
+        metric_norm = np.sqrt(2.0) * eta_norm
+    return float(commutator / max(h_norm * metric_norm, NORM_FLOOR))
+
+
 @dataclass(frozen=True)
 class ConservationReport:
     """Pseudo-norm drift along a trajectory, with the metric's credentials."""
@@ -109,15 +231,24 @@ class ConservationReport:
     metric_intertwines: bool | None = None
 
 
-def conservation_report(trajectory: list[FVState], metric: OperatorMatrix,
-                        system: FVSystem | None = None) -> ConservationReport:
+def conservation_report(trajectory: list[FVState], metric: OperatorMatrix | str,
+                        system: FVSystem | None = None,
+                        modes: FVModes | None = None) -> ConservationReport:
     """Maximal relative pseudo-norm drift over a trajectory.
 
+    ``metric`` is a dense 2N x 2N matrix or one of ``BLOCK_METRICS``, which
+    are evaluated from the N x N blocks ("swap" needs ``system`` for eta).
     PASS means drift within 1e-8; when the generating system is supplied the
-    flag additionally requires a real generator spectrum and a metric that
-    intertwines the generator (relative residual within 1e-10).
+    flag additionally requires a real generator spectrum (read from
+    ``modes``, computed when not supplied) and a metric that intertwines the
+    generator (relative residual within 1e-10).
     """
-    values = np.array([pseudo_norm(s, metric) for s in trajectory])
+    if isinstance(metric, str):
+        if metric not in BLOCK_METRICS:
+            raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
+        values = _block_pseudo_norms(trajectory, metric, system)
+    else:
+        values = np.array([pseudo_norm(s, metric) for s in trajectory])
     base = float(abs(values[0])) if len(values) else 0.0
     degenerate = base < NORM_FLOOR
     if degenerate and np.all(np.abs(values) < NORM_FLOOR):
@@ -129,12 +260,8 @@ def conservation_report(trajectory: list[FVState], metric: OperatorMatrix,
     residual = None
     intertwines = None
     if system is not None:
-        h = system.h_sr
-        spectrum_real = bool(np.all(reality_mask(np.linalg.eigvals(h))))
-        residual = float(
-            np.linalg.norm(metric @ h - h.conj().T @ metric)
-            / max(np.linalg.norm(h) * np.linalg.norm(metric), NORM_FLOOR)
-        )
+        spectrum_real = (fv_modes(system) if modes is None else modes).spectrum_real
+        residual = _intertwine_residual(metric, system)
         intertwines = residual <= INTERTWINE_TOLERANCE
         passed = passed and spectrum_real and intertwines
     return ConservationReport(

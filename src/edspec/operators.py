@@ -20,7 +20,9 @@ Conventions
     kleingordon:  -d^2/dx^2 + m^2(z, x)
 * The two-component rearrangement pairs (phi1, phi2) = (i d/dt psi, psi).
   Its generator is the block matrix [[0, H], [I, 0]]; a pseudo-metric eta of
-  the inner block lifts to the block form [[0, eta], [eta, 0]].
+  the inner block lifts to the block form [[0, eta], [eta, 0]].  ``FVSystem``
+  keeps only the N x N blocks H and eta and assembles the 2N x 2N forms on
+  request; ``evolution`` works from the blocks.
 """
 
 from __future__ import annotations
@@ -217,15 +219,38 @@ def build_parity(grid: Grid) -> OperatorMatrix:
 
 @dataclass(frozen=True)
 class FVSystem:
-    """Two-component block system: generator h_sr and block pseudo-metric eta_sr."""
+    """Two-component block system kept as its inner blocks.
 
-    h_sr: OperatorMatrix
-    eta_sr: OperatorMatrix
-    base_dimension: int
+    ``H`` is the base operator and ``eta`` the inner pseudo-metric (None for
+    the identity).  The 2N x 2N generator ``h_sr`` and block metric
+    ``eta_sr`` are assembled only when asked for; propagation and the
+    conservation checks work from the blocks.
+    """
+
+    H: OperatorMatrix
+    eta: OperatorMatrix | None = None
+
+    @property
+    def base_dimension(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def h_sr(self) -> OperatorMatrix:
+        """Block generator [[0, H], [I, 0]]."""
+        n = self.base_dimension
+        h_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(self.H.dtype, float))
+        h_sr[:n, n:] = self.H
+        h_sr[n:, :n] = np.eye(n)
+        return h_sr
+
+    @property
+    def eta_sr(self) -> OperatorMatrix:
+        """Block pseudo-metric [[0, eta], [eta, 0]]."""
+        return _swap_lift(np.eye(self.base_dimension) if self.eta is None else self.eta)
 
 
 def assemble_fv(H: OperatorMatrix, eta: OperatorMatrix | None = None) -> FVSystem:
-    """Block generator [[0, H], [I, 0]] of the two-component rearrangement.
+    """Two-component system of the block generator [[0, H], [I, 0]].
 
     The spectrum consists of the pairs +/- sqrt(lambda) over eigenvalues
     lambda of H (checked by the test suite, not assumed here).  When no inner
@@ -234,20 +259,14 @@ def assemble_fv(H: OperatorMatrix, eta: OperatorMatrix | None = None) -> FVSyste
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
-    n = H.shape[0]
-    h_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(H.dtype, float))
-    h_sr[:n, n:] = H
-    h_sr[n:, :n] = np.eye(n)
-    eta_sr = assemble_fv_metric(np.eye(n) if eta is None else eta)
-    return FVSystem(h_sr=h_sr, eta_sr=eta_sr, base_dimension=n)
+    if eta is not None:
+        eta = _checked_metric(eta)
+        if eta.shape != H.shape:
+            raise ValueError(f"eta shape {eta.shape} does not match H shape {H.shape}")
+    return FVSystem(H=H, eta=eta)
 
 
-def assemble_fv_metric(eta: OperatorMatrix) -> OperatorMatrix:
-    """Block pseudo-metric [[0, eta], [eta, 0]] for the two-component system.
-
-    Requires eta Hermitian (tolerance 1e-10) and invertible; the result
-    intertwines the block generator whenever eta intertwines the inner block.
-    """
+def _checked_metric(eta: OperatorMatrix) -> OperatorMatrix:
     eta = np.asarray(eta)
     if eta.ndim != 2 or eta.shape[0] != eta.shape[1]:
         raise ValueError(f"eta must be square, got shape {eta.shape}")
@@ -257,8 +276,21 @@ def assemble_fv_metric(eta: OperatorMatrix) -> OperatorMatrix:
     cond = np.linalg.cond(eta)
     if not np.isfinite(cond) or cond > 1e12:
         raise SingularMetric(f"eta is numerically singular (condition number {cond:.3e})")
+    return eta
+
+
+def _swap_lift(eta: OperatorMatrix) -> OperatorMatrix:
     n = eta.shape[0]
     eta_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(eta.dtype, float))
     eta_sr[:n, n:] = eta
     eta_sr[n:, :n] = eta
     return eta_sr
+
+
+def assemble_fv_metric(eta: OperatorMatrix) -> OperatorMatrix:
+    """Block pseudo-metric [[0, eta], [eta, 0]] for the two-component system.
+
+    Requires eta Hermitian (tolerance 1e-10) and invertible; the result
+    intertwines the block generator whenever eta intertwines the inner block.
+    """
+    return _swap_lift(_checked_metric(eta))

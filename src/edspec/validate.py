@@ -311,7 +311,7 @@ def criterion_pseudo_unitarity() -> CriterionResult:
     system = assemble_fv(h)
     state = gaussian_state(grid, center=0.0, width=1.5, momentum=2.0)
     trajectory = evolve(system, state, t_final=10.0, steps=200)
-    report = conservation_report(trajectory, system.eta_sr, system)
+    report = conservation_report(trajectory, "swap", system)
     euclid = np.array([np.linalg.norm(s.stacked()) ** 2 for s in trajectory])
     euclid_variation = float(np.abs(euclid - euclid[0]).max() / euclid[0])
     passed = report.passed and report.drift <= 1e-8 and euclid_variation > 1e-3

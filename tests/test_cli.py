@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from edspec.cli import main
+from edspec.frozen_spectrum import decompose
 from edspec.operators import ConstantMass, Grid, build_kleingordon, build_schrodinger
 
 
@@ -391,6 +392,60 @@ def test_evolve_rejects_other_problem_kinds(tmp_path, capsys, problem):
     err = capsys.readouterr().err
     assert "config error:" in err and "[problem] kind" in err
     assert not (tmp_path / "evolve.json").exists()
+
+
+@pytest.mark.parametrize("index", [-1, 80], ids=["negative", "past-generator"])
+def test_evolve_index_rejected_at_load(tmp_path, capsys, monkeypatch, index):
+    import edspec.cli
+    import edspec.evolution
+
+    def no_solve(H):
+        raise AssertionError("a bad index must be rejected before any eigensolve")
+
+    for module in (edspec.cli, edspec.evolution):
+        monkeypatch.setattr(module, "decompose", no_solve)
+    cfg = write_config(tmp_path, EVOLVE_BASE.replace(
+        "state = gaussian", f"state = eigenstate\n    index = {index}"))
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "index" in err
+    assert not (tmp_path / "evolve.json").exists()
+
+
+def test_evolve_eigenstate_decomposes_h_once(tmp_path, monkeypatch):
+    # the last generator eigenstate, 2 n_points - 1, is built from one N x N
+    # decomposition of H; the 2N x 2N generator is never decomposed
+    import edspec.cli
+    import edspec.evolution
+
+    sizes = []
+
+    def counting(H):
+        sizes.append(np.asarray(H).shape[0])
+        return decompose(H)
+
+    for module in (edspec.cli, edspec.evolution):
+        monkeypatch.setattr(module, "decompose", counting)
+    cfg = write_config(tmp_path, EVOLVE_BASE.replace(
+        "state = gaussian", "state = eigenstate\n    index = 79"))
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert load_json(tmp_path / "evolve.json")["flag"] == "PASS"
+    assert sizes == [40]
+
+
+@pytest.mark.parametrize("command, body", [
+    ("fixedpoint", HO_FIXEDPOINT.replace("E0 = 3.0", "E0 = nan")),
+    ("fixedpoint", HO_FIXEDPOINT.replace("windows = 3.1:6.0", "windows = -inf:1")),
+    ("evolve", EVOLVE_BASE.replace("t_final = 5.0", "t_final = inf")),
+    ("evolve", EVOLVE_BASE.replace("momentum = 1.5", "momentum = nan")),
+    ("spectrum", CONSTANT_KG.replace("z = 0.0", "z = nan")),
+], ids=["model-E0", "window-bound", "evolve-t_final", "evolve-momentum", "spectrum-z"])
+def test_non_finite_floats_rejected_at_load(tmp_path, capsys, command, body):
+    cfg = write_config(tmp_path, body)
+    assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "finite" in err
+    assert not list(tmp_path.glob("*.json"))
 
 
 # ---------------------------------------------------------------- determinism

@@ -1,8 +1,17 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from edspec.errors import DimensionMismatch
-from edspec.evolution import FVState, conservation_report, evolve, pseudo_norm
+from edspec.errors import DegenerateSpectrum, DimensionMismatch
+from edspec.evolution import (
+    FVState,
+    conservation_report,
+    eigenstate,
+    evolve,
+    fv_modes,
+    pseudo_norm,
+)
 from edspec.frozen_spectrum import decompose
 from edspec.operators import (
     ConstantMass,
@@ -80,6 +89,72 @@ def test_complex_spectrum_warns_but_proceeds():
     state = gaussian_state(grid, center=0.0, width=1.0, momentum=0.0)
     with pytest.warns(RuntimeWarning):
         trajectory = evolve(system, state, t_final=1.0, steps=2)
+    assert len(trajectory) == 3
+
+
+def _expm_trajectory(system, state, t_final, steps):
+    from scipy.linalg import expm
+
+    h_sr = system.h_sr
+    return [expm(-1j * (t_final * k / steps) * h_sr) @ state.stacked()
+            for k in range(steps + 1)]
+
+
+@pytest.mark.parametrize("mass_squared", [
+    lambda z, x: 1.0 + 0.1 * x * x,
+    lambda z, x: 1.0 + 0.1j * x,
+], ids=["hermitian", "complex-mass-squared"])
+def test_trajectory_matches_matrix_exponential(mass_squared):
+    # independent oracle: the 2N x 2N propagator exp(-i t h_sr) applied to Phi(0)
+    grid = Grid(-6.0, 6.0, 30)
+    system = assemble_fv(build_kleingordon(grid, GeneralMassSquared(mass_squared), 0.0))
+    state = gaussian_state(grid, center=0.5, width=1.2, momentum=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trajectory = evolve(system, state, t_final=3.0, steps=6)
+    reference = _expm_trajectory(system, state, 3.0, 6)
+    scale = max(np.abs(v).max() for v in reference)
+    for s, expected in zip(trajectory, reference):
+        assert np.abs(s.stacked() - expected).max() <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("pick", [lambda n: 0, lambda n: n - 1, lambda n: n,
+                                  lambda n: 2 * n - 1], ids=["0", "N-1", "N", "2N-1"])
+def test_eigenstate_matches_generator_decomposition(pick):
+    # no parity symmetry, so the largest component of each ket is unique
+    grid = Grid(-6.0, 6.0, 30)
+    h = build_kleingordon(grid, GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.1 * x * x),
+                          0.0)
+    system = assemble_fv(h)
+    k = pick(system.base_dimension)
+    state = eigenstate(fv_modes(system), k)
+    expected = decompose(system.h_sr).right_kets[:, k]
+    assert np.abs(state.stacked() - expected).max() <= 1e-12
+
+
+def test_eigenstate_index_out_of_range():
+    modes = fv_modes(assemble_fv(np.array([[4.0]])))
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="index"):
+            eigenstate(modes, index)
+
+
+def test_zero_frequency_is_degenerate():
+    # lambda = 0 makes h_sr = [[0, 0], [1, 0]], a Jordan block
+    system = assemble_fv(np.zeros((1, 1)))
+    state = FVState(phi1=np.array([1.0 + 0.0j]), phi2=np.array([0.0j]), t=0.0)
+    with pytest.raises(DegenerateSpectrum):
+        evolve(system, state, t_final=1.0, steps=2)
+
+
+def test_negative_mass_squared_warns():
+    # m^2 = -4 pushes the lowest eigenvalues of H below zero: imaginary frequencies
+    grid = Grid(-6.0, 6.0, 30)
+    system = assemble_fv(build_kleingordon(grid, GeneralMassSquared(lambda z, x: -4.0), 0.0))
+    assert np.isrealobj(system.H)
+    state = gaussian_state(grid, center=0.0, width=1.0, momentum=0.0)
+    with pytest.warns(RuntimeWarning, match="not entirely real"):
+        trajectory = evolve(system, state, t_final=0.5, steps=2)
     assert len(trajectory) == 3
 
 
