@@ -42,7 +42,8 @@ class FrozenDecomposition:
 
     ``right_kets`` and ``left_bras`` hold one vector per column, ordered by
     (Re E, Im E); ``left_bras[:, n]`` is the vector whose conjugate transpose
-    is the n-th bra.
+    is the n-th bra.  For Hermitian H both are the same array, real
+    (float64) when H is real symmetric.
     """
 
     eigenvalues: np.ndarray
@@ -58,7 +59,10 @@ class FrozenDecomposition:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    """Unit-normalize columns and rotate the largest component real positive."""
+    """Unit-normalize columns and rotate the largest component real positive.
+
+    Real columns stay real: the rotation is then a sign.
+    """
     out = vectors / np.linalg.norm(vectors, axis=0)
     lead = np.argmax(np.abs(out), axis=0)
     pivot = out[lead, np.arange(out.shape[1])]
@@ -104,7 +108,8 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
 
     Raises DegenerateSpectrum when two eigenvalues sit closer than
     1e-8 * ||H||, and PairingFailure when the H / H^dagger spectra cannot be
-    matched.  Hermitian input takes an exact orthonormal path.
+    matched.  Hermitian input takes an exact orthonormal path, in real
+    arithmetic when H is real symmetric.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -117,11 +122,13 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
     hermitian = np.array_equal(H, H.conj().T)
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
-        # check below is skipped on this path.
+        # check below is skipped on this path.  eigh returns the eigenvalues
+        # in ascending order, and a real symmetric H keeps its real vectors:
+        # bra = ket, and both residual products below are real.
         w, v = np.linalg.eigh(H)
         w = w.astype(complex)
-        kets = _fix_phases(v.astype(complex))
-        lefts = kets.copy()
+        kets = _fix_phases(v)
+        lefts = kets
     else:
         w, v = np.linalg.eig(H)
         if n > 1:
@@ -144,9 +151,8 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
                     f"paired left/right eigenvectors nearly orthogonal at index {k}"
                 )
             lefts[:, k] = u[:, k] / np.conj(c)
-
-    order = np.lexsort((w.imag, w.real))
-    w, kets, lefts = w[order], kets[:, order], lefts[:, order]
+        order = np.lexsort((w.imag, w.real))
+        w, kets, lefts = w[order], kets[:, order], lefts[:, order]
 
     gram = lefts.conj().T @ kets
     biorth = float(np.abs(gram - np.eye(n)).max())

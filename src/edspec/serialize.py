@@ -20,9 +20,16 @@ def format_float(value: float) -> str:
     return f"{value:.16e}"
 
 
+#: Dense-dump token 're+imj': both parts as in ``format_float``, the
+#: imaginary one with an explicit sign.
+_COMPLEX_TOKEN = "%.16e%+.16ej"
+
+
 def format_complex(value: complex) -> str:
     """Dense-dump token 're+imj' with fixed-width parts."""
-    return f"{format_float(value.real)}{value.imag:+.16e}j"
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ValueError(f"cannot serialize non-finite complex {value!r}")
+    return _COMPLEX_TOKEN % (value.real, value.imag)
 
 
 def _escape(text: str) -> str:
@@ -102,9 +109,18 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_matrix(path: Path, matrix) -> None:
-    """Plain-text dense dump: first line 'N M', then rows of re+imj tokens."""
+    """Plain-text dense dump: first line 'N M', then rows of re+imj tokens.
+
+    Tokens are those of ``format_complex``; a non-finite part anywhere
+    raises ValueError before the file is touched.
+    """
+    matrix = np.asarray(matrix)
     n, m = matrix.shape
+    if not np.isfinite(matrix).all():
+        raise ValueError("cannot serialize a matrix with non-finite entries")
+    # each row as re, im, re, im, ... float64, formatted in one operation
+    parts = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(n, 2 * m)
+    row = " ".join([_COMPLEX_TOKEN] * m)
     lines = [f"{n} {m}"]
-    for i in range(n):
-        lines.append(" ".join(format_complex(complex(matrix[i, j])) for j in range(m)))
+    lines.extend(row % tuple(values) for values in parts.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

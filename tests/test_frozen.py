@@ -50,6 +50,7 @@ def test_hermitian_limit(rng):
     h = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     h = h + h.conj().T
     dec = decompose(h)
+    assert dec.right_kets.dtype == np.complex128
     np.testing.assert_allclose(dec.left_bras, dec.right_kets)
     np.testing.assert_allclose(eta_from_decomposition(dec), np.eye(8), atol=1e-10)
     np.testing.assert_allclose(eta_inverse_from_decomposition(dec), np.eye(8), atol=1e-10)
@@ -142,3 +143,23 @@ def test_classify_unpaired_warns():
         report = classify_spectrum(dec)
     assert len(report.unpaired_indices) == 2
     assert not report.conjugation_symmetric
+
+
+def test_real_symmetric_path_stays_real(rng):
+    h = rng.standard_normal((40, 40))
+    h = h + h.T
+    dec = decompose(h)
+    kets = dec.right_kets
+    assert kets.dtype == np.float64
+    np.testing.assert_array_equal(dec.left_bras, kets)
+    assert np.abs(kets.T @ kets - np.eye(40)).max() <= 1e-12
+    assert dec.biorth_residual <= 1e-12
+    assert dec.completeness_residual <= 1e-12
+    np.testing.assert_array_equal(dec.eigenvalues, np.linalg.eigh(h)[0])
+    lead = kets[np.argmax(np.abs(kets), axis=0), np.arange(40)]
+    assert (lead > 0).all()
+    eta = eta_from_decomposition(dec)
+    eta_inv = eta_inverse_from_decomposition(dec)
+    scale = np.linalg.norm(h)
+    assert np.linalg.norm(h.T @ eta - eta @ h) <= 1e-12 * scale * np.linalg.norm(eta)
+    assert np.linalg.norm(h @ eta_inv - eta_inv @ h.T) <= 1e-12 * scale * np.linalg.norm(eta_inv)

@@ -22,7 +22,7 @@ def test_float_format_is_fixed_width():
 
 def test_complex_token_round_trips():
     token = format_complex(1.5 - 2.25j)
-    assert token.endswith("j")
+    assert token == "1.5000000000000000e+00-2.2500000000000000e+00j"
     assert complex(token) == 1.5 - 2.25j
 
 
@@ -56,3 +56,49 @@ def test_matrix_dump_round_trips(tmp_path):
     assert lines[0] == "2 2"
     parsed = np.array([[complex(tok) for tok in line.split()] for line in lines[1:]])
     np.testing.assert_array_equal(parsed, matrix)
+
+
+def _reference_dump(matrix) -> bytes:
+    """The dump built token by token from ``format_complex``."""
+    n, m = matrix.shape
+    rows = [" ".join(format_complex(complex(matrix[i, j])) for j in range(m))
+            for i in range(n)]
+    return ("\n".join([f"{n} {m}"] + rows) + "\n").encode()
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[complex(0.0, 0.0), complex(-0.0, -0.0)],
+              [complex(0.0, -0.0), complex(-0.0, 0.0)]]),
+    np.array([[5e-324 - 5e-324j, 1e308 - 1e308j, -1e308 + 5e-324j]]),
+    np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308]]),     # real, 2 x 3
+    np.array([[-0.0]]),                                             # 1 x 1
+    np.random.default_rng(0).standard_normal((4, 4))
+    + 1j * np.random.default_rng(1).standard_normal((4, 4)),
+], ids=["signed-zeros", "extremes", "real-2x3", "1x1", "random"])
+def test_matrix_dump_bytes_match_tokens(tmp_path, matrix):
+    path = tmp_path / "m.txt"
+    write_matrix(path, matrix)
+    assert path.read_bytes() == _reference_dump(matrix)
+
+
+@pytest.mark.parametrize("bad", [
+    complex(float("nan"), 0.0), complex(float("inf"), 1.0),
+    complex(1.0, float("nan")), complex(0.0, -float("inf")),
+])
+def test_non_finite_parts_rejected(tmp_path, bad):
+    with pytest.raises(ValueError):
+        format_complex(bad)
+    matrix = np.eye(2, dtype=complex)
+    matrix[1, 0] = bad
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError):
+        write_matrix(path, matrix)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_real_matrix_rejected(tmp_path, bad):
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError):
+        write_matrix(path, np.array([[1.0, 2.0], [bad, 3.0]]))
+    assert not path.exists()
