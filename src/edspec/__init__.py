@@ -56,7 +56,6 @@ from .operators import (
     build_parity,
     build_problem,
     build_schrodinger,
-    tridiagonal,
 )
 from .physical_basis import (
     ChargeOperator,
@@ -87,7 +86,7 @@ __all__ = [
     "ConstantMass", "FVSystem", "GeneralMassSquared", "Grid", "HOQuadratic",
     "MassModel", "OperatorMatrix", "assemble_fv", "assemble_fv_metric",
     "build_bands", "build_kleingordon", "build_laplacian", "build_parity",
-    "build_problem", "build_schrodinger", "tridiagonal",
+    "build_problem", "build_schrodinger",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
     "build_charge", "build_K", "build_L", "build_metrics",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",

@@ -7,10 +7,12 @@ A branch is labelled across a window of frozen parameters in one of two ways.
   Klein-Gordon form of any real mass-squared.  The off-diagonals are nonzero,
   so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
   every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  A window is
-  sampled once for all branches, one real ``eigvalsh`` per sample.  The sign
-  of f(z) = E_n(z) - z is the inertia of H(z) - z: f(z) > 0 exactly when at
-  most n pivots of its LDL^T factorization are negative, so bisection counts
-  pivots instead of solving eigenproblems.
+  sampled once for all branches, one O(N^2) tridiagonal eigenvalue solve
+  (``eigvalsh_bands``) per sample.  The sign of f(z) = E_n(z) - z is the
+  inertia of H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
+  factorization are negative, so bisection counts pivots instead of solving
+  eigenproblems.  Each level's ket comes from one tridiagonal eigensolve
+  (``eigh_bands``) at the root.
 * By eigenvector overlap, for an arbitrary matrix family
   (``trace_branch_family``) and where the mass-squared is complex: at each
   sample the eigenpair with the largest |<ket_prev|ket>| wins, which keeps
@@ -31,7 +33,8 @@ import numpy as np
 
 from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
 from .frozen_spectrum import FrozenDecomposition, decompose
-from .operators import Grid, HOQuadratic, MassModel, build_bands, build_problem, tridiagonal
+from .operators import Grid, HOQuadratic, MassModel, build_bands, build_problem
+from .tridiagonal import eigh_bands, eigvalsh_bands
 
 #: Minimal admissible continuation overlap between consecutive samples.
 OVERLAP_FLOOR = 0.7
@@ -229,7 +232,7 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
         if bands is None:
             spectra = None
             break
-        spectra[k] = np.linalg.eigvalsh(tridiagonal(*bands))
+        spectra[k] = eigvalsh_bands(*bands)
     return _SampledWindow(kind, grid, model, (z_lo, z_hi), z_samples, spectra)
 
 
@@ -309,6 +312,11 @@ def _bisect(branch: EnergyBranch, k: int, refine_tol: float,
     )
 
 
+def _close(z: float, z_prev: float) -> bool:
+    """Tangency guard: roots closer than MERGE_FACTOR * (1 + |z|) are one."""
+    return abs(z - z_prev) <= MERGE_FACTOR * (1.0 + abs(z))
+
+
 def _solve(branch: EnergyBranch, refine_tol: float,
            overlap_floor: float) -> tuple[list[FixedPointRoot], int]:
     if not refine_tol > 0:
@@ -332,7 +340,7 @@ def _solve(branch: EnergyBranch, refine_tol: float,
     raw.sort(key=lambda item: item[0])
     merged: list[tuple[float, int]] = []
     for root, bracket in raw:
-        if merged and abs(root - merged[-1][0]) <= MERGE_FACTOR * (1.0 + abs(root)):
+        if merged and _close(root, merged[-1][0]):
             continue
         merged.append((root, bracket))
     roots = [FixedPointRoot(z=root, j=j, bracket=bracket)
@@ -357,7 +365,7 @@ def _level(branch: EnergyBranch, root: FixedPointRoot, j: int,
     n = branch.branch_index
     if branch.bands is not None:
         diagonal, off = _real_bands(branch, root.z)
-        ket = np.linalg.eigh(tridiagonal(diagonal, off))[1][:, n]
+        ket = eigh_bands(diagonal, off)[1][:, n]
         ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
         r = (diagonal - root.z) * ket
         r[:-1] += off * ket[1:]
@@ -388,8 +396,10 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     Each window is sampled once for all branches; each (branch, window) pair
     is then solved independently.  Solver failures are recorded per pair and
     the remaining levels are returned, and every solved pair leaves a
-    ``WindowDiagnostics`` record.  Roots of one branch are indexed
-    j = 0, 1, ... in ascending energy across all its windows.  Windows are
+    ``WindowDiagnostics`` record.  Roots of one branch found in different
+    windows are merged by the rule ``solve_fixed_points`` applies inside a
+    window, so a root on an endpoint two windows share counts once; the
+    roots are then indexed j = 0, 1, ... in ascending energy.  Windows are
     not deduplicated: listing the same window twice yields coincident
     levels, left for the overlap-matrix conditioning check to reject
     downstream.
@@ -404,7 +414,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     failures: list[CollectFailure] = []
     diagnostics: list[WindowDiagnostics] = []
     for n in n_list:
-        found: list[tuple[FixedPointRoot, EnergyBranch]] = []
+        found: list[tuple[FixedPointRoot, EnergyBranch, tuple]] = []
         for window, entry in zip(z_windows, sampled):
             window = (float(window[0]), float(window[1]))
             error = entry if isinstance(entry, SolverError) else None
@@ -431,8 +441,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                 bisection_steps=evals,
                 near_miss=near_miss,
             ))
-            found.extend((root, branch) for root in roots)
+            found.extend((root, branch, window) for root in roots)
         found.sort(key=lambda item: item[0].z)
+        kept: list[tuple[FixedPointRoot, EnergyBranch, tuple]] = []
+        for root, branch, window in found:
+            if kept and window != kept[-1][2] and _close(root.z, kept[-1][0].z):
+                continue
+            kept.append((root, branch, window))
         levels.extend(_level(branch, root, j, overlap_floor)
-                      for j, (root, branch) in enumerate(found))
+                      for j, (root, branch, _) in enumerate(kept))
     return CollectResult(levels=levels, failures=failures, diagnostics=diagnostics)

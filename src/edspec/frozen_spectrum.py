@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ComplexSpectrum, DegenerateSpectrum, PairingFailure
 from .operators import OperatorMatrix
+from .tridiagonal import eigh_bands
 
 #: Relative eigenvalue-gap floor below which bi-orthonormalization is rejected.
 DEGENERACY_FACTOR = 1e-8
@@ -103,13 +104,29 @@ def reality_mask(w: np.ndarray) -> np.ndarray:
     return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
 
 
+def _is_real_tridiagonal(H: np.ndarray) -> bool:
+    """True iff the symmetric H is real and zero outside its three bands.
+
+    Exact: the nonzero entries of H are counted and compared with those of
+    the diagonal and the two (equal) off-diagonals.
+    """
+    if np.iscomplexobj(H):
+        return False
+    band = np.count_nonzero(np.diagonal(H)) + 2 * np.count_nonzero(np.diagonal(H, 1))
+    return np.count_nonzero(H) == band
+
+
 def decompose(H: OperatorMatrix) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
     Raises DegenerateSpectrum when two eigenvalues sit closer than
     1e-8 * ||H||, and PairingFailure when the H / H^dagger spectra cannot be
     matched.  Hermitian input takes an exact orthonormal path, in real
-    arithmetic when H is real symmetric.
+    arithmetic when H is real symmetric.  A real symmetric tridiagonal H,
+    the form of every stationary operator ``operators`` builds without a
+    complex mass-squared, is solved from its bands by LAPACK's divide and
+    conquer ``dstevd`` (``tridiagonal.eigh_bands``), with no dense
+    Householder reduction; the two residual products stay N^3 on every path.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -122,10 +139,13 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
     hermitian = np.array_equal(H, H.conj().T)
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
-        # check below is skipped on this path.  eigh returns the eigenvalues
-        # in ascending order, and a real symmetric H keeps its real vectors:
-        # bra = ket, and both residual products below are real.
-        w, v = np.linalg.eigh(H)
+        # check below is skipped on this path.  Both solvers return the
+        # eigenvalues in ascending order, and a real symmetric H keeps its
+        # real vectors: bra = ket, and both residual products below are real.
+        if _is_real_tridiagonal(H):
+            w, v = eigh_bands(np.diagonal(H), np.diagonal(H, 1))
+        else:
+            w, v = np.linalg.eigh(H)
         w = w.astype(complex)
         kets = _fix_phases(v)
         lefts = kets

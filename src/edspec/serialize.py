@@ -23,6 +23,8 @@ def format_float(value: float) -> str:
 #: Dense-dump token 're+imj': both parts as in ``format_float``, the
 #: imaginary one with an explicit sign.
 _COMPLEX_TOKEN = "%.16e%+.16ej"
+#: The same token for an imaginary part of +0.0.
+_REAL_TOKEN = "%.16e+0.0000000000000000e+00j"
 
 
 def format_complex(value: complex) -> str:
@@ -118,9 +120,15 @@ def write_matrix(path: Path, matrix) -> None:
     n, m = matrix.shape
     if not np.isfinite(matrix).all():
         raise ValueError("cannot serialize a matrix with non-finite entries")
-    # each row as re, im, re, im, ... float64, formatted in one operation
-    parts = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(n, 2 * m)
-    row = " ".join([_COMPLEX_TOKEN] * m)
+    # each row formatted in one operation: the real parts alone when every
+    # imaginary part is +0.0 (-0.0 prints differently), else re, im, re, ...
+    if np.iscomplexobj(matrix) and (matrix.imag.any() or np.signbit(matrix.imag).any()):
+        parts = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(n, 2 * m)
+        token = _COMPLEX_TOKEN
+    else:
+        parts = matrix.real
+        token = _REAL_TOKEN
+    row = " ".join([token] * m)
     lines = [f"{n} {m}"]
     lines.extend(row % tuple(values) for values in parts.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closed_form as cf
+from . import errors
 from .evolution import FVState, conservation_report, evolve
-from .fixedpoint import PhysicalLevel, solve_fixed_points, trace_branch
+from .fixedpoint import PhysicalLevel, collect_physical
 from .frozen_spectrum import decompose, eta_from_decomposition
 from .operators import (
     ConstantMass,
@@ -103,12 +104,19 @@ def criterion_emergence() -> CriterionResult:
     )
 
 
-def _pipeline_roots(model, grid, n, windows, steps=48):
-    roots = []
-    for lo, hi in windows:
-        branch = trace_branch(model, grid, n, lo, hi, steps=steps)
-        roots.extend(r.z for r in solve_fixed_points(branch))
-    return sorted(roots)
+def _pipeline_roots(model, grid, branches, windows, steps=48) -> dict:
+    """Ascending fixed points of each branch, from one search of the windows.
+
+    The first failed (branch, window) pair is raised as its own error type.
+    """
+    result = collect_physical(model, grid, branches, windows, steps=steps)
+    if result.failures:
+        failure = result.failures[0]
+        raise getattr(errors, failure.error)(failure.message)
+    roots = {n: [] for n in branches}
+    for level in result.levels:
+        roots[level.multi_index[0]].append(level.energy)
+    return roots
 
 
 def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
@@ -125,21 +133,21 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     # Convergence study: A=1, E0=0, branches 0..2; exact limits sqrt(2n+1).
     model = HOQuadratic(1.0, 0.0)
     params = cf.HOParams(1.0, 0.0)
-    errors = {n: [] for n in range(3)}
+    abs_errors = {n: [] for n in range(3)}
     finest_rel = []
     for size in sizes:
         grid = Grid(BOX[0], BOX[1], size)
-        for n in range(3):
-            roots = _pipeline_roots(model, grid, n, [(0.5, 4.0)])
+        found = _pipeline_roots(model, grid, range(3), [(0.5, 4.0)])
+        for n, roots in found.items():
             closed = cf.spectrum_plus(params, n)
             exact = closed / factor
-            errors[n].append(abs(roots[0] - exact) if roots else np.inf)
+            abs_errors[n].append(abs(roots[0] - exact) if roots else np.inf)
             if size == sizes[-1]:
                 finest_rel.append(abs(factor * roots[0] - closed) / closed if roots else np.inf)
     ratios = []
     for n in range(3):
         for k in range(len(sizes) - 1):
-            ratios.append(errors[n][k] / max(errors[n][k + 1], 1e-300))
+            ratios.append(abs_errors[n][k] / max(abs_errors[n][k + 1], 1e-300))
     ratio_ok = all(3.0 <= r <= 5.0 for r in ratios)
     details["error_ratios"] = ratios
     details["plus_family_rel_errors"] = finest_rel
@@ -148,7 +156,7 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     model2 = HOQuadratic(1.5, 2.0)
     params2 = cf.HOParams(1.5, 2.0)
     grid = Grid(BOX[0], BOX[1], sizes[-1])
-    roots2 = _pipeline_roots(model2, grid, 0, [(0.05, 1.9), (2.1, 6.0)])
+    roots2 = _pipeline_roots(model2, grid, [0], [(0.05, 1.9), (2.1, 6.0)])[0]
     pair = cf.spectrum_minus(params2, 0)
     closed2 = [pair[1], pair[0], cf.spectrum_plus(params2, 0)]
     if len(roots2) == 3:
@@ -161,10 +169,8 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     # Functional form: E^2 = E0*E + (8n+4)/(4A) must regress to R^2 > 0.9999.
     # The window keeps clear of the mass singularity at z = E0, where the
     # state width varies too fast for coarse continuation steps.
-    fit_roots = []
-    for n in range(4):
-        got = _pipeline_roots(model2, grid, n, [(2.2, 3.6)], steps=32)
-        fit_roots.append(got[-1] if got else np.nan)
+    found = _pipeline_roots(model2, grid, range(4), [(2.2, 3.6)], steps=32)
+    fit_roots = [got[-1] if got else np.nan for got in found.values()]
     energies = np.array(fit_roots)
     if np.all(np.isfinite(energies)):
         design = np.column_stack([energies, np.ones(4), np.arange(4.0)])
@@ -328,8 +334,6 @@ def criterion_pseudo_unitarity() -> CriterionResult:
 
 
 def run_all(seed: int = 0, grid_sizes=GRID_SIZES) -> list[CriterionResult]:
-    from .errors import SolverError
-
     checks = [
         ("closed-form-self-consistency", lambda: criterion_closed_form(seed)),
         ("emergence-thresholds", criterion_emergence),
@@ -343,7 +347,7 @@ def run_all(seed: int = 0, grid_sizes=GRID_SIZES) -> list[CriterionResult]:
     for name, check in checks:
         try:
             results.append(check())
-        except SolverError as exc:
+        except errors.SolverError as exc:
             # an under-resolved configuration may break the pipeline outright;
             # that is a failed criterion, not a crash
             results.append(CriterionResult(

@@ -197,15 +197,16 @@ def test_fixedpoint_reports_window_diagnostics(tmp_path):
 
 def test_fixedpoint_imports_no_scipy(tmp_path):
     # numpy is the only runtime dependency, and importing scipy would add
-    # to the start-up time and memory of every command
-    cfg = write_config(tmp_path, HO_FIXEDPOINT)
-    script = (
-        "import sys\n"
-        "from edspec.cli import main\n"
-        f"code = main(['fixedpoint', '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-    )
+    # to the start-up time and memory of every command; spectrum and evolve
+    # run the tridiagonal eigensolver too
+    runs = [("fixedpoint", write_config(tmp_path, HO_FIXEDPOINT, "fixedpoint.ini")),
+            ("spectrum", write_config(tmp_path, CONSTANT_KG, "spectrum.ini")),
+            ("evolve", write_config(tmp_path, EVOLVE_BASE, "evolve.ini"))]
+    script = "import sys\nfrom edspec.cli import main\n" + "".join(
+        f"code = main([{command!r}, '--config', {cfg!r}, '--out-dir', {str(tmp_path)!r}])\n"
+        f"assert code == 0, ({command!r}, code)\n"
+        for command, cfg in runs
+    ) + "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)

@@ -16,6 +16,7 @@ from edspec.operators import (
     GeneralMassSquared,
     Grid,
     HOQuadratic,
+    build_bands,
     build_problem,
     build_schrodinger,
     tridiagonal,
@@ -353,3 +354,19 @@ def test_failures_and_diagnostics_keep_branch_window_order():
         (1, (0.5, 1.5)), (0, (0.5, 1.5))]
     assert [(d.branch_index, d.window) for d in result.diagnostics] == [
         (1, (1.1, 4.0)), (0, (1.1, 4.0))]
+
+
+def test_root_on_shared_window_endpoint_counts_once():
+    # H does not depend on z for a constant mass, so the branch-1 root is its
+    # eigenvalue E1, sampled exactly as the end of one window and the start
+    # of the next
+    grid = Grid(-5.0, 5.0, 24)
+    model = ConstantMass(0.5)
+    e1 = float(np.linalg.eigvalsh(tridiagonal(*build_bands("schrodinger", grid, model, 0.0)))[1])
+    result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
+    assert not result.failures
+    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((1, 0), e1)]
+    assert [d.bisection_steps for d in result.diagnostics] == [0, 0]
+    # the same window listed twice still yields coincident levels
+    twice = collect_physical(model, grid, [1], [(0.5 * e1, e1), (0.5 * e1, e1)])
+    assert [lv.multi_index for lv in twice.levels] == [(1, 0), (1, 1)]

@@ -66,6 +66,12 @@ def _reference_dump(matrix) -> bytes:
     return ("\n".join([f"{n} {m}"] + rows) + "\n").encode()
 
 
+# complex with every imaginary part +0.0, and the same with one -0.0
+_PLUS_ZERO_IMAG = np.random.default_rng(2).standard_normal((3, 4)).astype(complex)
+_ONE_MINUS_ZERO_IMAG = _PLUS_ZERO_IMAG.copy()
+_ONE_MINUS_ZERO_IMAG[1, 2] = complex(_ONE_MINUS_ZERO_IMAG[1, 2].real, -0.0)
+
+
 @pytest.mark.parametrize("matrix", [
     np.array([[complex(0.0, 0.0), complex(-0.0, -0.0)],
               [complex(0.0, -0.0), complex(-0.0, 0.0)]]),
@@ -74,7 +80,10 @@ def _reference_dump(matrix) -> bytes:
     np.array([[-0.0]]),                                             # 1 x 1
     np.random.default_rng(0).standard_normal((4, 4))
     + 1j * np.random.default_rng(1).standard_normal((4, 4)),
-], ids=["signed-zeros", "extremes", "real-2x3", "1x1", "random"])
+    _PLUS_ZERO_IMAG,
+    _ONE_MINUS_ZERO_IMAG,
+], ids=["signed-zeros", "extremes", "real-2x3", "1x1", "random", "complex-plus-zero-imag",
+        "complex-one-minus-zero-imag"])
 def test_matrix_dump_bytes_match_tokens(tmp_path, matrix):
     path = tmp_path / "m.txt"
     write_matrix(path, matrix)
