@@ -1,12 +1,12 @@
 """Energy-dependent eigenvalue problems via frozen spectra and fixed points.
 
 The pipeline: discretize the energy-dependent operator family H(z), trace its
-real eigenvalue branches E_n(z) (by Sturm index where H(z) is real symmetric
-tridiagonal, by bi-orthogonal eigenvector overlap otherwise), solve the
-fixed-point constraint z = E_n(z) for the physical level set, and build the
-energy-independent operators K and L together with the metrics that make
-them quasi-Hermitian.  A two-component rearrangement with pseudo-unitary
-evolution covers the second-order-in-time case.
+real eigenvalue branches E_n(z) (by Sturm index for the real symmetric
+tridiagonal model families, by bi-orthogonal eigenvector overlap for a general
+matrix family), solve the fixed-point constraint z = E_n(z) for the physical
+level set, and build the energy-independent operators K and L together with
+the metrics that make them quasi-Hermitian.  A two-component rearrangement
+with pseudo-unitary evolution covers the second-order-in-time case.
 """
 
 __version__ = "0.1.0"
@@ -26,6 +26,7 @@ from .fixedpoint import (
     CollectResult,
     EnergyBranch,
     FixedPointRoot,
+    IndexedBranch,
     PhysicalLevel,
     WindowDiagnostics,
     collect_physical,
@@ -78,9 +79,9 @@ __all__ = [
     "SolverError",
     "FVModes", "FVState", "conservation_report", "eigenstate", "evolve", "fv_modes",
     "pseudo_norm",
-    "CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
-    "WindowDiagnostics", "collect_physical", "solve_fixed_points", "trace_branch",
-    "trace_branch_family",
+    "CollectResult", "EnergyBranch", "FixedPointRoot", "IndexedBranch",
+    "PhysicalLevel", "WindowDiagnostics", "collect_physical", "solve_fixed_points",
+    "trace_branch", "trace_branch_family",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "FVSystem", "GeneralMassSquared", "Grid", "HOQuadratic",

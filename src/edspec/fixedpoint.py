@@ -1,26 +1,30 @@
 """Eigenvalue branches E_n(z) and fixed points of z = E_n(z).
 
-A branch is labelled across a window of frozen parameters in one of two ways.
+A branch is labelled across a window of frozen parameters in one of two ways,
+each with its own tool and branch type.
 
-* By Sturm index, wherever ``build_bands`` gives a real symmetric tridiagonal
-  H(z): both stationary forms of the constant and oscillator masses, and the
-  Klein-Gordon form of any real mass-squared.  The off-diagonals are nonzero,
-  so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
-  every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  A window is
-  sampled once for all branches, one O(N^2) tridiagonal eigenvalue solve
-  (``eigvalsh_bands``) per sample.  The sign of f(z) = E_n(z) - z is the
-  inertia of H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
-  factorization are negative, so bisection counts pivots instead of solving
-  eigenproblems.  Each level's ket comes from one tridiagonal eigensolve
-  (``eigh_bands``) at the root.
-* By eigenvector overlap, for an arbitrary matrix family
-  (``trace_branch_family``) and where the mass-squared is complex: at each
-  sample the eigenpair with the largest |<ket_prev|ket>| wins, which keeps
-  labels consistent through avoided crossings where index sorting would swap
-  them, and each bisection step is a fresh overlap-matched eigensolve.
+* By Sturm index (``collect_physical``, ``trace_branch``; ``IndexedBranch``)
+  for a discretized model whose ``build_bands`` gives a real symmetric
+  tridiagonal H(z): both stationary forms of the constant and oscillator
+  masses, and the Klein-Gordon form of any real mass-squared.  The
+  off-diagonals are nonzero, so the eigenvalues are simple and E_n(z) is the
+  n-th smallest eigenvalue at every z (Barth, Martin & Wilkinson, Numer.
+  Math. 9, 1967).  A window is sampled once for all branches, one O(N^2)
+  tridiagonal eigenvalue solve (``eigvalsh_bands``) per sample.  The sign of
+  f(z) = E_n(z) - z is the inertia of H(z) - z: f(z) > 0 exactly when at most
+  n pivots of its LDL^T factorization are negative, so bisection counts
+  pivots instead of solving eigenproblems.  Each level's ket comes from one
+  tridiagonal eigensolve (``eigh_bands``) at the root.  A complex
+  mass-squared raises ValueError.
+* By eigenvector overlap (``trace_branch_family``; ``EnergyBranch``) for an
+  arbitrary matrix family, such as ``build_problem`` with a complex
+  mass-squared: at each sample the eigenpair with the largest |<ket_prev|ket>|
+  wins, which keeps labels consistent through avoided crossings where index
+  sorting would swap them, and each bisection step is a fresh overlap-matched
+  eigensolve.
 
-Fixed points are bracketed by sign changes of f on the sample grid and
-refined by bisection.
+``solve_fixed_points`` takes either branch: fixed points are bracketed by sign
+changes of f on the sample grid and refined by bisection.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import numpy as np
 
 from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
 from .frozen_spectrum import FrozenDecomposition, decompose
-from .operators import Grid, HOQuadratic, MassModel, build_bands, build_problem
+from .operators import Grid, HOQuadratic, MassModel, build_bands
 from .tridiagonal import eigh_bands, eigvalsh_bands
 
 #: Minimal admissible continuation overlap between consecutive samples.
@@ -46,27 +50,39 @@ REFINE_TOL = 1e-10
 MERGE_FACTOR = 1e-8
 
 Family = Callable[[float], np.ndarray]
-#: z -> (diagonal, off_diagonal) of a real symmetric tridiagonal H(z), or None.
-BandFamily = Callable[[float], "tuple[np.ndarray, np.ndarray] | None"]
+#: z -> (diagonal, off_diagonal) of a real symmetric tridiagonal H(z).
+BandFamily = Callable[[float], "tuple[np.ndarray, np.ndarray]"]
+#: (z, bracket k) -> a number with the sign of f(z) = E_n(z) - z.
+SignEvaluator = Callable[[float, int], float]
 
 
 @dataclass(frozen=True)
 class EnergyBranch:
-    """One real eigenvalue branch sampled over a window of the frozen parameter.
+    """One real eigenvalue branch of a matrix family, continued by eigenvector overlap.
 
-    A branch labelled by Sturm index carries its ``bands``; a branch continued
-    by eigenvector overlap carries its ``family``, the tracked right ``kets``
-    and the ``continuity_overlaps`` between consecutive samples, which are
-    None on index-labelled branches.
+    ``kets`` holds the tracked right ket at each sample and
+    ``continuity_overlaps`` the overlaps between consecutive samples.
     """
 
     branch_index: int
     z_samples: np.ndarray
     e_values: np.ndarray
-    continuity_overlaps: np.ndarray | None
-    kets: np.ndarray | None = field(repr=False)        # (N, steps) tracked right kets
-    family: Family | None = field(repr=False, compare=False)
-    bands: BandFamily | None = field(default=None, repr=False, compare=False)
+    continuity_overlaps: np.ndarray
+    kets: np.ndarray = field(repr=False)        # (N, steps) tracked right kets
+    family: Family = field(repr=False, compare=False)
+
+
+@dataclass(frozen=True)
+class IndexedBranch:
+    """The n-th smallest eigenvalue of a real symmetric tridiagonal family over a window."""
+
+    branch_index: int
+    z_samples: np.ndarray
+    e_values: np.ndarray
+    bands: BandFamily = field(repr=False, compare=False)
+
+
+Branch = EnergyBranch | IndexedBranch
 
 
 @dataclass(frozen=True)
@@ -75,7 +91,6 @@ class FixedPointRoot:
 
     z: float
     j: int
-    bracket: int       # index of the sample bracketing the root from the left
 
 
 @dataclass(frozen=True)
@@ -204,90 +219,65 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
 
 @dataclass(frozen=True)
 class _SampledWindow:
-    """Sorted spectra of H(z) at the samples of one window, shared by branches.
+    """Sorted spectra of H(z) at the samples of one window, shared by branches."""
 
-    ``spectra`` is None when some sample is not real symmetric; the branches
-    of such a window are continued by eigenvector overlap.
-    """
-
-    kind: str
-    grid: Grid
-    model: MassModel
-    window: tuple
+    bands: BandFamily
     z_samples: np.ndarray
-    spectra: np.ndarray | None
+    spectra: np.ndarray        # (steps, N)
 
 
 def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: float,
                    steps: int) -> _SampledWindow:
-    if isinstance(model, HOQuadratic) and z_lo <= model.E0 <= z_hi:
+    # only the schrodinger form divides by 2 m(z), which vanishes at z = E0
+    if kind == "schrodinger" and isinstance(model, HOQuadratic) and z_lo <= model.E0 <= z_hi:
         raise DegenerateMass(
             f"window [{z_lo}, {z_hi}] contains the mass singularity z = {model.E0}; "
             "split the window around it"
         )
     z_samples = _check_window(z_lo, z_hi, steps)
-    spectra = np.empty((steps, grid.n_points))
-    for k, z in enumerate(z_samples):
-        bands = build_bands(kind, grid, model, float(z))
-        if bands is None:
-            spectra = None
-            break
-        spectra[k] = eigvalsh_bands(*bands)
-    return _SampledWindow(kind, grid, model, (z_lo, z_hi), z_samples, spectra)
+    bands = partial(build_bands, kind, grid, model)
+    spectra = np.array([eigvalsh_bands(*bands(float(z))) for z in z_samples])
+    return _SampledWindow(bands, z_samples, spectra)
 
 
-def _window_branch(sampled: _SampledWindow, n: int,
-                   overlap_floor: float = OVERLAP_FLOOR) -> EnergyBranch:
-    kind, grid, model = sampled.kind, sampled.grid, sampled.model
-    if sampled.spectra is None:
-        return trace_branch_family(lambda z: build_problem(kind, grid, model, z), n,
-                                   *sampled.window, sampled.z_samples.shape[0],
-                                   overlap_floor=overlap_floor)
-    if n < 0 or n >= grid.n_points:
-        raise ValueError(f"branch index {n} outside spectrum of size {grid.n_points}")
-    return EnergyBranch(
+def _window_branch(sampled: _SampledWindow, n: int) -> IndexedBranch:
+    size = sampled.spectra.shape[1]
+    if n < 0 or n >= size:
+        raise ValueError(f"branch index {n} outside spectrum of size {size}")
+    return IndexedBranch(
         branch_index=n,
         z_samples=sampled.z_samples,
         e_values=sampled.spectra[:, n].copy(),
-        continuity_overlaps=None,
-        kets=None,
-        family=None,
-        bands=partial(build_bands, kind, grid, model),
+        bands=sampled.bands,
     )
 
 
 def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
-                 steps: int = WINDOW_STEPS, kind: str = "schrodinger") -> EnergyBranch:
-    """Trace branch n of the discretized model over a singularity-free window.
+                 steps: int = WINDOW_STEPS, kind: str = "schrodinger") -> IndexedBranch:
+    """Sturm-index branch n of the discretized model over one window.
 
-    The branch is labelled by Sturm index where H(z) is real symmetric at
-    every sample, and continued by eigenvector overlap otherwise.
+    A schrodinger window must not contain the mass singularity z = E0.  A
+    complex mass-squared raises ValueError; continue its branches with
+    ``trace_branch_family`` over ``build_problem``.
     """
     return _window_branch(_sample_window(kind, grid, model, z_lo, z_hi, steps), n)
 
 
-def _real_bands(branch: EnergyBranch, z: float) -> tuple[np.ndarray, np.ndarray]:
-    bands = branch.bands(z)
-    if bands is None:
-        raise ComplexBranch(
-            f"H(z) stops being real symmetric at z = {z} inside a window whose "
-            f"samples were, so branch {branch.branch_index} is not index-labelled there"
-        )
-    return bands
-
-
-def _f_sign(branch: EnergyBranch, z: float, k: int, overlap_floor: float) -> float:
-    """A number with the sign of f(z) = E_n(z) - z (zero only if f(z) is)."""
+def _inertia_sign(branch: IndexedBranch) -> SignEvaluator:
     n = branch.branch_index
-    if branch.bands is not None:
-        return 1.0 if count_below(*_real_bands(branch, z), z) <= n else -1.0
-    dec = decompose(branch.family(z))
-    idx, _ = _pick_by_overlap(dec, branch.kets[:, k], overlap_floor)
-    return _real_or_raise(dec, idx, z, n) - z
+    return lambda z, k: 1.0 if count_below(*branch.bands(z), z) <= n else -1.0
 
 
-def _bisect(branch: EnergyBranch, k: int, refine_tol: float,
-            overlap_floor: float) -> tuple[float, int]:
+def _overlap_sign(branch: EnergyBranch, overlap_floor: float) -> SignEvaluator:
+    def sign(z: float, k: int) -> float:
+        dec = decompose(branch.family(z))
+        idx, _ = _pick_by_overlap(dec, branch.kets[:, k], overlap_floor)
+        return _real_or_raise(dec, idx, z, branch.branch_index) - z
+    return sign
+
+
+def _bisect(branch: Branch, k: int, f_sign: SignEvaluator,
+            refine_tol: float) -> tuple[float, int]:
     """Root of f in the sample bracket k, and the number of evaluations of f."""
     lo, hi = float(branch.z_samples[k]), float(branch.z_samples[k + 1])
     above_lo = branch.e_values[k] > lo
@@ -300,7 +290,7 @@ def _bisect(branch: EnergyBranch, k: int, refine_tol: float,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        f_mid = _f_sign(branch, mid, k, overlap_floor)
+        f_mid = f_sign(mid, k)
         if f_mid == 0.0:
             return mid, evals + 1
         if (f_mid > 0.0) == above_lo:
@@ -317,84 +307,74 @@ def _close(z: float, z_prev: float) -> bool:
     return abs(z - z_prev) <= MERGE_FACTOR * (1.0 + abs(z))
 
 
-def _solve(branch: EnergyBranch, refine_tol: float,
-           overlap_floor: float) -> tuple[list[FixedPointRoot], int]:
+def _solve(branch: Branch, f_sign: SignEvaluator,
+           refine_tol: float) -> tuple[list[FixedPointRoot], int]:
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     z = branch.z_samples
     f = branch.e_values - z
-    raw: list[tuple[float, int]] = []
+    raw: list[float] = []
     evals = 0
     for k in range(z.shape[0] - 1):
         if f[k] == 0.0:
-            raw.append((float(z[k]), k))
+            raw.append(float(z[k]))
             continue
         if f[k] * f[k + 1] >= 0.0:
             continue
-        root, used = _bisect(branch, k, refine_tol, overlap_floor)
-        raw.append((root, k))
+        root, used = _bisect(branch, k, f_sign, refine_tol)
+        raw.append(root)
         evals += used
     if f[-1] == 0.0:
-        raw.append((float(z[-1]), z.shape[0] - 2))
+        raw.append(float(z[-1]))
 
-    raw.sort(key=lambda item: item[0])
-    merged: list[tuple[float, int]] = []
-    for root, bracket in raw:
-        if merged and _close(root, merged[-1][0]):
+    raw.sort()
+    merged: list[float] = []
+    for root in raw:
+        if merged and _close(root, merged[-1]):
             continue
-        merged.append((root, bracket))
-    roots = [FixedPointRoot(z=root, j=j, bracket=bracket)
-             for j, (root, bracket) in enumerate(merged)]
-    return roots, evals
+        merged.append(root)
+    return [FixedPointRoot(z=root, j=j) for j, root in enumerate(merged)], evals
 
 
-def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
+def solve_fixed_points(branch: Branch, refine_tol: float = REFINE_TOL, *,
                        overlap_floor: float = OVERLAP_FLOOR) -> list[FixedPointRoot]:
     """All fixed points z = E_n(z) bracketed by the branch samples.
 
     Every sign change of f(z) = E_n(z) - z is refined by bisection: by
-    inertia counts on an index-labelled branch, by fresh overlap-matched
-    eigensolves on a continued one.  An f that never changes sign yields an
-    empty list.  Roots closer than 1e-8 * (1 + |z|) are merged.
+    inertia counts on an ``IndexedBranch``, by fresh overlap-matched
+    eigensolves (held to ``overlap_floor``) on an ``EnergyBranch``.  An f
+    that never changes sign yields an empty list.  Roots closer than
+    1e-8 * (1 + |z|) are merged.
     """
-    return _solve(branch, refine_tol, overlap_floor)[0]
+    f_sign = (_inertia_sign(branch) if isinstance(branch, IndexedBranch)
+              else _overlap_sign(branch, overlap_floor))
+    return _solve(branch, f_sign, refine_tol)[0]
 
 
-def _level(branch: EnergyBranch, root: FixedPointRoot, j: int,
-           overlap_floor: float) -> PhysicalLevel:
+def _level(branch: IndexedBranch, root: FixedPointRoot, j: int) -> PhysicalLevel:
     n = branch.branch_index
-    if branch.bands is not None:
-        diagonal, off = _real_bands(branch, root.z)
-        ket = eigh_bands(diagonal, off)[1][:, n]
-        ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
-        r = (diagonal - root.z) * ket
-        r[:-1] += off * ket[1:]
-        r[1:] += off * ket[:-1]
-        return PhysicalLevel(multi_index=(n, j), energy=root.z, right_ket=ket,
-                             left_bra=ket, residual=float(np.linalg.norm(r)))
-    H_star = branch.family(root.z)
-    dec = decompose(H_star)
-    idx, _ = _pick_by_overlap(dec, branch.kets[:, root.bracket], overlap_floor)
-    ket = dec.right_kets[:, idx]
-    return PhysicalLevel(
-        multi_index=(n, j),
-        energy=root.z,
-        right_ket=ket,
-        left_bra=dec.left_bras[:, idx],
-        residual=float(np.linalg.norm(H_star @ ket - root.z * ket)),
-    )
+    diagonal, off = branch.bands(root.z)
+    ket = eigh_bands(diagonal, off)[1][:, n]
+    ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
+    r = (diagonal - root.z) * ket
+    r[:-1] += off * ket[1:]
+    r[1:] += off * ket[:-1]
+    return PhysicalLevel(multi_index=(n, j), energy=root.z, right_ket=ket,
+                         left_bra=ket, residual=float(np.linalg.norm(r)))
 
 
 def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                      z_windows: Sequence[tuple[float, float]],
                      kind: str = "schrodinger", *,
                      steps: int = WINDOW_STEPS,
-                     refine_tol: float = REFINE_TOL,
-                     overlap_floor: float = OVERLAP_FLOOR) -> CollectResult:
+                     refine_tol: float = REFINE_TOL) -> CollectResult:
     """Assemble the physical level set over branches and search windows.
 
-    Each window is sampled once for all branches; each (branch, window) pair
-    is then solved independently.  Solver failures are recorded per pair and
+    The branches are labelled by Sturm index, so the stationary form must be
+    real symmetric: a complex mass-squared raises ValueError (search such a
+    family with ``trace_branch_family`` and ``solve_fixed_points``).  Each
+    window is sampled once for all branches; each (branch, window) pair is
+    then solved independently.  Solver failures are recorded per pair and
     the remaining levels are returned, and every solved pair leaves a
     ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are merged by the rule ``solve_fixed_points`` applies inside a
@@ -414,14 +394,14 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     failures: list[CollectFailure] = []
     diagnostics: list[WindowDiagnostics] = []
     for n in n_list:
-        found: list[tuple[FixedPointRoot, EnergyBranch, tuple]] = []
+        found: list[tuple[FixedPointRoot, IndexedBranch, tuple]] = []
         for window, entry in zip(z_windows, sampled):
             window = (float(window[0]), float(window[1]))
             error = entry if isinstance(entry, SolverError) else None
             if error is None:
                 try:
-                    branch = _window_branch(entry, n, overlap_floor)
-                    roots, evals = _solve(branch, refine_tol, overlap_floor)
+                    branch = _window_branch(entry, n)
+                    roots, evals = _solve(branch, _inertia_sign(branch), refine_tol)
                 except SolverError as exc:
                     error = exc
             if error is not None:
@@ -443,11 +423,10 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             ))
             found.extend((root, branch, window) for root in roots)
         found.sort(key=lambda item: item[0].z)
-        kept: list[tuple[FixedPointRoot, EnergyBranch, tuple]] = []
+        kept: list[tuple[FixedPointRoot, IndexedBranch, tuple]] = []
         for root, branch, window in found:
             if kept and window != kept[-1][2] and _close(root.z, kept[-1][0].z):
                 continue
             kept.append((root, branch, window))
-        levels.extend(_level(branch, root, j, overlap_floor)
-                      for j, (root, branch, _) in enumerate(kept))
+        levels.extend(_level(branch, root, j) for j, (root, branch, _) in enumerate(kept))
     return CollectResult(levels=levels, failures=failures, diagnostics=diagnostics)

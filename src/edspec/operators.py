@@ -8,8 +8,9 @@ Conventions
 * ``build_laplacian`` returns the 3-point matrix of -d^2/dx^2 (positive
   definite, symmetric).
 * Every stationary form is tridiagonal.  Its coefficients live in one band
-  builder per form; ``build_bands`` hands them out when the matrix is real
-  symmetric, and the dense builders assemble them with ``tridiagonal``.
+  builder per form; ``build_bands`` hands them out for a real symmetric
+  matrix (and refuses a complex mass-squared), and the dense builders
+  assemble them with ``tridiagonal``.
 * Mass models:
     ConstantMass(m)          fixed mass m > 0,
     HOQuadratic(A, E0)       2 m(z) = A^2 (z - E0)^2 (singular at z = E0),
@@ -192,17 +193,22 @@ def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> Operator
 
 
 def build_bands(kind: str, grid: Grid, model: MassModel,
-                z: float) -> tuple[np.ndarray, np.ndarray] | None:
-    """Bands of the stationary form named by ``kind`` when it is real symmetric.
+                z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of the stationary form named by ``kind``, which must be real symmetric.
 
     Returns ``(diagonal, off_diagonal)`` of the tridiagonal matrix that
-    ``build_problem`` assembles, or None when the form at z is not real
-    symmetric (a complex mass-squared).  The off-diagonal is nonzero for any
-    finite mass, so the eigenvalues are simple.
+    ``build_problem`` assembles.  The off-diagonal is nonzero for any finite
+    mass, so the eigenvalues are simple.  A complex mass-squared raises
+    ValueError: that form is not real symmetric, and its branches are
+    continued by eigenvector overlap with ``fixedpoint.trace_branch_family``
+    over ``build_problem``.
     """
     diagonal, off_diagonal = _problem_bands(kind, grid, model, z)
     if np.iscomplexobj(diagonal):
-        return None
+        raise ValueError(
+            f"the {kind} form at z = {z} has a complex mass-squared and is not real "
+            "symmetric; continue its branches with fixedpoint.trace_branch_family"
+        )
     if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
         raise ValueError(f"H({z}) has non-finite entries")
     return diagonal, off_diagonal

@@ -5,6 +5,7 @@ from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 from edspec.errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall
 from edspec.fixedpoint import (
     WINDOW_STEPS,
+    IndexedBranch,
     collect_physical,
     count_below,
     solve_fixed_points,
@@ -32,9 +33,7 @@ def test_constant_mass_branch_is_flat():
     model = ConstantMass(0.5)
     branch = trace_branch(model, GRID, 2, 0.1, 5.0, steps=16)
     assert branch.e_values.max() - branch.e_values.min() < 1e-10
-    # the Sturm index labels this branch, so it carries no overlaps; the
-    # continuation of the same dense family keeps its eigenvector
-    assert branch.continuity_overlaps is None
+    # the continuation of the same dense family keeps its eigenvector
     continued = trace_branch_family(lambda z: build_schrodinger(GRID, model, z),
                                     2, 0.1, 5.0, steps=16)
     assert (continued.continuity_overlaps >= 0.999).all()
@@ -87,11 +86,20 @@ def test_index_labels_agree_with_overlap_continuation(kind, model, window):
 def test_complex_mass_squared_is_continued_by_overlap():
     # i g x breaks reality of H but not of its low spectrum (PT symmetry)
     model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
-    branch = trace_branch(model, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon")
+    branch = trace_branch_family(lambda z: build_problem("kleingordon", GRID, model, z),
+                                 0, 0.5, 2.0, steps=8)
     assert (branch.continuity_overlaps >= 0.999).all()
     real = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z)
-    assert trace_branch(real, GRID, 0, 0.5, 2.0, steps=8,
-                        kind="kleingordon").continuity_overlaps is None
+    assert isinstance(trace_branch(real, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon"),
+                      IndexedBranch)
+
+
+def test_complex_mass_squared_is_refused_by_the_index_search():
+    model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
+    with pytest.raises(ValueError, match="trace_branch_family"):
+        trace_branch(model, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon")
+    with pytest.raises(ValueError, match="trace_branch_family"):
+        collect_physical(model, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
 
 
 def test_ho_branch_decreases_with_z():
@@ -103,6 +111,23 @@ def test_ho_branch_decreases_with_z():
 def test_window_containing_singularity_rejected():
     with pytest.raises(DegenerateMass):
         trace_branch(HOQuadratic(1.0, 1.0), GRID, 0, 0.5, 2.0, steps=8)
+
+
+def test_kleingordon_window_may_straddle_e0():
+    # only the schrodinger form divides by 2 m(z); the Klein-Gordon
+    # mass-squared (A^2 (z - E0)^2 / 2)^2 is smooth through z = E0
+    grid = Grid(-8.0, 8.0, 80)
+    model = HOQuadratic(1.0, 1.0)
+    whole = collect_physical(model, grid, [0, 1], [(0.05, 5.0)], "kleingordon")
+    halves = collect_physical(model, grid, [0, 1], [(0.05, 1.0), (1.0, 5.0)], "kleingordon")
+    assert not whole.failures and not halves.failures
+    assert [lv.multi_index for lv in whole.levels] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [lv.multi_index for lv in halves.levels] == [lv.multi_index for lv in whole.levels]
+    np.testing.assert_allclose([lv.energy for lv in whole.levels],
+                               [lv.energy for lv in halves.levels], atol=1e-9)
+    assert [lv.energy < 1.0 for lv in whole.levels] == [True, False, True, False]
+    schrodinger = collect_physical(model, grid, [0], [(0.05, 5.0)])
+    assert [f.error for f in schrodinger.failures] == ["DegenerateMass"]
 
 
 def test_avoided_crossing_keeps_diabatic_label():

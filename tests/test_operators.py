@@ -151,7 +151,8 @@ def test_bands_assemble_the_dense_form(kind, model):
 def test_bands_of_complex_mass_are_not_real_symmetric():
     grid = Grid(-4.0, 4.0, 9)
     model = GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi)
-    assert build_bands("kleingordon", grid, model, 0.0) is None
+    with pytest.raises(ValueError, match="trace_branch_family"):
+        build_bands("kleingordon", grid, model, 0.0)
     with pytest.raises(DegenerateMass):
         build_bands("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
     with pytest.raises(EvaluationFailure):

@@ -172,7 +172,11 @@ def no_dense_eigensolves(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
 
-def test_level_search_solves_no_dense_eigenproblem(no_dense_eigensolves):
+def test_level_search_solves_no_dense_eigenproblem(no_dense_eigensolves, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the band search reached a dense decomposition")
+
+    monkeypatch.setattr(fixedpoint, "decompose", refuse)
     for kind in ("schrodinger", "kleingordon"):
         result = fixedpoint.collect_physical(HOQuadratic(1.5, 2.0), Grid(-10.0, 10.0, 120),
                                              [0, 1], [(0.05, 1.9), (2.1, 6.0)], kind, steps=24)
