@@ -134,7 +134,8 @@ def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
             for d in result.diagnostics
         ],
     })
-    if isinstance(cfg.model, HOQuadratic):
+    # the closed forms are the Schrodinger-form oscillator spectrum
+    if isinstance(cfg.model, HOQuadratic) and cfg.problem_kind == "schrodinger":
         report["closed_form_comparison"] = _closed_form_table(cfg.model, result.levels)
         report["convention_factor"] = cf.NUMERIC_TO_CLOSED
     write_json(out_dir / "fixedpoint.json", report)

@@ -135,6 +135,8 @@ def _check_fixedpoint(cfg: RunConfig) -> None:
         if cfg.grid is not None and n >= cfg.grid.n_points:
             raise ConfigError(f"branch index {n} outside the spectrum of size "
                               f"{cfg.grid.n_points}")
+    if len(set(cfg.branches)) != len(cfg.branches):
+        raise ConfigError(f"branches {cfg.branches} list an index twice")
     for lo, hi in cfg.windows:
         if not lo < hi:
             raise ConfigError(f"window {lo}:{hi} needs lo < hi")

@@ -9,13 +9,17 @@ each with its own tool and branch type.
   masses, and the Klein-Gordon form of any real mass-squared.  The
   off-diagonals are nonzero, so the eigenvalues are simple and E_n(z) is the
   n-th smallest eigenvalue at every z (Barth, Martin & Wilkinson, Numer.
-  Math. 9, 1967).  A window is sampled once for all branches, one O(N^2)
-  tridiagonal eigenvalue solve (``eigvalsh_bands``) per sample.  The sign of
-  f(z) = E_n(z) - z is the inertia of H(z) - z: f(z) > 0 exactly when at most
-  n pivots of its LDL^T factorization are negative, so bisection counts
-  pivots instead of solving eigenproblems.  Each level's ket comes from one
-  tridiagonal eigensolve (``eigh_bands``) at the root.  A complex
-  mass-squared raises ValueError.
+  Math. 9, 1967).  The sign of f(z) = E_n(z) - z is the inertia of
+  H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
+  factorization are negative (``count_below``, O(N)).  ``collect_physical``
+  samples a window once for all branches and takes one such count per
+  sample, which signs every branch at once; bisection counts pivots too.
+  A sample's O(N^2) tridiagonal eigenvalue solve (``eigvalsh_bands``) is
+  made at most once, and only where a report needs the value: at the ends
+  of a sign change and on a window where some branch changes sign nowhere
+  (its near miss).  ``trace_branch`` solves every sample.  Each level's ket
+  comes from one tridiagonal eigensolve (``eigh_bands``) at the root.  A
+  complex mass-squared raises ValueError.
 * By eigenvector overlap (``trace_branch_family``; ``EnergyBranch``) for an
   arbitrary matrix family, such as ``build_problem`` with a complex
   mass-squared: at each sample the eigenpair with the largest |<ket_prev|ket>|
@@ -30,7 +34,7 @@ changes of f on the sample grid and refined by bisection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -217,13 +221,37 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
     )
 
 
-@dataclass(frozen=True)
 class _SampledWindow:
-    """Sorted spectra of H(z) at the samples of one window, shared by branches."""
+    """Bands of H(z) at the samples of one window, shared by its branches.
 
-    bands: BandFamily
-    z_samples: np.ndarray
-    spectra: np.ndarray        # (steps, N)
+    The inertia count of a sample is taken once for all branches, and its
+    eigenvalues are solved when first asked for, then kept.
+    """
+
+    def __init__(self, bands: BandFamily, z_samples: np.ndarray):
+        self.bands = bands
+        self.z_samples = z_samples
+        self._sample_bands = [bands(float(z)) for z in z_samples]
+        self._spectra: list[np.ndarray | None] = [None] * len(self._sample_bands)
+
+    @property
+    def size(self) -> int:
+        return self._sample_bands[0][0].shape[0]
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """Number of eigenvalues of H(z_k) below z_k at each sample."""
+        return np.array([count_below(d, e, float(z))
+                         for (d, e), z in zip(self._sample_bands, self.z_samples)])
+
+    def eigenvalue(self, k: int, n: int) -> float:
+        """E_n(z_k)."""
+        if self._spectra[k] is None:
+            self._spectra[k] = eigvalsh_bands(*self._sample_bands[k])
+        return self._spectra[k][n]
+
+    def e_values(self, n: int) -> np.ndarray:
+        return np.array([self.eigenvalue(k, n) for k in range(len(self._sample_bands))])
 
 
 def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: float,
@@ -235,21 +263,12 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
             "split the window around it"
         )
     z_samples = _check_window(z_lo, z_hi, steps)
-    bands = partial(build_bands, kind, grid, model)
-    spectra = np.array([eigvalsh_bands(*bands(float(z))) for z in z_samples])
-    return _SampledWindow(bands, z_samples, spectra)
+    return _SampledWindow(partial(build_bands, kind, grid, model), z_samples)
 
 
-def _window_branch(sampled: _SampledWindow, n: int) -> IndexedBranch:
-    size = sampled.spectra.shape[1]
+def _check_branch(n: int, size: int) -> None:
     if n < 0 or n >= size:
         raise ValueError(f"branch index {n} outside spectrum of size {size}")
-    return IndexedBranch(
-        branch_index=n,
-        z_samples=sampled.z_samples,
-        e_values=sampled.spectra[:, n].copy(),
-        bands=sampled.bands,
-    )
 
 
 def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
@@ -260,12 +279,18 @@ def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
     complex mass-squared raises ValueError; continue its branches with
     ``trace_branch_family`` over ``build_problem``.
     """
-    return _window_branch(_sample_window(kind, grid, model, z_lo, z_hi, steps), n)
+    window = _sample_window(kind, grid, model, z_lo, z_hi, steps)
+    _check_branch(n, window.size)
+    return IndexedBranch(
+        branch_index=n,
+        z_samples=window.z_samples,
+        e_values=window.e_values(n),
+        bands=window.bands,
+    )
 
 
-def _inertia_sign(branch: IndexedBranch) -> SignEvaluator:
-    n = branch.branch_index
-    return lambda z, k: 1.0 if count_below(*branch.bands(z), z) <= n else -1.0
+def _inertia_sign(bands: BandFamily, n: int) -> SignEvaluator:
+    return lambda z, k: 1.0 if count_below(*bands(z), z) <= n else -1.0
 
 
 def _overlap_sign(branch: EnergyBranch, overlap_floor: float) -> SignEvaluator:
@@ -276,11 +301,11 @@ def _overlap_sign(branch: EnergyBranch, overlap_floor: float) -> SignEvaluator:
     return sign
 
 
-def _bisect(branch: Branch, k: int, f_sign: SignEvaluator,
+def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
             refine_tol: float) -> tuple[float, int]:
     """Root of f in the sample bracket k, and the number of evaluations of f."""
-    lo, hi = float(branch.z_samples[k]), float(branch.z_samples[k + 1])
-    above_lo = branch.e_values[k] > lo
+    lo, hi = float(z[k]), float(z[k + 1])
+    above_lo = f[k] > 0.0
     for evals in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= refine_tol:
@@ -307,12 +332,15 @@ def _close(z: float, z_prev: float) -> bool:
     return abs(z - z_prev) <= MERGE_FACTOR * (1.0 + abs(z))
 
 
-def _solve(branch: Branch, f_sign: SignEvaluator,
+def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
            refine_tol: float) -> tuple[list[FixedPointRoot], int]:
+    """Fixed points from per-sample values ``f`` with the sign of E_n(z) - z.
+
+    A sample where f is exactly 0 is a root; a sign change between two
+    samples is bisected with ``f_sign``.
+    """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    z = branch.z_samples
-    f = branch.e_values - z
     raw: list[float] = []
     evals = 0
     for k in range(z.shape[0] - 1):
@@ -321,7 +349,7 @@ def _solve(branch: Branch, f_sign: SignEvaluator,
             continue
         if f[k] * f[k + 1] >= 0.0:
             continue
-        root, used = _bisect(branch, k, f_sign, refine_tol)
+        root, used = _bisect(z, f, k, f_sign, refine_tol)
         raw.append(root)
         evals += used
     if f[-1] == 0.0:
@@ -346,20 +374,44 @@ def solve_fixed_points(branch: Branch, refine_tol: float = REFINE_TOL, *,
     that never changes sign yields an empty list.  Roots closer than
     1e-8 * (1 + |z|) are merged.
     """
-    f_sign = (_inertia_sign(branch) if isinstance(branch, IndexedBranch)
+    f_sign = (_inertia_sign(branch.bands, branch.branch_index)
+              if isinstance(branch, IndexedBranch)
               else _overlap_sign(branch, overlap_floor))
-    return _solve(branch, f_sign, refine_tol)[0]
+    return _solve(branch.z_samples, branch.e_values - branch.z_samples, f_sign, refine_tol)[0]
 
 
-def _level(branch: IndexedBranch, root: FixedPointRoot, j: int) -> PhysicalLevel:
-    n = branch.branch_index
-    diagonal, off = branch.bands(root.z)
+def _window_signs(window: _SampledWindow, n: int) -> np.ndarray:
+    """Per-sample values with the sign of f(z) = E_n(z) - z on one window.
+
+    The sign at a sample is that of its inertia count.  Eigenvalues replace
+    the signs at both ends of every sign change: there a sample with
+    E_n(z_k) == z_k is itself a root, and the eigenvalue confirms the side
+    bisection starts from.  A branch whose count never changes sign gets
+    eigenvalues at every sample, for its near miss.  Where an eigenvalue
+    and its count disagree in sign, which only rounding at a root next to
+    a sample can cause, the window falls back to eigenvalue signs.
+    """
+    z = window.z_samples
+    signs = np.where(window.counts <= n, 1.0, -1.0)
+    change = signs[:-1] != signs[1:]
+    if not change.any():
+        return window.e_values(n) - z
+    for k in np.flatnonzero(np.append(change, False) | np.append(False, change)):
+        f_k = window.eigenvalue(k, n) - z[k]
+        if f_k != 0.0 and (f_k > 0.0) != (signs[k] > 0.0):
+            return window.e_values(n) - z
+        signs[k] = f_k
+    return signs
+
+
+def _level(bands: BandFamily, n: int, z: float, j: int) -> PhysicalLevel:
+    diagonal, off = bands(z)
     ket = eigh_bands(diagonal, off)[1][:, n]
     ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
-    r = (diagonal - root.z) * ket
+    r = (diagonal - z) * ket
     r[:-1] += off * ket[1:]
     r[1:] += off * ket[:-1]
-    return PhysicalLevel(multi_index=(n, j), energy=root.z, right_ket=ket,
+    return PhysicalLevel(multi_index=(n, j), energy=z, right_ket=ket,
                          left_bra=ket, residual=float(np.linalg.norm(r)))
 
 
@@ -373,9 +425,11 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     The branches are labelled by Sturm index, so the stationary form must be
     real symmetric: a complex mass-squared raises ValueError (search such a
     family with ``trace_branch_family`` and ``solve_fixed_points``).  Each
-    window is sampled once for all branches; each (branch, window) pair is
-    then solved independently.  Solver failures are recorded per pair and
-    the remaining levels are returned, and every solved pair leaves a
+    window is sampled once for all branches, with one inertia count per
+    sample; each (branch, window) pair is then solved independently, and a
+    sample's eigenvalues are solved at most once, where a sign change ends
+    or a branch changes sign nowhere.  Solver failures are recorded per pair
+    and the remaining levels are returned, and every solved pair leaves a
     ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are merged by the rule ``solve_fixed_points`` applies inside a
     window, so a root on an endpoint two windows share counts once; the
@@ -390,18 +444,20 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             sampled.append(_sample_window(kind, grid, model, lo, hi, steps))
         except SolverError as exc:
             sampled.append(exc)
+    bands = partial(build_bands, kind, grid, model)
     levels: list[PhysicalLevel] = []
     failures: list[CollectFailure] = []
     diagnostics: list[WindowDiagnostics] = []
     for n in n_list:
-        found: list[tuple[FixedPointRoot, IndexedBranch, tuple]] = []
+        found: list[tuple[float, tuple]] = []
         for window, entry in zip(z_windows, sampled):
             window = (float(window[0]), float(window[1]))
             error = entry if isinstance(entry, SolverError) else None
             if error is None:
+                _check_branch(n, entry.size)
                 try:
-                    branch = _window_branch(entry, n)
-                    roots, evals = _solve(branch, _inertia_sign(branch), refine_tol)
+                    roots, evals = _solve(entry.z_samples, _window_signs(entry, n),
+                                          _inertia_sign(bands, n), refine_tol)
                 except SolverError as exc:
                     error = exc
             if error is not None:
@@ -413,20 +469,20 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                 ))
                 continue
             near_miss = None if roots else float(
-                np.abs(branch.e_values - branch.z_samples).min())
+                np.abs(entry.e_values(n) - entry.z_samples).min())
             diagnostics.append(WindowDiagnostics(
                 branch_index=n,
                 window=window,
-                samples=int(branch.z_samples.shape[0]),
+                samples=int(entry.z_samples.shape[0]),
                 bisection_steps=evals,
                 near_miss=near_miss,
             ))
-            found.extend((root, branch, window) for root in roots)
-        found.sort(key=lambda item: item[0].z)
-        kept: list[tuple[FixedPointRoot, IndexedBranch, tuple]] = []
-        for root, branch, window in found:
-            if kept and window != kept[-1][2] and _close(root.z, kept[-1][0].z):
+            found.extend((root.z, window) for root in roots)
+        found.sort(key=lambda item: item[0])
+        kept: list[tuple[float, tuple]] = []
+        for z, window in found:
+            if kept and window != kept[-1][1] and _close(z, kept[-1][0]):
                 continue
-            kept.append((root, branch, window))
-        levels.extend(_level(branch, root, j) for j, (root, branch, _) in enumerate(kept))
+            kept.append((z, window))
+        levels.extend(_level(bands, n, z, j) for j, (z, _) in enumerate(kept))
     return CollectResult(levels=levels, failures=failures, diagnostics=diagnostics)

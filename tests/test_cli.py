@@ -147,6 +147,29 @@ def test_fixedpoint_constant_mass_levels(tmp_path):
     np.testing.assert_allclose(got, oracle, atol=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["schrodinger", "kleingordon"])
+def test_closed_form_table_is_schrodinger_only(tmp_path, kind):
+    # the closed forms are the Schrodinger-form oscillator spectrum; the
+    # Klein-Gordon levels of the same model are no approximation of them
+    cfg = write_config(tmp_path, HO_FIXEDPOINT + f"""
+    [problem]
+    kind = {kind}
+""")
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    report = load_json(tmp_path / "fixedpoint.json")
+    assert report["n_levels"] == 1
+    assert ("closed_form_comparison" in report) == (kind == "schrodinger")
+    assert ("convention_factor" in report) == (kind == "schrodinger")
+
+
+def test_fixedpoint_duplicate_windows_stay_allowed(tmp_path):
+    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace("windows = 3.1:6.0",
+                                                       "windows = 3.1:6.0, 3.1:6.0"))
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    report = load_json(tmp_path / "fixedpoint.json")
+    assert [(lv["n"], lv["j"]) for lv in report["levels"]] == [(0, 0), (0, 1)]
+
+
 def test_fixedpoint_empty_windows(tmp_path, capsys):
     cfg = write_config(tmp_path, """
         [model]
@@ -220,8 +243,9 @@ def test_fixedpoint_imports_no_scipy(tmp_path):
     ("branches = 0", "branches = 0, 120"),
     ("steps = 32", "steps = 32\n    overlap_floor = 1.5"),
     ("steps = 32", "steps = 32\n    overlap_floor = 0"),
+    ("branches = 0", "branches = 0, 0"),
 ], ids=["reversed-window", "empty-window", "negative-branch", "branch-past-grid",
-        "floor-above-one", "floor-zero"])
+        "floor-above-one", "floor-zero", "duplicate-branch"])
 def test_fixedpoint_bad_input_rejected_at_load(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, HO_FIXEDPOINT.replace(old, new))
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 1

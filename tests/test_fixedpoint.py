@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
-from edspec.errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall
+import edspec.fixedpoint as fixedpoint_module
+from edspec.errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
 from edspec.fixedpoint import (
     WINDOW_STEPS,
     IndexedBranch,
@@ -395,3 +396,121 @@ def test_root_on_shared_window_endpoint_counts_once():
     # the same window listed twice still yields coincident levels
     twice = collect_physical(model, grid, [1], [(0.5 * e1, e1), (0.5 * e1, e1)])
     assert [lv.multi_index for lv in twice.levels] == [(1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------- count signs
+
+def _eigenvalue_sign_search(model, grid, n_list, windows, kind, steps):
+    """Reference: every sample solved, brackets from eigenvalue signs."""
+    levels, failures, near_misses = [], [], []
+    for n in n_list:
+        found = []
+        for lo, hi in windows:
+            try:
+                branch = trace_branch(model, grid, n, lo, hi, steps, kind)
+                roots = solve_fixed_points(branch)
+            except SolverError as exc:
+                failures.append((n, (lo, hi), type(exc).__name__))
+                continue
+            near_misses.append(None if roots else float(
+                np.abs(branch.e_values - branch.z_samples).min()))
+            found.extend(root.z for root in roots)
+        levels.extend(((n, j), z) for j, z in enumerate(sorted(found)))
+    return levels, failures, near_misses
+
+
+def test_count_signs_match_eigenvalue_signs():
+    rng = np.random.default_rng(20261018)
+    seen = {"levels": 0, "near_misses": 0, "failures": 0}
+    for draw in range(40):
+        kind = ("schrodinger", "kleingordon")[draw % 2]
+        e0 = float(rng.uniform(0.3, 2.0))
+        model = HOQuadratic(float(rng.uniform(0.5, 12.0)), e0)
+        half_width = float(rng.uniform(4.0, 10.0))
+        grid = Grid(-half_width, half_width, int(rng.integers(20, 90)))
+        steps = int(rng.integers(4, 40))
+        n_list = sorted(rng.choice(4, size=int(rng.integers(1, 5)), replace=False).tolist())
+        # disjoint windows a gap apart, so no root is merged across windows
+        ends = np.sort(rng.uniform(0.02, 3.0 * e0 + 3.0, 4))
+        windows = [(float(ends[0]), float(ends[1])),
+                   (float(ends[2]) + 0.05, float(ends[3]) + 0.1)]
+        result = collect_physical(model, grid, n_list, windows, kind, steps=steps)
+        levels, failures, near_misses = _eigenvalue_sign_search(
+            model, grid, n_list, windows, kind, steps)
+        assert [(lv.multi_index, lv.energy) for lv in result.levels] == levels
+        assert [(f.branch_index, f.window, f.error) for f in result.failures] == failures
+        assert [d.near_miss for d in result.diagnostics] == near_misses
+        seen["levels"] += len(levels)
+        seen["near_misses"] += sum(m is not None for m in near_misses)
+        seen["failures"] += len(failures)
+    assert all(count > 5 for count in seen.values()), seen
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Bands handed to the level search's tridiagonal eigenvalue solver."""
+    calls = []
+    solve = fixedpoint_module.eigvalsh_bands
+
+    def counted(d, e):
+        calls.append(d)
+        return solve(d, e)
+
+    monkeypatch.setattr(fixedpoint_module, "eigvalsh_bands", counted)
+    return calls
+
+
+@pytest.mark.parametrize("model, n_list, window, brackets", [
+    (HOQuadratic(1.0, 0.0), [0, 1, 2], (0.5, 4.0), 3),      # one root per branch
+    (HOQuadratic(12.0, 1.0), [0], (0.02, 0.95), 2),          # the minus pair
+], ids=["root-per-branch", "minus-pair"])
+def test_bracketing_window_solves_at_most_bracket_ends(solves, model, n_list, window,
+                                                       brackets):
+    result = collect_physical(model, GRID, n_list, [window], steps=32)
+    assert len(result.levels) == brackets
+    assert all(d.near_miss is None for d in result.diagnostics)
+    assert 0 < len(solves) <= 2 * brackets
+
+
+@pytest.mark.parametrize("n_list", [[0], [0, 1, 2, 3]])
+def test_root_free_window_solves_each_sample_once(solves, n_list):
+    # f_n(z) = E_n(z) - z > 0 below the lowest root z = 1 of the oscillator
+    result = collect_physical(HOQuadratic(1.0, 0.0), GRID, n_list, [(0.2, 0.9)], steps=16)
+    assert not result.levels and not result.failures
+    assert all(d.near_miss > 0.0 for d in result.diagnostics)
+    # sixteen solves, each of a different sample's bands
+    assert len(solves) == 16
+    assert len({id(d) for d in solves}) == 16
+
+
+def test_bisection_makes_no_solves(solves):
+    window = [(0.5, 4.0)]
+    coarse = collect_physical(HOQuadratic(1.0, 0.0), GRID, [0, 1], window, refine_tol=1e-3)
+    used = len(solves)
+    fine = collect_physical(HOQuadratic(1.0, 0.0), GRID, [0, 1], window, refine_tol=1e-12)
+    assert (sum(d.bisection_steps for d in fine.diagnostics)
+            > sum(d.bisection_steps for d in coarse.diagnostics))
+    assert len(solves) == 2 * used
+    branch = trace_branch(HOQuadratic(1.0, 0.0), GRID, 0, 0.5, 4.0, steps=32)
+    del solves[:]
+    assert len(solve_fixed_points(branch, refine_tol=1e-12)) == 1
+    assert solves == []
+
+
+def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkeypatch,
+                                                                          solves):
+    model, window, steps = HOQuadratic(1.0, 0.0), (0.5, 4.0), 32
+    branch = trace_branch(model, GRID, 0, *window, steps=steps)
+    (k,) = np.flatnonzero(np.diff(np.sign(branch.e_values - branch.z_samples)))
+    # the count at the sample after the bracket end claims f > 0 where the
+    # eigenvalue has f < 0: the count brackets two roots that do not exist
+    liar = float(branch.z_samples[k + 2])
+    count = fixedpoint_module.count_below
+    monkeypatch.setattr(fixedpoint_module, "count_below",
+                        lambda d, e, s: count(d, e, s) - (s == liar))
+    del solves[:]
+    result = collect_physical(model, GRID, [0], [window], steps=steps)
+    (root,) = solve_fixed_points(branch)
+    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), root.z)]
+    assert len(solves) == steps
+
