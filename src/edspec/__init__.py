@@ -16,11 +16,11 @@ from .errors import SolverError
 from .evolution import (
     FVModes,
     FVState,
+    FVSystem,
+    assemble_fv,
     conservation_report,
     eigenstate,
     evolve,
-    fv_modes,
-    pseudo_norm,
 )
 from .fixedpoint import (
     CollectResult,
@@ -43,14 +43,11 @@ from .frozen_spectrum import (
 )
 from .operators import (
     ConstantMass,
-    FVSystem,
     GeneralMassSquared,
     Grid,
     HOQuadratic,
     MassModel,
     OperatorMatrix,
-    assemble_fv,
-    assemble_fv_metric,
     build_bands,
     build_kleingordon,
     build_laplacian,
@@ -77,17 +74,16 @@ __all__ = [
     "__version__",
     "NUMERIC_TO_CLOSED", "ClosedSpectrum", "HOParams",
     "SolverError",
-    "FVModes", "FVState", "conservation_report", "eigenstate", "evolve", "fv_modes",
-    "pseudo_norm",
+    "FVModes", "FVState", "FVSystem", "assemble_fv", "conservation_report",
+    "eigenstate", "evolve",
     "CollectResult", "EnergyBranch", "FixedPointRoot", "IndexedBranch",
     "PhysicalLevel", "WindowDiagnostics", "collect_physical", "solve_fixed_points",
     "trace_branch", "trace_branch_family",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
-    "ConstantMass", "FVSystem", "GeneralMassSquared", "Grid", "HOQuadratic",
-    "MassModel", "OperatorMatrix", "assemble_fv", "assemble_fv_metric",
-    "build_bands", "build_kleingordon", "build_laplacian", "build_parity",
-    "build_problem", "build_schrodinger",
+    "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",
+    "OperatorMatrix", "build_bands", "build_kleingordon", "build_laplacian",
+    "build_parity", "build_problem", "build_schrodinger",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
     "build_charge", "build_K", "build_L", "build_metrics",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",

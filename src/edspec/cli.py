@@ -19,10 +19,10 @@ from . import __version__
 from . import closed_form as cf
 from .config import ConfigError, RunConfig, load_config, require
 from .errors import SolverError
-from .evolution import FVModes, FVState, conservation_report, eigenstate, evolve, fv_modes
+from .evolution import FVState, FVSystem, assemble_fv, conservation_report, eigenstate, evolve
 from .fixedpoint import CollectResult, collect_physical
 from .frozen_spectrum import classify_spectrum, decompose
-from .operators import HOQuadratic, assemble_fv, build_problem
+from .operators import HOQuadratic, build_problem
 from .physical_basis import (
     build_basis,
     build_K,
@@ -171,11 +171,11 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _initial_state(cfg: RunConfig, modes: FVModes) -> FVState:
+def _initial_state(cfg: RunConfig, system: FVSystem) -> FVState:
     spec = cfg.evolve
     if spec.state == "gaussian":
         return gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
-    return eigenstate(modes, spec.index)
+    return eigenstate(system, spec.index)
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
@@ -187,10 +187,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
             f"evolve needs [problem] kind = kleingordon, got {cfg.problem_kind!r}")
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
     system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
-    modes = fv_modes(system)
-    state = _initial_state(cfg, modes)
-    trajectory = evolve(system, state, cfg.evolve.t_final, cfg.evolve.steps, modes)
-    report_data = conservation_report(trajectory, cfg.evolve.metric, system, modes)
+    state = _initial_state(cfg, system)
+    trajectory = evolve(system, state, cfg.evolve.t_final, cfg.evolve.steps)
+    report_data = conservation_report(trajectory, cfg.evolve.metric, system)
     rows = [
         [s.t, float(value), float(np.linalg.norm(s.stacked()) ** 2)]
         for s, value in zip(trajectory, report_data.pseudo_norms)

@@ -223,6 +223,8 @@ def load_config(path: str | Path) -> RunConfig:
         sizes = _get(parser, "validate", "grid_sizes", _int_list, required=True)
         if len(sizes) < 2 or any(s < 5 for s in sizes):
             raise ConfigError("validate grid_sizes needs at least two sizes >= 5")
+        if len(set(sizes)) != len(sizes):
+            raise ConfigError(f"validate grid_sizes {sizes} list a size twice")
         cfg.validate_grid_sizes = tuple(sizes)
     return cfg
 

@@ -1,11 +1,17 @@
-"""Two-component time evolution and pseudo-norm conservation checks.
+"""The two-component system, its time evolution and pseudo-norm conservation.
 
-The first-order system i d/dt (phi1, phi2) = h_sr (phi1, phi2) with
-h_sr = [[0, H], [I, 0]] is propagated exactly through one bi-orthogonal
-decomposition of the N x N base operator H, never through the 2N x 2N
-generator.  An eigenpair (lambda, psi) of H gives h_sr the eigenvalues
-+-omega, omega^2 = lambda, with kets (+-omega psi, psi), so in the modal
-coordinates c = L^dagger phi each mode evolves in closed form:
+The second-order-in-time equation is rearranged into the first-order system
+i d/dt (phi1, phi2) = h_sr (phi1, phi2), (phi1, phi2) = (i d/dt psi, psi),
+with generator h_sr = [[0, H], [I, 0]]; a pseudo-metric eta of the inner
+block lifts to the block form [[0, eta], [eta, 0]].  ``FVSystem`` keeps only
+the N x N blocks H and eta, and assembles the 2N x 2N forms only on request,
+as dense references.
+
+The system is propagated exactly through one bi-orthogonal decomposition of
+H (``FVSystem.modes``), never through the 2N x 2N generator.  An eigenpair
+(lambda, psi) of H gives h_sr the eigenvalues +-omega, omega^2 = lambda,
+with kets (+-omega psi, psi), so in the modal coordinates c = L^dagger phi
+each mode evolves in closed form:
 
     c2(t) = c2 cos(omega t) - i c1 sin(omega t) / omega
     c1(t) = c1 cos(omega t) - i omega c2 sin(omega t)
@@ -23,12 +29,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch
+from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianMetric, SingularMetric
 from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, decompose, reality_mask
-from .operators import FVSystem, OperatorMatrix
+from .operators import OperatorMatrix
 
 #: Relative pseudo-norm drift accepted as conservation.
 DRIFT_TOLERANCE = 1e-8
@@ -77,37 +84,102 @@ class FVModes:
         return bool(np.all(reality_mask(self.frequencies)))
 
 
-def fv_modes(system: FVSystem) -> FVModes:
-    """Decompose H once and check that the generator is diagonalizable.
+@dataclass(frozen=True)
+class FVSystem:
+    """Two-component block system kept as its inner blocks.
 
-    Raises DegenerateSpectrum when two generator eigenvalues +-sqrt(lambda)
-    sit closer than 1e-8 * ||h_sr||_F, the gap rule ``decompose`` applies;
-    in particular a zero eigenvalue of H (a Jordan block of h_sr) raises.
+    ``H`` is the base operator and ``eta`` the inner pseudo-metric (None for
+    the identity).  ``modes`` decomposes H once, on first use, and serves
+    propagation, eigenstates and the conservation checks.  The 2N x 2N
+    generator ``h_sr`` and block metric ``eta_sr`` are dense references,
+    assembled only when asked for.
     """
-    dec = decompose(system.H)
-    omega = np.sqrt(dec.eigenvalues)
-    n = omega.shape[0]
-    scale = np.sqrt(np.linalg.norm(system.H) ** 2 + n)    # ||h_sr||_F >= 1
-    # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
-    # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
-    same = np.abs(omega[:, None] - omega[None, :])
-    np.fill_diagonal(same, np.inf)
-    gap = min(same.min(), np.abs(omega[:, None] + omega[None, :]).min())
-    if gap < DEGENERACY_FACTOR * scale:
-        raise DegenerateSpectrum(
-            f"minimal generator eigenvalue gap {gap:.3e} below "
-            f"{DEGENERACY_FACTOR * scale:.3e}"
-        )
-    return FVModes(frequencies=omega, kets=dec.right_kets, bras=dec.left_bras)
+
+    H: OperatorMatrix
+    eta: OperatorMatrix | None = None
+
+    @property
+    def base_dimension(self) -> int:
+        return self.H.shape[0]
+
+    @property
+    def h_sr(self) -> OperatorMatrix:
+        """Block generator [[0, H], [I, 0]]."""
+        n = self.base_dimension
+        h_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(self.H.dtype, float))
+        h_sr[:n, n:] = self.H
+        h_sr[n:, :n] = np.eye(n)
+        return h_sr
+
+    @property
+    def eta_sr(self) -> OperatorMatrix:
+        """Block pseudo-metric [[0, eta], [eta, 0]]."""
+        n = self.base_dimension
+        eta = np.eye(n) if self.eta is None else self.eta
+        eta_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(eta.dtype, float))
+        eta_sr[:n, n:] = eta
+        eta_sr[n:, :n] = eta
+        return eta_sr
+
+    @cached_property
+    def modes(self) -> FVModes:
+        """Normal modes from one decomposition of H, computed on first use.
+
+        Raises DegenerateSpectrum when two generator eigenvalues
+        +-sqrt(lambda) sit closer than 1e-8 * ||h_sr||_F, the gap rule
+        ``decompose`` applies; in particular a zero eigenvalue of H (a
+        Jordan block of h_sr) raises.
+        """
+        dec = decompose(self.H)
+        omega = np.sqrt(dec.eigenvalues)
+        n = omega.shape[0]
+        scale = np.sqrt(np.linalg.norm(self.H) ** 2 + n)    # ||h_sr||_F >= 1
+        # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
+        # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
+        same = np.abs(omega[:, None] - omega[None, :])
+        np.fill_diagonal(same, np.inf)
+        gap = min(same.min(), np.abs(omega[:, None] + omega[None, :]).min())
+        if gap < DEGENERACY_FACTOR * scale:
+            raise DegenerateSpectrum(
+                f"minimal generator eigenvalue gap {gap:.3e} below "
+                f"{DEGENERACY_FACTOR * scale:.3e}"
+            )
+        return FVModes(frequencies=omega, kets=dec.right_kets, bras=dec.left_bras)
 
 
-def eigenstate(modes: FVModes, index: int) -> FVState:
+def assemble_fv(H: OperatorMatrix, eta: OperatorMatrix | None = None) -> FVSystem:
+    """Two-component system of the block generator [[0, H], [I, 0]].
+
+    The spectrum consists of the pairs +/- sqrt(lambda) over eigenvalues
+    lambda of H (checked by the test suite, not assumed here).  An inner
+    metric must be Hermitian (tolerance 1e-10) and invertible (condition
+    number at most 1e12); without one the swap metric [[0, I], [I, 0]] is
+    attached.
+    """
+    H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be square, got shape {H.shape}")
+    if eta is not None:
+        eta = np.asarray(eta)
+        if eta.shape != H.shape:
+            raise ValueError(f"eta shape {eta.shape} does not match H shape {H.shape}")
+        scale = max(1.0, np.abs(eta).max())
+        if np.abs(eta - eta.conj().T).max() > 1e-10 * scale:
+            raise NonHermitianMetric("eta fails the 1e-10 Hermiticity tolerance")
+        cond = np.linalg.cond(eta)
+        if not np.isfinite(cond) or cond > 1e12:
+            raise SingularMetric(f"eta is numerically singular (condition number {cond:.3e})")
+    return FVSystem(H=H, eta=eta)
+
+
+def eigenstate(system: FVSystem, index: int) -> FVState:
     """Generator eigenstate ``index``, ordered and phased as ``decompose(h_sr)``.
 
     Eigenvalues ascend by (Re, Im); for a positive spectrum of H, index k < N
     is -sqrt(lambda_{N-1-k}) and k >= N is +sqrt(lambda_{k-N}).  The state is
     (E psi, psi) made unit norm with its largest component real positive.
     """
+    modes = system.modes
     omega = modes.frequencies
     n = omega.shape[0]
     if not 0 <= index < 2 * n:
@@ -119,11 +191,9 @@ def eigenstate(modes: FVModes, index: int) -> FVState:
     return FVState(phi1=ket[:n], phi2=ket[n:], t=0.0)
 
 
-def evolve(system: FVSystem, state: FVState, t_final: float, steps: int,
-           modes: FVModes | None = None) -> list[FVState]:
+def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> list[FVState]:
     """Exact spectral propagation, returning steps+1 states including t = 0.
 
-    ``modes`` are ``fv_modes(system)``, computed here when not supplied.
     Complex eigenvalues of the generator are allowed (a warning is issued and
     norms may grow); a degenerate generator spectrum raises.
     """
@@ -134,8 +204,7 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int,
         raise DimensionMismatch(
             f"state dimension {state.phi1.shape[0]} does not match system base {n}"
         )
-    if modes is None:
-        modes = fv_modes(system)
+    modes = system.modes
     if not modes.spectrum_real:
         warnings.warn(
             "generator spectrum is not entirely real; evolution proceeds but "
@@ -156,49 +225,23 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int,
                       for p1, p2, t in zip(phi1, phi2, times)]
 
 
-def pseudo_norm(state: FVState, metric: OperatorMatrix) -> float:
-    """Quadratic form <Phi|metric|Phi>; real for a Hermitian metric."""
-    v = state.stacked()
-    if metric.shape != (v.shape[0], v.shape[0]):
-        raise DimensionMismatch(
-            f"metric shape {metric.shape} does not match state dimension {v.shape[0]}"
-        )
-    value = complex(np.vdot(v, metric @ v))
-    if abs(value.imag) > 1e-10 * (1.0 + abs(value.real)):
-        warnings.warn(
-            f"pseudo-norm has imaginary residue {value.imag:.3e}; metric may "
-            "not be Hermitian",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return value.real
-
-
-def _block_pseudo_norms(trajectory: list[FVState], metric: str,
-                        system: FVSystem | None) -> np.ndarray:
+def _pseudo_norms(trajectory: list[FVState], metric: str, system: FVSystem) -> np.ndarray:
+    """<Phi|M|Phi> of every state, for the block metric M named by ``metric``."""
     phi1 = np.array([s.phi1 for s in trajectory])
     phi2 = np.array([s.phi2 for s in trajectory])
-    if metric == "identity":
-        return (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
-    if system is None:
-        raise ValueError("the swap metric needs the system that carries eta")
     if phi1.shape[1] != system.base_dimension:
         raise DimensionMismatch(
             f"state dimension {phi1.shape[1]} does not match system base "
             f"{system.base_dimension}"
         )
+    if metric == "identity":
+        return (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
     eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
     return 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
 
 
-def _intertwine_residual(metric: OperatorMatrix | str, system: FVSystem) -> float:
+def _intertwine_residual(metric: str, system: FVSystem) -> float:
     """Relative residual ||M h_sr - h_sr^dagger M|| / (||h_sr|| ||M||)."""
-    if not isinstance(metric, str):
-        h = system.h_sr
-        return float(
-            np.linalg.norm(metric @ h - h.conj().T @ metric)
-            / max(np.linalg.norm(h) * np.linalg.norm(metric), NORM_FLOOR)
-        )
     H = system.H
     n = system.base_dimension
     h_norm = np.sqrt(np.linalg.norm(H) ** 2 + n)
@@ -226,48 +269,36 @@ class ConservationReport:
     drift: float                      # max |pn(t) - pn(0)| / max(|pn(0)|, floor)
     passed: bool
     degenerate_norm: bool
-    spectrum_real: bool | None = None
-    intertwine_residual: float | None = None
-    metric_intertwines: bool | None = None
+    spectrum_real: bool
+    intertwine_residual: float
+    metric_intertwines: bool
 
 
-def conservation_report(trajectory: list[FVState], metric: OperatorMatrix | str,
-                        system: FVSystem | None = None,
-                        modes: FVModes | None = None) -> ConservationReport:
-    """Maximal relative pseudo-norm drift over a trajectory.
+def conservation_report(trajectory: list[FVState], metric: str,
+                        system: FVSystem) -> ConservationReport:
+    """Maximal relative pseudo-norm drift over a non-empty trajectory.
 
-    ``metric`` is a dense 2N x 2N matrix or one of ``BLOCK_METRICS``, which
-    are evaluated from the N x N blocks ("swap" needs ``system`` for eta).
-    PASS means drift within 1e-8; when the generating system is supplied the
-    flag additionally requires a real generator spectrum (read from
-    ``modes``, computed when not supplied) and a metric that intertwines the
-    generator (relative residual within 1e-10).
+    ``metric`` is one of ``BLOCK_METRICS``, evaluated from the N x N blocks
+    of ``system``.  PASS means drift within 1e-8, a real generator spectrum
+    (read from ``system.modes``) and a metric that intertwines the generator
+    (relative residual within 1e-10).
     """
-    if isinstance(metric, str):
-        if metric not in BLOCK_METRICS:
-            raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
-        values = _block_pseudo_norms(trajectory, metric, system)
-    else:
-        values = np.array([pseudo_norm(s, metric) for s in trajectory])
-    base = float(abs(values[0])) if len(values) else 0.0
+    if metric not in BLOCK_METRICS:
+        raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
+    values = _pseudo_norms(trajectory, metric, system)
+    base = float(abs(values[0]))
     degenerate = base < NORM_FLOOR
     if degenerate and np.all(np.abs(values) < NORM_FLOOR):
         drift = 0.0
     else:
         drift = float(np.abs(values - values[0]).max() / max(base, NORM_FLOOR))
-    passed = drift <= DRIFT_TOLERANCE
-    spectrum_real = None
-    residual = None
-    intertwines = None
-    if system is not None:
-        spectrum_real = (fv_modes(system) if modes is None else modes).spectrum_real
-        residual = _intertwine_residual(metric, system)
-        intertwines = residual <= INTERTWINE_TOLERANCE
-        passed = passed and spectrum_real and intertwines
+    spectrum_real = system.modes.spectrum_real
+    residual = _intertwine_residual(metric, system)
+    intertwines = residual <= INTERTWINE_TOLERANCE
     return ConservationReport(
         pseudo_norms=values,
         drift=drift,
-        passed=passed,
+        passed=drift <= DRIFT_TOLERANCE and spectrum_real and intertwines,
         degenerate_norm=degenerate,
         spectrum_real=spectrum_real,
         intertwine_residual=residual,

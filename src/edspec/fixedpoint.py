@@ -343,11 +343,13 @@ def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     raw: list[float] = []
     evals = 0
+    # signs, not values: the product of two tiny values can underflow to 0
+    sign = np.sign(f)
     for k in range(z.shape[0] - 1):
         if f[k] == 0.0:
             raw.append(float(z[k]))
             continue
-        if f[k] * f[k + 1] >= 0.0:
+        if sign[k] * sign[k + 1] >= 0.0:
             continue
         root, used = _bisect(z, f, k, f_sign, refine_tol)
         raw.append(root)

@@ -13,14 +13,13 @@ import numpy as np
 
 from . import closed_form as cf
 from . import errors
-from .evolution import FVState, conservation_report, evolve
+from .evolution import FVState, assemble_fv, conservation_report, evolve
 from .fixedpoint import PhysicalLevel, collect_physical
 from .frozen_spectrum import decompose, eta_from_decomposition
 from .operators import (
     ConstantMass,
     Grid,
     HOQuadratic,
-    assemble_fv,
     build_kleingordon,
 )
 from .physical_basis import build_basis, build_K, build_L, build_metrics, levels_from_matrix

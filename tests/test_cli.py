@@ -499,3 +499,15 @@ def test_validate_under_resolved_grid_fails(tmp_path, capsys):
     assert by_name["closed-form-self-consistency"] is True
     out = capsys.readouterr().out
     assert "FAIL" in out and "PASS" in out
+
+
+def test_validate_duplicate_grid_sizes_rejected_at_load(tmp_path, capsys):
+    # repeated sizes would make every convergence ratio 1.0 and fail the
+    # numeric-vs-closed-form criterion after running the whole suite
+    cfg = write_config(tmp_path, """
+        [validate]
+        grid_sizes = 60, 60
+    """)
+    assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "validation.json").exists()

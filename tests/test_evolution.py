@@ -3,24 +3,23 @@ import warnings
 import numpy as np
 import pytest
 
+import edspec.evolution as evolution
 from edspec.errors import DegenerateSpectrum, DimensionMismatch
 from edspec.evolution import (
     FVState,
+    assemble_fv,
     conservation_report,
     eigenstate,
     evolve,
-    fv_modes,
-    pseudo_norm,
 )
 from edspec.frozen_spectrum import decompose
 from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
     Grid,
-    assemble_fv,
     build_kleingordon,
 )
-from edspec.validate import gaussian_state
+from edspec.validate import criterion_pseudo_unitarity, gaussian_state, pseudo_hermitian_pair
 
 
 def _hermitian_system(n_points=40):
@@ -127,16 +126,16 @@ def test_eigenstate_matches_generator_decomposition(pick):
                           0.0)
     system = assemble_fv(h)
     k = pick(system.base_dimension)
-    state = eigenstate(fv_modes(system), k)
+    state = eigenstate(system, k)
     expected = decompose(system.h_sr).right_kets[:, k]
     assert np.abs(state.stacked() - expected).max() <= 1e-12
 
 
 def test_eigenstate_index_out_of_range():
-    modes = fv_modes(assemble_fv(np.array([[4.0]])))
+    system = assemble_fv(np.array([[4.0]]))
     for index in (-1, 2):
         with pytest.raises(ValueError, match="index"):
-            eigenstate(modes, index)
+            eigenstate(system, index)
 
 
 def test_zero_frequency_is_degenerate():
@@ -163,30 +162,26 @@ def test_negative_mass_squared_warns():
 def test_identity_metric_is_euclidean():
     v = np.array([1.0, 2.0j])
     state = FVState(phi1=v[:1], phi2=v[1:], t=0.0)
-    assert pseudo_norm(state, np.eye(2)) == pytest.approx(5.0)
+    system = assemble_fv(np.array([[4.0]]))
+    assert conservation_report([state], "identity", system).pseudo_norms[0] == pytest.approx(5.0)
 
 
 def test_swap_metric_signature():
+    # no inner eta: the swap metric is [[0, I], [I, 0]]
     v = np.array([1.0 + 1.0j, 0.5])
-    swap = np.block([[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+    system = assemble_fv(np.diag([1.0, 4.0]))
     plus = FVState(phi1=v, phi2=v, t=0.0)
     minus = FVState(phi1=v, phi2=-v, t=0.0)
     norm2 = float(np.linalg.norm(v) ** 2)
-    assert pseudo_norm(plus, swap) == pytest.approx(2.0 * norm2)
-    assert pseudo_norm(minus, swap) == pytest.approx(-2.0 * norm2)
-
-
-def test_positive_metric_positive_value(rng):
-    w = rng.standard_normal((6, 6))
-    metric = np.eye(6) + 0.2 * (w @ w.T)
-    state = FVState(phi1=rng.standard_normal(3), phi2=rng.standard_normal(3), t=0.0)
-    assert pseudo_norm(state, metric) > 0
+    values = conservation_report([plus, minus], "swap", system).pseudo_norms
+    assert values[0] == pytest.approx(2.0 * norm2)
+    assert values[1] == pytest.approx(-2.0 * norm2)
 
 
 def test_dimension_mismatch():
     state = FVState(phi1=np.ones(3), phi2=np.ones(3), t=0.0)
     with pytest.raises(DimensionMismatch):
-        pseudo_norm(state, np.eye(4))
+        conservation_report([state], "identity", assemble_fv(np.diag([1.0, 4.0]))).pseudo_norms
 
 
 # ---------------------------------------------------------------- conservation
@@ -195,7 +190,7 @@ def test_swap_metric_conserves_pseudo_norm():
     grid, system = _hermitian_system()
     state = gaussian_state(grid, center=0.0, width=1.2, momentum=1.5)
     trajectory = evolve(system, state, t_final=10.0, steps=100)
-    report = conservation_report(trajectory, system.eta_sr, system)
+    report = conservation_report(trajectory, "swap", system)
     assert report.drift < 1e-8
     assert report.passed
     assert report.spectrum_real
@@ -206,7 +201,7 @@ def test_wrong_metric_shows_drift():
     grid, system = _hermitian_system()
     state = gaussian_state(grid, center=0.0, width=1.2, momentum=1.5)
     trajectory = evolve(system, state, t_final=10.0, steps=100)
-    report = conservation_report(trajectory, np.eye(2 * system.base_dimension), system)
+    report = conservation_report(trajectory, "identity", system)
     assert report.drift > 1e-3
     assert not report.passed
     assert not report.metric_intertwines
@@ -217,6 +212,61 @@ def test_zero_state_has_zero_drift():
     n = system.base_dimension
     state = FVState(phi1=np.zeros(n), phi2=np.zeros(n), t=0.0)
     trajectory = evolve(system, state, t_final=1.0, steps=3)
-    report = conservation_report(trajectory, system.eta_sr)
+    report = conservation_report(trajectory, "swap", system)
     assert report.drift == 0.0
     assert report.degenerate_norm
+
+
+# ---------------------------------------------------------------- block path vs dense
+
+def _block_cases():
+    rng = np.random.default_rng(7)
+    n = 6
+    general = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h, eta = pseudo_hermitian_pair(rng, n)
+    return [
+        pytest.param(assemble_fv(general), "swap", id="swap-no-eta"),
+        pytest.param(assemble_fv(h, eta), "swap", id="swap-inner-eta"),
+        pytest.param(assemble_fv(general, eta), "swap", id="swap-inner-eta-not-intertwining"),
+        pytest.param(assemble_fv(general), "identity", id="identity"),
+    ]
+
+
+@pytest.mark.parametrize("system, metric", _block_cases())
+def test_block_metric_matches_dense_form(system, metric):
+    rng = np.random.default_rng(11)
+    n = system.base_dimension
+    M = system.eta_sr if metric == "swap" else np.eye(2 * n)
+    h = system.h_sr
+    states = [FVState(phi1=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                      phi2=rng.standard_normal(n) + 1j * rng.standard_normal(n), t=0.0)
+              for _ in range(5)]
+    report = conservation_report(states, metric, system)
+    dense = np.array([np.vdot(s.stacked(), M @ s.stacked()).real for s in states])
+    np.testing.assert_allclose(report.pseudo_norms, dense, rtol=1e-12)
+    residual = (np.linalg.norm(M @ h - h.conj().T @ M)
+                / (np.linalg.norm(h) * np.linalg.norm(M)))
+    assert report.intertwine_residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+@pytest.fixture
+def decompositions(monkeypatch):
+    """Count the decompositions the evolution layer makes."""
+    calls = []
+    original = evolution.decompose
+    monkeypatch.setattr(evolution, "decompose", lambda H: calls.append(H) or original(H))
+    return calls
+
+
+def test_one_decomposition_serves_a_system(decompositions):
+    _, system = _hermitian_system()
+    state = eigenstate(system, 3)
+    trajectory = evolve(system, state, t_final=1.0, steps=4)
+    conservation_report(trajectory, "swap", system)
+    conservation_report(trajectory, "identity", system)
+    assert len(decompositions) == 1
+
+
+def test_pseudo_unitarity_criterion_decomposes_once(decompositions):
+    assert criterion_pseudo_unitarity().passed
+    assert len(decompositions) == 1

@@ -221,6 +221,18 @@ def test_no_bracket_returns_empty():
     assert solve_fixed_points(branch) == []
 
 
+@pytest.mark.parametrize("half_width", [1e-100, 1e-200])
+def test_bracket_of_tiny_values_is_found(half_width):
+    # f(z) = z: at +-1e-200 the product f[0] * f[1] underflows to -0.0, but
+    # the signs still differ, so the root z = 0 is bisected as at +-1e-100
+    def family(z):
+        return np.array([[2.0 * z]])
+
+    branch = trace_branch_family(family, 0, -half_width, half_width, steps=2)
+    (root,) = solve_fixed_points(branch, refine_tol=1e-300)
+    assert abs(root.z) <= half_width
+
+
 def test_exact_sample_root_needs_no_refinement():
     # the root lands exactly on a sample, so bisection never runs
     def family(z):

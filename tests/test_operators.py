@@ -8,13 +8,12 @@ from edspec.errors import (
     NonHermitianMetric,
     SingularMetric,
 )
+from edspec.evolution import assemble_fv
 from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
     Grid,
     HOQuadratic,
-    assemble_fv,
-    assemble_fv_metric,
     build_kleingordon,
     build_bands,
     build_laplacian,
@@ -36,6 +35,21 @@ def test_grid_invariants():
     assert g.h == 1.0
     assert g.symmetric
     assert not Grid(-1.0, 2.0, 5).symmetric
+
+
+def test_grid_points_computed_once(monkeypatch):
+    grid = Grid(-2.0, 3.0, 11)
+    expected = np.linspace(-2.0, 3.0, 11)
+    calls = []
+    linspace = np.linspace
+    monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
+    first = grid.points()
+    build_schrodinger(grid, HOQuadratic(1.5, 2.0), 0.5)
+    build_kleingordon(grid, ConstantMass(1.0), 0.5)
+    assert grid.points() is first and len(calls) == 1
+    np.testing.assert_array_equal(first, expected)
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 # ---------------------------------------------------------------- laplacian
@@ -213,7 +227,7 @@ def test_fv_square_law_random(seed):
 
 
 def test_fv_metric_swap():
-    eta_sr = assemble_fv_metric(np.eye(2))
+    eta_sr = assemble_fv(np.eye(2), np.eye(2)).eta_sr
     np.testing.assert_array_equal(eta_sr, np.block(
         [[np.zeros((2, 2)), np.eye(2)], [np.eye(2), np.zeros((2, 2))]]))
     np.testing.assert_allclose(np.sort(np.linalg.eigvalsh(eta_sr)), [-1, -1, 1, 1])
@@ -243,6 +257,6 @@ def test_fv_metric_pseudo_hermitian_construction(rng):
 
 def test_fv_metric_rejections():
     with pytest.raises(NonHermitianMetric):
-        assemble_fv_metric(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assemble_fv(np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])).eta_sr
     with pytest.raises(SingularMetric):
-        assemble_fv_metric(np.diag([1.0, 1e-15]))
+        assemble_fv(np.eye(2), np.diag([1.0, 1e-15])).eta_sr

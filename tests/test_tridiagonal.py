@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 import edspec.tridiagonal as tri
-from edspec import cli, evolution, fixedpoint
+from edspec import cli, fixedpoint
+from edspec.evolution import assemble_fv
 from edspec.operators import (
     ConstantMass,
     Grid,
     HOQuadratic,
-    assemble_fv,
     build_bands,
     build_kleingordon,
     tridiagonal,
@@ -191,5 +191,5 @@ def test_spectrum_solves_no_dense_eigenproblem(tmp_path, no_dense_eigensolves):
 
 def test_fv_modes_solve_no_dense_eigenproblem(no_dense_eigensolves):
     H = build_kleingordon(Grid(-8.0, 8.0, 60), ConstantMass(1.0), 0.0)
-    modes = evolution.fv_modes(assemble_fv(H))
+    modes = assemble_fv(H).modes
     assert modes.spectrum_real
