@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +48,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
         for i in range(dec.size)
     ]
     write_csv(out_dir / "spectrum.csv", ["index", "re", "im", "reality_flag"], rows)
-    # broken conjugation symmetry is reported through the JSON classification
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        classification = classify_spectrum(dec)
+    classification = classify_spectrum(dec)
     report = _report_header(cfg)
     report.update({
         "z": float(z),

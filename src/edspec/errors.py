@@ -30,7 +30,11 @@ class DegenerateSpectrum(SolverError):
 
 
 class PairingFailure(SolverError):
-    """Left/right eigenvalue matching left an eigenvalue unmatched."""
+    """An eigenvalue is too ill-conditioned for bi-orthonormalization.
+
+    Raised when the ket matrix is singular or a left vector of the unit kets
+    has norm (the eigenvalue's condition number) above 1e12 or not finite.
+    """
 
 
 class ComplexSpectrum(SolverError):

@@ -1,13 +1,15 @@
 """Bi-orthogonal spectral decomposition of a frozen-parameter operator.
 
-A diagonalizable H is resolved into right kets |psi_n> (eigenvectors of H)
-and left bras <l_n| (eigenvectors of H^dagger with conjugated eigenvalues),
-rescaled so <l_m|psi_n> = delta_mn.  Left vectors are stored as columns l_n
-whose Hermitian conjugate is the bra, so the pairing is vdot(l_m, psi_n).
+A diagonalizable H = K diag(E) K^-1 is resolved into right kets |psi_n>
+(the columns of K, eigenvectors of H) and left bras <l_n| (the rows of K^-1,
+eigenvectors of H^dagger with conjugated eigenvalues), so <l_m|psi_n> =
+delta_mn by construction.  Left vectors are stored as columns l_n whose
+Hermitian conjugate is the bra, so the pairing is vdot(l_m, psi_n).
 
 Normalization puts the full scale factor on the left vector: right kets are
 unit norm with their largest-magnitude component made real and positive,
-which keeps decompositions reproducible across runs.
+which keeps decompositions reproducible across runs.  ||l_n|| is then the
+condition number of E_n; a decomposition with ||l_n|| > 1e12 is rejected.
 
 From the decomposition, the intertwining metric and its inverse are the
 sign-weighted expansions
@@ -20,7 +22,6 @@ with s_n = +-1; the all-plus choice is the positive candidate metric.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,6 @@ from .tridiagonal import eigh_bands
 
 #: Relative eigenvalue-gap floor below which bi-orthonormalization is rejected.
 DEGENERACY_FACTOR = 1e-8
-#: Relative tolerance for matching H and H^dagger spectra.
-PAIRING_FACTOR = 1e-6
 #: Relative tolerance of the reality rule applied by ``reality_mask``.
 REAL_TOLERANCE = 1e-8
 
@@ -70,35 +69,6 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out * (np.abs(pivot) / pivot)
 
 
-def _match_conjugate(w_right: np.ndarray, w_left: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy best-first matching of conj(w_left) onto w_right.
-
-    Returns perm with conj(w_left[perm[i]]) ~ w_right[i]; raises
-    PairingFailure if the best available distance exceeds tol.
-    """
-    n = w_right.shape[0]
-    dist = np.abs(w_right[:, None] - np.conj(w_left)[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
-    perm = np.full(n, -1)
-    used_left = np.zeros(n, dtype=bool)
-    matched = 0
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if perm[i] >= 0 or used_left[j]:
-            continue
-        if dist[i, j] > tol:
-            raise PairingFailure(
-                f"left/right eigenvalue matching exceeds tolerance: "
-                f"|{w_right[i]} - conj({w_left[j]})| = {dist[i, j]:.3e} > {tol:.3e}"
-            )
-        perm[i] = j
-        used_left[j] = True
-        matched += 1
-        if matched == n:
-            break
-    return perm
-
-
 def reality_mask(w: np.ndarray) -> np.ndarray:
     """Elementwise reality rule |Im E| <= REAL_TOLERANCE * (1 + |E|)."""
     return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
@@ -120,8 +90,10 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
     Raises DegenerateSpectrum when two eigenvalues sit closer than
-    1e-8 * ||H||, and PairingFailure when the H / H^dagger spectra cannot be
-    matched.  Hermitian input takes an exact orthonormal path, in real
+    1e-8 * ||H||.  A general H takes one ``eig`` and left vectors from the
+    inverse of the ket matrix, L^dagger = K^-1; PairingFailure is raised when
+    K is singular or some ||l_n|| (the condition number of E_n) exceeds 1e12
+    or is not finite.  Hermitian input takes an exact orthonormal path, in real
     arithmetic when H is real symmetric.  A real symmetric tridiagonal H,
     the form of every stationary operator ``operators`` builds without a
     complex mass-squared, is solved from its bands by LAPACK's divide and
@@ -159,18 +131,20 @@ def decompose(H: OperatorMatrix) -> FrozenDecomposition:
                 raise DegenerateSpectrum(
                     f"minimal eigenvalue gap {gap:.3e} below {DEGENERACY_FACTOR * scale:.3e}"
                 )
-        wl, u = np.linalg.eig(H.conj().T)
-        perm = _match_conjugate(w, wl, PAIRING_FACTOR * scale)
-        u = u[:, perm]
         kets = _fix_phases(v)
-        lefts = np.empty_like(u)
-        for k in range(n):
-            c = np.vdot(u[:, k], kets[:, k])
-            if abs(c) < 1e-12:
-                raise PairingFailure(
-                    f"paired left/right eigenvectors nearly orthogonal at index {k}"
-                )
-            lefts[:, k] = u[:, k] / np.conj(c)
+        # L^dagger = K^-1 pairs the bras with the kets by construction, and
+        # ||l_k|| is the condition number of eigenvalue k (unit kets)
+        try:
+            lefts = np.linalg.inv(kets).conj().T
+        except np.linalg.LinAlgError:
+            raise PairingFailure("right eigenvectors are linearly dependent") from None
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = np.linalg.norm(lefts, axis=0)
+        bad = np.flatnonzero(~(norms <= 1e12))
+        if bad.size:
+            raise PairingFailure(
+                f"paired left/right eigenvectors nearly orthogonal at index {bad[0]}"
+            )
         order = np.lexsort((w.imag, w.real))
         w, kets, lefts = w[order], kets[:, order], lefts[:, order]
 
@@ -234,7 +208,11 @@ class SpectrumClassification:
 
 
 def classify_spectrum(dec: FrozenDecomposition) -> SpectrumClassification:
-    """Report-only classification; warns when conjugation symmetry is broken."""
+    """Report-only classification into real singlets and conjugate pairs.
+
+    Broken conjugation symmetry shows as ``unpaired_indices``, and
+    ``conjugation_symmetric`` is then False.
+    """
     w = dec.eigenvalues
     real = np.flatnonzero(dec.reality_flags).tolist()
     open_idx = np.flatnonzero(~dec.reality_flags).tolist()
@@ -252,12 +230,6 @@ def classify_spectrum(dec: FrozenDecomposition) -> SpectrumClassification:
             pairs.append((i, best_j))
         else:
             unpaired.append(i)
-    if unpaired:
-        warnings.warn(
-            f"{len(unpaired)} complex eigenvalues have no conjugate partner",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return SpectrumClassification(
         real_indices=tuple(real),
         conjugate_pairs=tuple(pairs),

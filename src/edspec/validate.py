@@ -147,7 +147,10 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     for n in range(3):
         for k in range(len(sizes) - 1):
             ratios.append(abs_errors[n][k] / max(abs_errors[n][k + 1], 1e-300))
-    ratio_ok = all(3.0 <= r <= 5.0 for r in ratios)
+    # second order predicts each ratio as the squared ratio of the spacings,
+    # h = (BOX width) / (size - 1); accept 0.75-1.25 times it ([3, 5] when h halves)
+    predicted = [((sizes[k + 1] - 1) / (sizes[k] - 1)) ** 2 for k in range(len(sizes) - 1)]
+    ratio_ok = all(0.75 * p <= r <= 1.25 * p for r, p in zip(ratios, predicted * 3))
     details["error_ratios"] = ratios
     details["plus_family_rel_errors"] = finest_rel
 

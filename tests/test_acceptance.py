@@ -52,6 +52,11 @@ def test_criterion_3_numeric_vs_closed_form():
     assert result.details["fit_r_squared"] > 0.9999
 
 
+def test_criterion_3_scales_error_ratios_with_the_spacing():
+    # h shrinks by 1.5 and 4/3 here, so second order predicts ratios 2.26 and 1.78
+    assert criterion_convergence((200, 300, 400)).passed
+
+
 def test_criterion_4_biorthogonal_machinery():
     result = _run(criterion_biorthogonal, budget_seconds=30.0)
     for key, value in result.details.items():

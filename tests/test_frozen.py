@@ -4,7 +4,6 @@ import pytest
 from conftest import pseudo_hermitian_pair, shifted_random_matrix
 from edspec.errors import ComplexSpectrum, DegenerateSpectrum, PairingFailure
 from edspec.frozen_spectrum import (
-    _match_conjugate,
     classify_spectrum,
     decompose,
     eta_from_decomposition,
@@ -114,13 +113,45 @@ def test_complex_spectrum_blocks_eta():
         eta_from_decomposition(dec)
 
 
-def test_conjugate_matcher():
-    w = np.array([1.0 + 1.0j, 2.0 - 0.5j])
-    wl = np.array([2.0 + 0.5j, 1.0 - 1.0j])      # conjugates, swapped order
-    perm = _match_conjugate(w, wl, tol=1e-8)
-    np.testing.assert_array_equal(perm, [1, 0])
+def _bidiagonal(n, gap):
+    """Upper bidiagonal with diagonal gap * k and a unit superdiagonal.
+
+    It is non-normal, and its eigenvalue condition numbers blow up as gap
+    shrinks or n grows.
+    """
+    return np.diag(gap * np.arange(n, dtype=float)) + np.diag(np.ones(n - 1), 1)
+
+
+def test_non_normal_decomposition_is_complete():
+    rng = np.random.default_rng(0)
+    z = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    q, _ = np.linalg.qr(z)
+    h = q @ _bidiagonal(6, 0.02) @ q.conj().T
+    dec = decompose(h)
+    assert dec.completeness_residual <= 1e-7
+    rebuilt = (dec.right_kets * dec.eigenvalues) @ dec.left_bras.conj().T
+    assert np.linalg.norm(rebuilt - h) <= 1e-7 * np.linalg.norm(h)
+
+
+@pytest.mark.parametrize("n,gap", [(20, 1e-3), (40, 1e-6), (200, 1e-6)])
+def test_ill_conditioned_eigenvalue_raises_pairing_failure(n, gap):
+    # (40, 1e-6) overflows the left-vector norms and (200, 1e-6) makes the
+    # ket matrix singular; pytest turns any RuntimeWarning into an error
     with pytest.raises(PairingFailure):
-        _match_conjugate(w, np.array([5.0 + 0.0j, 1.0 - 1.0j]), tol=1e-8)
+        decompose(_bidiagonal(n, gap))
+
+
+def test_general_decompose_solves_one_eigenproblem(monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+
+    def counting_eig(a):
+        calls.append(a.shape)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    decompose(shifted_random_matrix(np.random.default_rng(0), 16))
+    assert calls == [(16, 16)]
 
 
 def test_classify_real_spectrum():
@@ -138,9 +169,7 @@ def test_classify_conjugate_pair():
 
 
 def test_classify_unpaired_warns():
-    dec = decompose(np.diag([1.0j, 2.0j]))
-    with pytest.warns(RuntimeWarning):
-        report = classify_spectrum(dec)
+    report = classify_spectrum(decompose(np.diag([1.0j, 2.0j])))
     assert len(report.unpaired_indices) == 2
     assert not report.conjugation_symmetric
 
