@@ -64,6 +64,8 @@ from .physical_basis import (
     build_K,
     build_L,
     build_metrics,
+    build_mu,
+    build_nu,
     levels_from_decomposition,
     levels_from_matrix,
     projector_residual,
@@ -85,7 +87,7 @@ __all__ = [
     "OperatorMatrix", "build_bands", "build_kleingordon", "build_laplacian",
     "build_parity", "build_problem", "build_schrodinger",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
-    "build_charge", "build_K", "build_L", "build_metrics",
+    "build_charge", "build_K", "build_L", "build_metrics", "build_mu", "build_nu",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",
     "unit_projector",
 ]

@@ -27,6 +27,8 @@ from .physical_basis import (
     build_K,
     build_L,
     build_metrics,
+    build_mu,
+    build_nu,
     projector_residual,
 )
 from .serialize import write_csv, write_json, write_matrix
@@ -103,6 +105,23 @@ def _collect_levels(cfg: RunConfig) -> CollectResult:
     )
 
 
+def _search_record(result: CollectResult) -> dict:
+    """The per-(branch, window) failures and diagnostics of a level search."""
+    return {
+        "failures": [
+            {"branch": int(f.branch_index), "window": list(f.window),
+             "error": f.error, "message": f.message}
+            for f in result.failures
+        ],
+        "diagnostics": [
+            {"branch": int(d.branch_index), "window": list(d.window),
+             "samples": d.samples, "bisection_steps": d.bisection_steps,
+             "near_miss": d.near_miss}
+            for d in result.diagnostics
+        ],
+    }
+
+
 def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
     result = _collect_levels(cfg)
     rows = [
@@ -118,17 +137,7 @@ def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
              "energy": float(lv.energy), "residual": float(lv.residual)}
             for lv in result.levels
         ],
-        "failures": [
-            {"branch": int(f.branch_index), "window": list(f.window),
-             "error": f.error, "message": f.message}
-            for f in result.failures
-        ],
-        "diagnostics": [
-            {"branch": int(d.branch_index), "window": list(d.window),
-             "samples": d.samples, "bisection_steps": d.bisection_steps,
-             "near_miss": d.near_miss}
-            for d in result.diagnostics
-        ],
+        **_search_record(result),
     })
     # the closed forms are the Schrodinger-form oscillator spectrum
     if isinstance(cfg.model, HOQuadratic) and cfg.problem_kind == "schrodinger":
@@ -144,9 +153,7 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
         print("no physical levels found in the configured windows", file=sys.stderr)
         return 3
     basis = build_basis(result.levels)
-    K = build_K(basis)
-    L = build_L(basis)
-    suite = build_metrics(basis, K, L)
+    suite = build_metrics(basis)
     report = _report_header(cfg)
     report.update({
         "n_levels": basis.size,
@@ -156,13 +163,14 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
         "residual_L": suite.residual_L,
         "min_eig_mu": suite.min_eig_mu,
         "min_eig_nu": suite.min_eig_nu,
+        **_search_record(result),
     })
     write_json(out_dir / "metric.json", report)
     if cfg.dump_matrices:
-        write_matrix(out_dir / "K.txt", K)
-        write_matrix(out_dir / "L.txt", L)
-        write_matrix(out_dir / "mu.txt", suite.mu)
-        write_matrix(out_dir / "nu.txt", suite.nu)
+        write_matrix(out_dir / "K.txt", build_K(basis))
+        write_matrix(out_dir / "L.txt", build_L(basis))
+        write_matrix(out_dir / "mu.txt", build_mu(basis))
+        write_matrix(out_dir / "nu.txt", build_nu(basis))
         write_matrix(out_dir / "R.txt", basis.R)
     return 0
 

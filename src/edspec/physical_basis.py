@@ -22,8 +22,9 @@ and become Hermitian under the positive expansions
     mu = sum_a |phi_a>> <<phi_a|       K^dagger mu = mu K
     nu = sum_a |phi_a>  <phi_a|        nu L = L^dagger nu
 
-whose inverses (on the spanned subspace) are mu^-1 = sum |phi^a><phi^a| and
-nu^-1 = sum |phi^a>> (|phi^a>>)^dagger.
+All four have rank m, the number of levels: the metric suite and the
+projector residual cost O(N m^2), and the dense N x N matrices are built
+only on request (build_K, build_L, build_mu, build_nu).
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class PhysicalBasis:
         return len(self.levels)
 
     @property
-    def dimension(self) -> int:
-        return self.double_kets.shape[0]
-
-    @property
     def energies(self) -> np.ndarray:
         return np.array([lv.energy for lv in self.levels])
 
@@ -80,12 +77,8 @@ class PhysicalBasis:
 
 @dataclass(frozen=True)
 class MetricSuite:
-    """Quasi-Hermitizing metrics of K and L with their diagnostics."""
+    """Intertwining residuals and minimal eigenvalues of the metrics mu, nu."""
 
-    mu: OperatorMatrix
-    mu_inv: OperatorMatrix
-    nu: OperatorMatrix
-    nu_inv: OperatorMatrix
     residual_K: float            # ||K^dagger mu - mu K||
     residual_L: float            # ||nu L - L^dagger nu||
     min_eig_mu: float            # on the spanned subspace
@@ -104,8 +97,8 @@ def build_basis(levels: Sequence[PhysicalLevel]) -> PhysicalBasis:
     """Overlaps, rank-revealing inverse, and dual vectors of a level set."""
     if len(levels) < 1:
         raise ValueError("need at least one physical level")
-    phi_r = np.column_stack([np.asarray(lv.right_ket, complex) for lv in levels])
-    phi_l = np.column_stack([np.asarray(lv.left_bra, complex) for lv in levels])
+    phi_r = np.column_stack([lv.right_ket for lv in levels])
+    phi_l = np.column_stack([lv.left_bra for lv in levels])
     n, m = phi_r.shape
     if m > n:
         raise ValueError(f"{m} levels exceed the ambient dimension {n}")
@@ -161,25 +154,17 @@ def levels_from_matrix(H: OperatorMatrix) -> list[PhysicalLevel]:
     return levels_from_decomposition(decompose(H), H)
 
 
-def _span_projector(vectors: np.ndarray) -> np.ndarray:
-    q, _ = np.linalg.qr(vectors)
-    return q @ q.conj().T
-
-
 def projector_residual(basis: PhysicalBasis) -> float:
     """Distance of sum_b |phi^b>> <phi_b| from the projector onto the span.
 
-    For a complete level set this is the distance from the identity; for a
-    partial set the reference is the orthogonal projector onto the right
-    vectors' span (the sum itself is the oblique projector along the left
-    complement, so the residual reports its non-orthogonality).
+    The reference is the orthogonal projector Q_r Q_r^dagger onto the right
+    vectors' span (the identity for a complete set); for a partial set the
+    sum is oblique, and the residual reports its non-orthogonality.  The sum
+    maps into the span, so this is ||Q_r^dagger D Phi_l^dagger - Q_r^dagger||.
     """
-    S = unit_projector(basis)
-    if basis.size == basis.dimension:
-        target = np.eye(basis.dimension)
-    else:
-        target = _span_projector(basis.right_vectors)
-    return float(np.linalg.norm(S - target))
+    q, _ = np.linalg.qr(basis.right_vectors)
+    w = q.conj().T @ basis.double_kets
+    return float(np.linalg.norm(w @ basis.left_vectors.conj().T - q.conj().T))
 
 
 def unit_projector(basis: PhysicalBasis) -> np.ndarray:
@@ -197,39 +182,50 @@ def build_L(basis: PhysicalBasis) -> OperatorMatrix:
     return (basis.double_kets * basis.energies) @ basis.left_vectors.conj().T
 
 
+def build_mu(basis: PhysicalBasis) -> OperatorMatrix:
+    """Dense metric mu = sum_a |phi_a>> <<phi_a| of K."""
+    return _hermitize(basis.double_bras @ basis.double_bras.conj().T)
+
+
+def build_nu(basis: PhysicalBasis) -> OperatorMatrix:
+    """Dense metric nu = sum_a |phi_a> <phi_a| of L."""
+    return _hermitize(basis.left_vectors @ basis.left_vectors.conj().T)
+
+
 def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
-def _min_subspace_eig(metric: np.ndarray, span: np.ndarray, full: bool) -> float:
-    if full:
-        return float(np.linalg.eigvalsh(_hermitize(metric)).min())
-    q, _ = np.linalg.qr(span)
-    return float(np.linalg.eigvalsh(_hermitize(q.conj().T @ metric @ q)).min())
+def _min_gram_eig(a: np.ndarray) -> float:
+    """Smallest eigenvalue of a a^dagger, the squared least singular value of a."""
+    return float(np.linalg.svd(a, compute_uv=False)[-1] ** 2)
 
 
-def build_metrics(basis: PhysicalBasis, K: OperatorMatrix, L: OperatorMatrix) -> MetricSuite:
-    """Positive expansions mu, nu with inverses and intertwining residuals.
+def build_metrics(basis: PhysicalBasis) -> MetricSuite:
+    """Intertwining residuals of K, L and the minimal eigenvalues of mu, nu.
 
-    On a partial level set all four matrices vanish on the orthogonal
-    complement of the set's span, and the minimal eigenvalues are reported on
-    the span only.
+    With the thin QR factorization Phi_l = Q r, the double bras are B = Q M,
+    M = Q^dagger B = r R^-dagger, and with E = diag(energies)
+
+        K^dagger mu - mu K = B (E G - G^dagger E) B^dagger,   G = Phi_r^dagger B
+        nu L - L^dagger nu = Phi_l (J E - E J^dagger) Phi_l^dagger,   J = Phi_l^dagger D
+
+    while mu = Q M M^dagger Q^dagger and nu = Q r r^dagger Q^dagger.  Q drops
+    out of the norms and of the eigenvalues on the span (both metrics vanish
+    on its orthogonal complement), leaving m x m algebra.
     """
+    E = np.diag(basis.energies)
     phi_l = basis.left_vectors
-    complete = basis.size == basis.dimension
-    mu = _hermitize(basis.double_bras @ basis.double_bras.conj().T)
-    nu = _hermitize(phi_l @ phi_l.conj().T)
-    mu_inv = _hermitize(basis.right_vectors @ basis.right_vectors.conj().T)
-    nu_inv = _hermitize(basis.double_kets @ basis.double_kets.conj().T)
+    q, r = np.linalg.qr(phi_l)
+    # not r R^-dagger: both factors grow with cond(R) and their product cancels
+    M = q.conj().T @ basis.double_bras
+    G = basis.right_vectors.conj().T @ basis.double_bras
+    J = phi_l.conj().T @ basis.double_kets
     return MetricSuite(
-        mu=mu,
-        mu_inv=mu_inv,
-        nu=nu,
-        nu_inv=nu_inv,
-        residual_K=float(np.linalg.norm(K.conj().T @ mu - mu @ K)),
-        residual_L=float(np.linalg.norm(nu @ L - L.conj().T @ nu)),
-        min_eig_mu=_min_subspace_eig(mu, phi_l, complete),
-        min_eig_nu=_min_subspace_eig(nu, phi_l, complete),
+        residual_K=float(np.linalg.norm(M @ (E @ G - G.conj().T @ E) @ M.conj().T)),
+        residual_L=float(np.linalg.norm(r @ (J @ E - E @ J.conj().T) @ r.conj().T)),
+        min_eig_mu=_min_gram_eig(M),
+        min_eig_nu=_min_gram_eig(r),
     )
 
 

@@ -312,6 +312,23 @@ def test_metric_two_level_pipeline(tmp_path):
     assert report["min_eig_nu"] > 0
 
 
+def test_metric_reports_window_failures_and_diagnostics(tmp_path):
+    # the first window contains the mass singularity z = E0 and fails; the
+    # second finds the level, so metric still succeeds
+    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace("E0 = 3.0", "E0 = 2.0").replace(
+        "windows = 3.1:6.0", "windows = 1.0:3.0, 2.2:6.0"))
+    assert main(["metric", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    metric = load_json(tmp_path / "metric.json")
+    fixedpoint = load_json(tmp_path / "fixedpoint.json")
+    (failure,) = metric["failures"]
+    assert (failure["branch"], failure["window"], failure["error"]) == (
+        0, [1.0, 3.0], "DegenerateMass")
+    assert metric["n_levels"] == 1 and len(metric["diagnostics"]) == 1
+    for key in ("failures", "diagnostics"):
+        assert metric[key] == fixedpoint[key]
+
+
 def test_metric_duplicated_level_ill_conditioned(tmp_path, capsys):
     cfg = write_config(tmp_path, """
         [model]
