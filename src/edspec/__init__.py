@@ -48,12 +48,9 @@ from .operators import (
     HOQuadratic,
     MassModel,
     OperatorMatrix,
-    build_bands,
-    build_kleingordon,
-    build_laplacian,
+    Tridiagonal,
     build_parity,
     build_problem,
-    build_schrodinger,
 )
 from .physical_basis import (
     ChargeOperator,
@@ -84,8 +81,7 @@ __all__ = [
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",
-    "OperatorMatrix", "build_bands", "build_kleingordon", "build_laplacian",
-    "build_parity", "build_problem", "build_schrodinger",
+    "OperatorMatrix", "Tridiagonal", "build_parity", "build_problem",
     "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
     "build_charge", "build_K", "build_L", "build_metrics", "build_mu", "build_nu",
     "levels_from_decomposition", "levels_from_matrix", "projector_residual",

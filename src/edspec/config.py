@@ -140,6 +140,8 @@ def _check_fixedpoint(cfg: RunConfig) -> None:
     for lo, hi in cfg.windows:
         if not lo < hi:
             raise ConfigError(f"window {lo}:{hi} needs lo < hi")
+    if len(set(cfg.windows)) != len(cfg.windows):
+        raise ConfigError(f"windows {cfg.windows} list a window twice")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianMetric, SingularMetric
 from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, decompose, reality_mask
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, Tridiagonal
 
 #: Relative pseudo-norm drift accepted as conservation.
 DRIFT_TOLERANCE = 1e-8
@@ -88,14 +88,15 @@ class FVModes:
 class FVSystem:
     """Two-component block system kept as its inner blocks.
 
-    ``H`` is the base operator and ``eta`` the inner pseudo-metric (None for
-    the identity).  ``modes`` decomposes H once, on first use, and serves
-    propagation, eigenstates and the conservation checks.  The 2N x 2N
-    generator ``h_sr`` and block metric ``eta_sr`` are dense references,
-    assembled only when asked for.
+    ``H`` is the base operator, a dense matrix or a ``Tridiagonal`` band
+    value, and ``eta`` the inner pseudo-metric (None for the identity).
+    ``modes`` decomposes H once, on first use, and serves propagation,
+    eigenstates and the conservation checks.  The 2N x 2N generator
+    ``h_sr`` and block metric ``eta_sr`` are dense references, assembled
+    only when asked for; so is the dense N x N form of a band value.
     """
 
-    H: OperatorMatrix
+    H: OperatorMatrix | Tridiagonal
     eta: OperatorMatrix | None = None
 
     @property
@@ -105,9 +106,10 @@ class FVSystem:
     @property
     def h_sr(self) -> OperatorMatrix:
         """Block generator [[0, H], [I, 0]]."""
+        H = np.asarray(self.H)
         n = self.base_dimension
-        h_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(self.H.dtype, float))
-        h_sr[:n, n:] = self.H
+        h_sr = np.zeros((2 * n, 2 * n), dtype=np.result_type(H.dtype, float))
+        h_sr[:n, n:] = H
         h_sr[n:, :n] = np.eye(n)
         return h_sr
 
@@ -133,7 +135,7 @@ class FVSystem:
         dec = decompose(self.H)
         omega = np.sqrt(dec.eigenvalues)
         n = omega.shape[0]
-        scale = np.sqrt(np.linalg.norm(self.H) ** 2 + n)    # ||h_sr||_F >= 1
+        scale = np.sqrt(np.linalg.norm(np.asarray(self.H)) ** 2 + n)   # ||h_sr||_F >= 1
         # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
         # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
         same = np.abs(omega[:, None] - omega[None, :])
@@ -147,18 +149,19 @@ class FVSystem:
         return FVModes(frequencies=omega, kets=dec.right_kets, bras=dec.left_bras)
 
 
-def assemble_fv(H: OperatorMatrix, eta: OperatorMatrix | None = None) -> FVSystem:
+def assemble_fv(H: OperatorMatrix | Tridiagonal, eta: OperatorMatrix | None = None) -> FVSystem:
     """Two-component system of the block generator [[0, H], [I, 0]].
 
     The spectrum consists of the pairs +/- sqrt(lambda) over eigenvalues
     lambda of H (checked by the test suite, not assumed here).  An inner
     metric must be Hermitian (tolerance 1e-10) and invertible (condition
     number at most 1e12); without one the swap metric [[0, I], [I, 0]] is
-    attached.
+    attached.  A ``Tridiagonal`` H is kept as its bands.
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    if not isinstance(H, Tridiagonal):
+        H = np.asarray(H)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError(f"H must be square, got shape {H.shape}")
     if eta is not None:
         eta = np.asarray(eta)
         if eta.shape != H.shape:
@@ -242,7 +245,7 @@ def _pseudo_norms(trajectory: list[FVState], metric: str, system: FVSystem) -> n
 
 def _intertwine_residual(metric: str, system: FVSystem) -> float:
     """Relative residual ||M h_sr - h_sr^dagger M|| / (||h_sr|| ||M||)."""
-    H = system.H
+    H = np.asarray(system.H)
     n = system.base_dimension
     h_norm = np.sqrt(np.linalg.norm(H) ** 2 + n)
     if metric == "identity":

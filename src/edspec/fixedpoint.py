@@ -4,7 +4,7 @@ A branch is labelled across a window of frozen parameters in one of two ways,
 each with its own tool and branch type.
 
 * By Sturm index (``collect_physical``, ``trace_branch``; ``IndexedBranch``)
-  for a discretized model whose ``build_bands`` gives a real symmetric
+  for a discretized model whose ``build_problem`` gives a real symmetric
   tridiagonal H(z): both stationary forms of the constant and oscillator
   masses, and the Klein-Gordon form of any real mass-squared.  The
   off-diagonals are nonzero, so the eigenvalues are simple and E_n(z) is the
@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
 from .frozen_spectrum import FrozenDecomposition, decompose
-from .operators import Grid, HOQuadratic, MassModel, build_bands
+from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
 from .tridiagonal import eigh_bands, eigvalsh_bands
 
 #: Minimal admissible continuation overlap between consecutive samples.
@@ -54,8 +54,8 @@ REFINE_TOL = 1e-10
 MERGE_FACTOR = 1e-8
 
 Family = Callable[[float], np.ndarray]
-#: z -> (diagonal, off_diagonal) of a real symmetric tridiagonal H(z).
-BandFamily = Callable[[float], "tuple[np.ndarray, np.ndarray]"]
+#: z -> the bands of a real symmetric tridiagonal H(z).
+BandFamily = Callable[[float], Tridiagonal]
 #: (z, bracket k) -> a number with the sign of f(z) = E_n(z) - z.
 SignEvaluator = Callable[[float, int], float]
 
@@ -138,7 +138,7 @@ class CollectResult:
     diagnostics: list
 
 
-def count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, shift: float) -> int:
+def count_below(T: Tridiagonal, shift: float) -> int:
     """Number of eigenvalues below ``shift`` of a real symmetric tridiagonal.
 
     Counts the negative pivots of the LDL^T factorization of T - shift
@@ -146,11 +146,11 @@ def count_below(diagonal: np.ndarray, off_diagonal: np.ndarray, shift: float) ->
     replaced by -pivmin, as in LAPACK's bisection, so a zero pivot counts as
     negative and the next pivot stays finite.
     """
-    e2 = off_diagonal * off_diagonal
+    e2 = T.off_diagonal * T.off_diagonal
     pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
     count = 0
     pivot = 1.0
-    for d, e2_prev in zip((diagonal - shift).tolist(), [0.0] + e2.tolist()):
+    for d, e2_prev in zip((T.diagonal - shift).tolist(), [0.0] + e2.tolist()):
         pivot = d - e2_prev / pivot
         if abs(pivot) <= pivmin:
             pivot = -pivmin
@@ -236,22 +236,34 @@ class _SampledWindow:
 
     @property
     def size(self) -> int:
-        return self._sample_bands[0][0].shape[0]
+        return self._sample_bands[0].shape[0]
 
     @cached_property
     def counts(self) -> np.ndarray:
         """Number of eigenvalues of H(z_k) below z_k at each sample."""
-        return np.array([count_below(d, e, float(z))
-                         for (d, e), z in zip(self._sample_bands, self.z_samples)])
+        return np.array([count_below(T, float(z))
+                         for T, z in zip(self._sample_bands, self.z_samples)])
 
     def eigenvalue(self, k: int, n: int) -> float:
         """E_n(z_k)."""
         if self._spectra[k] is None:
-            self._spectra[k] = eigvalsh_bands(*self._sample_bands[k])
+            T = self._sample_bands[k]
+            self._spectra[k] = eigvalsh_bands(T.diagonal, T.off_diagonal)
         return self._spectra[k][n]
 
     def e_values(self, n: int) -> np.ndarray:
         return np.array([self.eigenvalue(k, n) for k in range(len(self._sample_bands))])
+
+
+def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
+    """``build_problem``, refusing the complex symmetric form of a complex mass-squared."""
+    T = build_problem(kind, grid, model, z)
+    if np.iscomplexobj(T.diagonal):
+        raise ValueError(
+            f"the {kind} form at z = {z} has a complex mass-squared and is not real "
+            "symmetric; continue its branches with fixedpoint.trace_branch_family"
+        )
+    return T
 
 
 def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: float,
@@ -263,7 +275,7 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
             "split the window around it"
         )
     z_samples = _check_window(z_lo, z_hi, steps)
-    return _SampledWindow(partial(build_bands, kind, grid, model), z_samples)
+    return _SampledWindow(partial(_real_bands, kind, grid, model), z_samples)
 
 
 def _check_branch(n: int, size: int) -> None:
@@ -290,7 +302,7 @@ def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
 
 
 def _inertia_sign(bands: BandFamily, n: int) -> SignEvaluator:
-    return lambda z, k: 1.0 if count_below(*bands(z), z) <= n else -1.0
+    return lambda z, k: 1.0 if count_below(bands(z), z) <= n else -1.0
 
 
 def _overlap_sign(branch: EnergyBranch, overlap_floor: float) -> SignEvaluator:
@@ -407,7 +419,8 @@ def _window_signs(window: _SampledWindow, n: int) -> np.ndarray:
 
 
 def _level(bands: BandFamily, n: int, z: float, j: int) -> PhysicalLevel:
-    diagonal, off = bands(z)
+    T = bands(z)
+    diagonal, off = T.diagonal, T.off_diagonal
     ket = eigh_bands(diagonal, off)[1][:, n]
     ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
     r = (diagonal - z) * ket
@@ -436,9 +449,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     windows are merged by the rule ``solve_fixed_points`` applies inside a
     window, so a root on an endpoint two windows share counts once; the
     roots are then indexed j = 0, 1, ... in ascending energy.  Windows are
-    not deduplicated: listing the same window twice yields coincident
-    levels, left for the overlap-matrix conditioning check to reject
-    downstream.
+    not deduplicated here: the same window listed twice yields coincident
+    levels, so the run configuration rejects such a list.
     """
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
@@ -446,7 +458,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             sampled.append(_sample_window(kind, grid, model, lo, hi, steps))
         except SolverError as exc:
             sampled.append(exc)
-    bands = partial(build_bands, kind, grid, model)
+    bands = partial(_real_bands, kind, grid, model)
     levels: list[PhysicalLevel] = []
     failures: list[CollectFailure] = []
     diagnostics: list[WindowDiagnostics] = []

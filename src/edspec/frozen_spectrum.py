@@ -1,5 +1,8 @@
 """Bi-orthogonal spectral decomposition of a frozen-parameter operator.
 
+The operator is a dense matrix or an ``operators.Tridiagonal`` band value;
+a real band value is solved from its bands and never assembled.
+
 A diagonalizable H = K diag(E) K^-1 is resolved into right kets |psi_n>
 (the columns of K, eigenvectors of H) and left bras <l_n| (the rows of K^-1,
 eigenvectors of H^dagger with conjugated eigenvalues), so <l_m|psi_n> =
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComplexSpectrum, DegenerateSpectrum, PairingFailure
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, Tridiagonal
 from .tridiagonal import eigh_bands
 
 #: Relative eigenvalue-gap floor below which bi-orthonormalization is rejected.
@@ -74,54 +77,47 @@ def reality_mask(w: np.ndarray) -> np.ndarray:
     return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
 
 
-def _is_real_tridiagonal(H: np.ndarray) -> bool:
-    """True iff the symmetric H is real and zero outside its three bands.
-
-    Exact: the nonzero entries of H are counted and compared with those of
-    the diagonal and the two (equal) off-diagonals.
-    """
-    if np.iscomplexobj(H):
-        return False
-    band = np.count_nonzero(np.diagonal(H)) + 2 * np.count_nonzero(np.diagonal(H, 1))
-    return np.count_nonzero(H) == band
-
-
-def decompose(H: OperatorMatrix) -> FrozenDecomposition:
+def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
-    Raises DegenerateSpectrum when two eigenvalues sit closer than
-    1e-8 * ||H||.  A general H takes one ``eig`` and left vectors from the
-    inverse of the ket matrix, L^dagger = K^-1; PairingFailure is raised when
-    K is singular or some ||l_n|| (the condition number of E_n) exceeds 1e12
-    or is not finite.  Hermitian input takes an exact orthonormal path, in real
-    arithmetic when H is real symmetric.  A real symmetric tridiagonal H,
-    the form of every stationary operator ``operators`` builds without a
-    complex mass-squared, is solved from its bands by LAPACK's divide and
-    conquer ``dstevd`` (``tridiagonal.eigh_bands``), with no dense
-    Householder reduction; the two residual products stay N^3 on every path.
+    A real ``Tridiagonal``, the band value of every stationary form
+    ``operators.build_problem`` builds without a complex mass-squared, is
+    solved from its bands by LAPACK's divide and conquer ``dstevd``
+    (``tridiagonal.eigh_bands``) and never assembled.  Any other input is
+    taken as the dense ``np.asarray(H)``: a Hermitian matrix takes an exact
+    orthonormal path (``eigh``), in real arithmetic when it is real
+    symmetric; a general matrix takes one ``eig`` and left vectors from the
+    inverse of the ket matrix, L^dagger = K^-1.  On the general path
+    DegenerateSpectrum is raised when two eigenvalues sit closer than
+    1e-8 * ||H||_F, and PairingFailure when K is singular or some ||l_n||
+    (the condition number of E_n) exceeds 1e12 or is not finite.  The two
+    residual products stay N^3 on every path.
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
-    if not np.all(np.isfinite(H)):
-        raise ValueError("H has non-finite entries")
+    hermitian = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
+    if hermitian:
+        if not (np.isfinite(H.diagonal).all() and np.isfinite(H.off_diagonal).all()):
+            raise ValueError("H has non-finite entries")
+        w, v = eigh_bands(H.diagonal, H.off_diagonal)
+    else:
+        H = np.asarray(H)
+        if H.ndim != 2 or H.shape[0] != H.shape[1]:
+            raise ValueError(f"H must be square, got shape {H.shape}")
+        if not np.all(np.isfinite(H)):
+            raise ValueError("H has non-finite entries")
+        hermitian = np.array_equal(H, H.conj().T)
+        if hermitian:
+            w, v = np.linalg.eigh(H)
     n = H.shape[0]
-    scale = max(np.linalg.norm(H), 1e-300)
-
-    hermitian = np.array_equal(H, H.conj().T)
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
         # check below is skipped on this path.  Both solvers return the
-        # eigenvalues in ascending order, and a real symmetric H keeps its
-        # real vectors: bra = ket, and both residual products below are real.
-        if _is_real_tridiagonal(H):
-            w, v = eigh_bands(np.diagonal(H), np.diagonal(H, 1))
-        else:
-            w, v = np.linalg.eigh(H)
+        # eigenvalues in ascending order, and real vectors stay real:
+        # bra = ket, and both residual products below are real.
         w = w.astype(complex)
         kets = _fix_phases(v)
         lefts = kets
     else:
+        scale = max(np.linalg.norm(H), 1e-300)
         w, v = np.linalg.eig(H)
         if n > 1:
             gaps = np.abs(w[:, None] - w[None, :])

@@ -4,13 +4,12 @@ Conventions
 -----------
 * Grids are uniform: x_i = x_min + i*h with h = (x_max - x_min)/(n_points - 1).
   Matrices act on the values at all n_points nodes; homogeneous Dirichlet
-  conditions are imposed at the virtual nodes x_min - h and x_max + h.
-* ``build_laplacian`` returns the 3-point matrix of -d^2/dx^2 (positive
-  definite, symmetric).
-* Every stationary form is tridiagonal.  Its coefficients live in one band
-  builder per form; ``build_bands`` hands them out for a real symmetric
-  matrix (and refuses a complex mass-squared), and the dense builders
-  assemble them with ``tridiagonal``.
+  conditions are imposed at the virtual nodes x_min - h and x_max + h, so
+  -d^2/dx^2 is the 3-point matrix with diagonal 2/h^2 and off-diagonals -1/h^2.
+* Every stationary form is tridiagonal and is carried as a ``Tridiagonal``
+  band value, never as a dense matrix: ``np.asarray`` assembles the N x N
+  form where a dense reference needs it.  Its diagonal is real, or complex
+  for a complex mass-squared; the off-diagonal is real.
 * Mass models:
     ConstantMass(m)          fixed mass m > 0,
     HOQuadratic(A, E0)       2 m(z) = A^2 (z - E0)^2 (singular at z = E0),
@@ -37,7 +36,7 @@ from .errors import (
     EvaluationFailure,
 )
 
-# Finite matrix representation of the operators; always dense and square.
+# Dense finite matrix representation of an operator; square.
 OperatorMatrix = np.ndarray
 
 #: Threshold on 2 m(z) below which the kinetic coefficient blows up.
@@ -109,6 +108,33 @@ class GeneralMassSquared:
 MassModel = Union[ConstantMass, HOQuadratic, GeneralMassSquared]
 
 
+@dataclass(frozen=True)
+class Tridiagonal:
+    """Symmetric tridiagonal matrix held as its bands.
+
+    ``diagonal`` has length N and ``off_diagonal`` length N - 1.  The matrix
+    is real symmetric when the diagonal is real and complex symmetric (not
+    Hermitian) when it is complex.  ``np.asarray`` assembles the dense form.
+    """
+
+    diagonal: np.ndarray
+    off_diagonal: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.diagonal.shape[0]
+        return n, n
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("the dense form of a Tridiagonal is always a new array")
+        matrix = np.diag(self.diagonal)
+        idx = np.arange(self.off_diagonal.shape[0])
+        matrix[idx, idx + 1] = self.off_diagonal
+        matrix[idx + 1, idx] = self.off_diagonal
+        return matrix if dtype is None else matrix.astype(dtype, copy=False)
+
+
 def mass_2m(model: MassModel, z: float) -> float:
     """Coefficient 2 m(z) entering the kinetic term of the schrodinger form."""
     if isinstance(model, ConstantMass):
@@ -135,22 +161,6 @@ def mass_squared(model: MassModel, z: float, x: float) -> complex:
     return value
 
 
-def tridiagonal(diagonal: np.ndarray, off_diagonal: np.ndarray) -> OperatorMatrix:
-    """Dense symmetric tridiagonal matrix with the given diagonal and off-diagonal."""
-    matrix = np.diag(diagonal)
-    idx = np.arange(off_diagonal.shape[0])
-    matrix[idx, idx + 1] = off_diagonal
-    matrix[idx + 1, idx] = off_diagonal
-    return matrix
-
-
-def build_laplacian(grid: Grid) -> OperatorMatrix:
-    """3-point Dirichlet matrix of -d^2/dx^2: diagonal 2/h^2, off-diagonals -1/h^2."""
-    inv_h2 = 1.0 / grid.h ** 2
-    n = grid.n_points
-    return tridiagonal(np.full(n, 2.0 * inv_h2), np.full(n - 1, -inv_h2))
-
-
 def _schrodinger_bands(grid: Grid, model: MassModel, z: float):
     two_m = mass_2m(model, z)
     if two_m <= MASS_EPSILON:
@@ -174,47 +184,20 @@ _BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
 PROBLEM_KINDS = tuple(_BANDS)
 
 
-def _problem_bands(kind: str, grid: Grid, model: MassModel, z: float):
+def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
+    """Bands of the stationary form named by ``kind`` at frozen parameter z.
+
+    Coefficients that overflow or come out non-finite raise EvaluationFailure.
+    """
     if kind not in _BANDS:
         raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-    return _BANDS[kind](grid, model, z)
-
-
-def build_schrodinger(grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
-    """Matrix of (1/(2 m(z))) * (-d^2/dx^2) + x^2 at frozen parameter z."""
-    return tridiagonal(*_schrodinger_bands(grid, model, z))
-
-
-def build_kleingordon(grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
-    """Matrix of -d^2/dx^2 + m^2(z, x); non-Hermitian iff m^2 is complex."""
-    return tridiagonal(*_kleingordon_bands(grid, model, z))
-
-
-def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> OperatorMatrix:
-    """Matrix of the stationary form named by ``kind`` at frozen parameter z."""
-    return tridiagonal(*_problem_bands(kind, grid, model, z))
-
-
-def build_bands(kind: str, grid: Grid, model: MassModel,
-                z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bands of the stationary form named by ``kind``, which must be real symmetric.
-
-    Returns ``(diagonal, off_diagonal)`` of the tridiagonal matrix that
-    ``build_problem`` assembles.  The off-diagonal is nonzero for any finite
-    mass, so the eigenvalues are simple.  A complex mass-squared raises
-    ValueError: that form is not real symmetric, and its branches are
-    continued by eigenvector overlap with ``fixedpoint.trace_branch_family``
-    over ``build_problem``.
-    """
-    diagonal, off_diagonal = _problem_bands(kind, grid, model, z)
-    if np.iscomplexobj(diagonal):
-        raise ValueError(
-            f"the {kind} form at z = {z} has a complex mass-squared and is not real "
-            "symmetric; continue its branches with fixedpoint.trace_branch_family"
-        )
+    try:
+        diagonal, off_diagonal = _BANDS[kind](grid, model, z)
+    except OverflowError:
+        raise EvaluationFailure(f"the {kind} coefficients overflow at z = {z}") from None
     if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
-        raise ValueError(f"H({z}) has non-finite entries")
-    return diagonal, off_diagonal
+        raise EvaluationFailure(f"H({z}) has non-finite entries")
+    return Tridiagonal(diagonal, off_diagonal)
 
 
 def build_parity(grid: Grid) -> OperatorMatrix:

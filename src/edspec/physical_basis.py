@@ -37,7 +37,7 @@ import numpy as np
 from .errors import ComplexSpectrum, IllConditionedOverlap, NonHermitianMetric
 from .fixedpoint import PhysicalLevel
 from .frozen_spectrum import FrozenDecomposition, decompose
-from .operators import OperatorMatrix
+from .operators import OperatorMatrix, Tridiagonal
 
 #: Overlap-matrix condition number above which the basis is rejected.
 CONDITION_LIMIT = 1e10
@@ -126,7 +126,8 @@ def build_basis(levels: Sequence[PhysicalLevel]) -> PhysicalBasis:
     )
 
 
-def levels_from_decomposition(dec: FrozenDecomposition, H: OperatorMatrix) -> list[PhysicalLevel]:
+def levels_from_decomposition(dec: FrozenDecomposition,
+                              H: OperatorMatrix | Tridiagonal) -> list[PhysicalLevel]:
     """Treat a fixed operator's whole spectrum as the physical level set.
 
     This is the energy-independent limit: every eigenpair is its own fixed
@@ -149,7 +150,7 @@ def levels_from_decomposition(dec: FrozenDecomposition, H: OperatorMatrix) -> li
     return levels
 
 
-def levels_from_matrix(H: OperatorMatrix) -> list[PhysicalLevel]:
+def levels_from_matrix(H: OperatorMatrix | Tridiagonal) -> list[PhysicalLevel]:
     """Convenience wrapper: decompose H and promote its spectrum to levels."""
     return levels_from_decomposition(decompose(H), H)
 

@@ -26,7 +26,7 @@ import functools
 
 import numpy as np
 
-from .operators import tridiagonal
+from .operators import Tridiagonal
 
 #: LAPACKE's matrix_layout value for column-major storage.
 _COL_MAJOR = 102
@@ -72,7 +72,7 @@ def eigh_bands(d, e) -> tuple[np.ndarray, np.ndarray]:
     w, off = _work_copies(d, e)
     lapack = _lapack()
     if lapack is None:
-        return np.linalg.eigh(tridiagonal(w, off))
+        return np.linalg.eigh(np.asarray(Tridiagonal(w, off)))
     n = w.shape[0]
     z = np.empty((n, n), order="F")
     _check(lapack[0](_COL_MAJOR, b"V", n, w, off, z, max(n, 1)), "dstevd")
@@ -86,6 +86,6 @@ def eigvalsh_bands(d, e) -> np.ndarray:
     w, off = _work_copies(d, e)
     lapack = _lapack()
     if lapack is None:
-        return np.linalg.eigvalsh(tridiagonal(w, off))
+        return np.linalg.eigvalsh(np.asarray(Tridiagonal(w, off)))
     _check(lapack[1](w.shape[0], w, off), "dsterf")
     return w

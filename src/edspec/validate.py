@@ -16,12 +16,7 @@ from . import errors
 from .evolution import FVState, assemble_fv, conservation_report, evolve
 from .fixedpoint import PhysicalLevel, collect_physical
 from .frozen_spectrum import decompose, eta_from_decomposition
-from .operators import (
-    ConstantMass,
-    Grid,
-    HOQuadratic,
-    build_kleingordon,
-)
+from .operators import ConstantMass, Grid, HOQuadratic, build_problem
 from .physical_basis import (
     build_basis,
     build_K,
@@ -252,8 +247,9 @@ def criterion_kl_contract() -> CriterionResult:
     """5. K and L collapse to H in the energy-independent limit and keep
     their one-sided actions on the synthetic two-level set."""
     grid = Grid(-6.0, 6.0, 12)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
-    basis = build_basis(levels_from_matrix(h))
+    bands = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
+    basis = build_basis(levels_from_matrix(bands))
+    h = np.asarray(bands)
     K = build_K(basis)
     L = build_L(basis)
     details = {
@@ -322,8 +318,7 @@ def criterion_pseudo_unitarity() -> CriterionResult:
     """7. The swap metric conserves the pseudo-norm where the Euclidean norm
     visibly oscillates."""
     grid = Grid(BOX[0], BOX[1], 120)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
-    system = assemble_fv(h)
+    system = assemble_fv(build_problem("kleingordon", grid, ConstantMass(1.0), 0.0))
     state = gaussian_state(grid, center=0.0, width=1.5, momentum=2.0)
     trajectory = evolve(system, state, t_final=10.0, steps=200)
     report = conservation_report(trajectory, "swap", system)

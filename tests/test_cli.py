@@ -9,7 +9,7 @@ import pytest
 
 from edspec.cli import main
 from edspec.frozen_spectrum import decompose
-from edspec.operators import ConstantMass, Grid, build_kleingordon, build_schrodinger
+from edspec.operators import ConstantMass, Grid, build_problem
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -48,8 +48,8 @@ def test_spectrum_constant_mass(tmp_path):
     lines = (tmp_path / "spectrum.csv").read_text().strip().split("\n")
     assert lines[0] == "index,re,im,reality_flag"
     values = [float(line.split(",")[1]) for line in lines[1:]]
-    oracle = np.linalg.eigvalsh(
-        build_kleingordon(Grid(-6.0, 6.0, 24), ConstantMass(1.5), 0.0))
+    oracle = np.linalg.eigvalsh(np.asarray(
+        build_problem("kleingordon", Grid(-6.0, 6.0, 24), ConstantMass(1.5), 0.0)))
     np.testing.assert_allclose(values, oracle, atol=1e-12)
     report = load_json(tmp_path / "spectrum.json")
     assert report["completeness_residual"] < 1e-8
@@ -87,6 +87,29 @@ def test_spectrum_at_mass_singularity(tmp_path, capsys):
     """)
     assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "DegenerateMass" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, z", [("schrodinger", "1e200"), ("kleingordon", "1e100")])
+def test_spectrum_coefficient_overflow_is_a_solver_error(tmp_path, capsys, kind, z):
+    cfg = write_config(tmp_path, f"""
+        [model]
+        kind = hoquadratic
+        A = 1.0
+        E0 = 2.0
+
+        [grid]
+        x_min = -6.0
+        x_max = 6.0
+        n_points = 24
+
+        [problem]
+        kind = {kind}
+
+        [spectrum]
+        z = {z}
+    """)
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
+    assert "EvaluationFailure" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- fixedpoint
@@ -141,8 +164,8 @@ def test_fixedpoint_constant_mass_levels(tmp_path):
     """)
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     report = load_json(tmp_path / "fixedpoint.json")
-    oracle = np.linalg.eigvalsh(
-        build_schrodinger(Grid(-5.0, 5.0, 24), ConstantMass(0.5), 0.0))[:3]
+    oracle = np.linalg.eigvalsh(np.asarray(
+        build_problem("schrodinger", Grid(-5.0, 5.0, 24), ConstantMass(0.5), 0.0)))[:3]
     got = sorted(lv["energy"] for lv in report["levels"])
     np.testing.assert_allclose(got, oracle, atol=1e-9)
 
@@ -162,12 +185,19 @@ def test_closed_form_table_is_schrodinger_only(tmp_path, kind):
     assert ("convention_factor" in report) == (kind == "schrodinger")
 
 
-def test_fixedpoint_duplicate_windows_stay_allowed(tmp_path):
-    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace("windows = 3.1:6.0",
-                                                       "windows = 3.1:6.0, 3.1:6.0"))
-    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-    report = load_json(tmp_path / "fixedpoint.json")
-    assert [(lv["n"], lv["j"]) for lv in report["levels"]] == [(0, 0), (0, 1)]
+def test_fixedpoint_overflowing_window_fails_alone(tmp_path):
+    # the coefficients overflow on the second window; the first keeps its levels
+    body = HO_FIXEDPOINT.replace("A = 1.0", "A = 1.5").replace("E0 = 3.0", "E0 = 2.0") \
+        + "\n    [problem]\n    kind = kleingordon\n"
+    reports = []
+    for name, windows in (("one", "0.1:1.9"), ("two", "0.1:1.9, 1e100:1e101")):
+        cfg = write_config(tmp_path, body.replace("3.1:6.0", windows), f"{name}.ini")
+        assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path / name)]) == 0
+        reports.append(load_json(tmp_path / name / "fixedpoint.json"))
+    alone, report = reports
+    assert alone["levels"] and report["levels"] == alone["levels"]
+    (failure,) = report["failures"]
+    assert (failure["window"], failure["error"]) == ([1e100, 1e101], "EvaluationFailure")
 
 
 def test_fixedpoint_empty_windows(tmp_path, capsys):
@@ -244,8 +274,9 @@ def test_fixedpoint_imports_no_scipy(tmp_path):
     ("steps = 32", "steps = 32\n    overlap_floor = 1.5"),
     ("steps = 32", "steps = 32\n    overlap_floor = 0"),
     ("branches = 0", "branches = 0, 0"),
+    ("windows = 3.1:6.0", "windows = 3.1:6.0, 3.10:6"),
 ], ids=["reversed-window", "empty-window", "negative-branch", "branch-past-grid",
-        "floor-above-one", "floor-zero", "duplicate-branch"])
+        "floor-above-one", "floor-zero", "duplicate-branch", "duplicate-window"])
 def test_fixedpoint_bad_input_rejected_at_load(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, HO_FIXEDPOINT.replace(old, new))
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
@@ -329,7 +360,15 @@ def test_metric_reports_window_failures_and_diagnostics(tmp_path):
         assert metric[key] == fixedpoint[key]
 
 
-def test_metric_duplicated_level_ill_conditioned(tmp_path, capsys):
+def test_metric_duplicated_level_ill_conditioned(tmp_path, capsys, monkeypatch):
+    # the configuration refuses a window listed twice, so the search itself is
+    # handed the window list twice: every level then comes twice
+    import edspec.cli
+
+    search = edspec.cli.collect_physical
+    monkeypatch.setattr(edspec.cli, "collect_physical",
+                        lambda model, grid, branches, windows, *args, **kwargs:
+                        search(model, grid, branches, windows * 2, *args, **kwargs))
     cfg = write_config(tmp_path, """
         [model]
         kind = constant
@@ -342,7 +381,7 @@ def test_metric_duplicated_level_ill_conditioned(tmp_path, capsys):
 
         [fixedpoint]
         branches = 0
-        windows = 0.0:2.0, 0.0:2.0
+        windows = 0.0:2.0
     """)
     assert main(["metric", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     assert "IllConditionedOverlap" in capsys.readouterr().err

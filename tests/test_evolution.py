@@ -17,14 +17,14 @@ from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
     Grid,
-    build_kleingordon,
+    build_problem,
 )
 from edspec.validate import criterion_pseudo_unitarity, gaussian_state, pseudo_hermitian_pair
 
 
 def _hermitian_system(n_points=40):
     grid = Grid(-8.0, 8.0, n_points)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
+    h = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
     return grid, assemble_fv(h)
 
 
@@ -83,7 +83,8 @@ def test_state_rejects_non_finite_entries(phi1, phi2):
 
 def test_complex_spectrum_warns_but_proceeds():
     grid = Grid(-6.0, 6.0, 16)
-    h = build_kleingordon(grid, GeneralMassSquared(lambda z, x: 1.0 + 0.4j * x), 0.0)
+    model = GeneralMassSquared(lambda z, x: 1.0 + 0.4j * x)
+    h = build_problem("kleingordon", grid, model, 0.0)
     system = assemble_fv(h)
     state = gaussian_state(grid, center=0.0, width=1.0, momentum=0.0)
     with pytest.warns(RuntimeWarning):
@@ -106,7 +107,8 @@ def _expm_trajectory(system, state, t_final, steps):
 def test_trajectory_matches_matrix_exponential(mass_squared):
     # independent oracle: the 2N x 2N propagator exp(-i t h_sr) applied to Phi(0)
     grid = Grid(-6.0, 6.0, 30)
-    system = assemble_fv(build_kleingordon(grid, GeneralMassSquared(mass_squared), 0.0))
+    system = assemble_fv(build_problem("kleingordon", grid, GeneralMassSquared(mass_squared),
+                                       0.0))
     state = gaussian_state(grid, center=0.5, width=1.2, momentum=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -122,8 +124,8 @@ def test_trajectory_matches_matrix_exponential(mass_squared):
 def test_eigenstate_matches_generator_decomposition(pick):
     # no parity symmetry, so the largest component of each ket is unique
     grid = Grid(-6.0, 6.0, 30)
-    h = build_kleingordon(grid, GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.1 * x * x),
-                          0.0)
+    model = GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.1 * x * x)
+    h = build_problem("kleingordon", grid, model, 0.0)
     system = assemble_fv(h)
     k = pick(system.base_dimension)
     state = eigenstate(system, k)
@@ -149,8 +151,9 @@ def test_zero_frequency_is_degenerate():
 def test_negative_mass_squared_warns():
     # m^2 = -4 pushes the lowest eigenvalues of H below zero: imaginary frequencies
     grid = Grid(-6.0, 6.0, 30)
-    system = assemble_fv(build_kleingordon(grid, GeneralMassSquared(lambda z, x: -4.0), 0.0))
-    assert np.isrealobj(system.H)
+    model = GeneralMassSquared(lambda z, x: -4.0)
+    system = assemble_fv(build_problem("kleingordon", grid, model, 0.0))
+    assert np.isrealobj(system.H.diagonal)
     state = gaussian_state(grid, center=0.0, width=1.0, momentum=0.0)
     with pytest.warns(RuntimeWarning, match="not entirely real"):
         trajectory = evolve(system, state, t_final=0.5, steps=2)

@@ -18,10 +18,8 @@ from edspec.operators import (
     GeneralMassSquared,
     Grid,
     HOQuadratic,
-    build_bands,
+    Tridiagonal,
     build_problem,
-    build_schrodinger,
-    tridiagonal,
 )
 
 
@@ -35,7 +33,7 @@ def test_constant_mass_branch_is_flat():
     branch = trace_branch(model, GRID, 2, 0.1, 5.0, steps=16)
     assert branch.e_values.max() - branch.e_values.min() < 1e-10
     # the continuation of the same dense family keeps its eigenvector
-    continued = trace_branch_family(lambda z: build_schrodinger(GRID, model, z),
+    continued = trace_branch_family(lambda z: build_problem("schrodinger", GRID, model, z),
                                     2, 0.1, 5.0, steps=16)
     assert (continued.continuity_overlaps >= 0.999).all()
 
@@ -45,16 +43,17 @@ def test_count_below_is_the_inertia(rng):
         for _ in range(10):
             d = rng.standard_normal(size)
             e = rng.standard_normal(size - 1)
-            w = np.linalg.eigvalsh(tridiagonal(d, e))
+            T = Tridiagonal(d, e)
+            w = np.linalg.eigvalsh(np.asarray(T))
             for s in rng.uniform(w[0] - 1.0, w[-1] + 1.0, 8):
-                assert count_below(d, e, s) == np.sum(w < s)
+                assert count_below(T, s) == np.sum(w < s)
             gap = 1e-10 * (1.0 + np.abs(w).max())
             for k, s in enumerate(w):
                 # at a computed eigenvalue rounding decides its side ...
-                assert np.sum(w < s) <= count_below(d, e, s) <= np.sum(w <= s)
+                assert np.sum(w < s) <= count_below(T, s) <= np.sum(w <= s)
                 # ... and a hair away from it the count is exact
-                assert count_below(d, e, s - gap) == np.sum(w < s - gap)
-                assert count_below(d, e, s + gap) == np.sum(w < s + gap)
+                assert count_below(T, s - gap) == np.sum(w < s - gap)
+                assert count_below(T, s + gap) == np.sum(w < s + gap)
 
 
 @pytest.mark.parametrize("d, e, s", [
@@ -62,10 +61,10 @@ def test_count_below_is_the_inertia(rng):
     ([1.0, 1.0, 5.0], [1.0, 2.0], 0.0),       # second pivot 1 - 1/1 = 0
 ], ids=["first-pivot", "inner-pivot"])
 def test_count_below_survives_zero_pivot(d, e, s):
-    d, e = np.array(d), np.array(e)
-    w = np.linalg.eigvalsh(tridiagonal(d, e))
+    T = Tridiagonal(np.array(d), np.array(e))
+    w = np.linalg.eigvalsh(np.asarray(T))
     assert np.abs(w - s).min() > 0.1            # s is no eigenvalue
-    assert count_below(d, e, s) == np.sum(w < s)
+    assert count_below(T, s) == np.sum(w < s)
 
 
 @pytest.mark.parametrize("kind, model, window", [
@@ -282,7 +281,7 @@ def test_fixed_point_identity():
     refine_tol = 1e-10
     branch = trace_branch(HOQuadratic(1.0, 0.0), GRID, 0, 0.5, 4.0, steps=32)
     (root,) = solve_fixed_points(branch, refine_tol)
-    h = build_schrodinger(GRID, HOQuadratic(1.0, 0.0), root.z)
+    h = np.asarray(build_problem("schrodinger", GRID, HOQuadratic(1.0, 0.0), root.z))
     nearest = np.linalg.eigvalsh(h)
     assert np.abs(nearest - root.z).min() <= refine_tol * (1.0 + abs(root.z))
 
@@ -292,7 +291,7 @@ def test_fixed_point_identity():
 def test_constant_mass_levels_equal_spectrum():
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
-    spectrum = np.linalg.eigvalsh(build_schrodinger(grid, model, 0.0))
+    spectrum = np.linalg.eigvalsh(np.asarray(build_problem("schrodinger", grid, model, 0.0)))
     covered = spectrum[spectrum < 8.0]
     result = collect_physical(model, grid, range(len(covered)), [(0.0, 8.0)])
     assert not result.failures
@@ -400,12 +399,13 @@ def test_root_on_shared_window_endpoint_counts_once():
     # of the next
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
-    e1 = float(np.linalg.eigvalsh(tridiagonal(*build_bands("schrodinger", grid, model, 0.0)))[1])
+    e1 = float(np.linalg.eigvalsh(np.asarray(build_problem("schrodinger", grid, model, 0.0)))[1])
     result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
     assert not result.failures
     assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((1, 0), e1)]
     assert [d.bisection_steps for d in result.diagnostics] == [0, 0]
-    # the same window listed twice still yields coincident levels
+    # the same window listed twice still yields coincident levels (the run
+    # configuration refuses such a list)
     twice = collect_physical(model, grid, [1], [(0.5 * e1, e1), (0.5 * e1, e1)])
     assert [lv.multi_index for lv in twice.levels] == [(1, 0), (1, 1)]
 
@@ -519,7 +519,7 @@ def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkey
     liar = float(branch.z_samples[k + 2])
     count = fixedpoint_module.count_below
     monkeypatch.setattr(fixedpoint_module, "count_below",
-                        lambda d, e, s: count(d, e, s) - (s == liar))
+                        lambda T, s: count(T, s) - (s == liar))
     del solves[:]
     result = collect_physical(model, GRID, [0], [window], steps=steps)
     (root,) = solve_fixed_points(branch)

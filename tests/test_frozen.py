@@ -9,6 +9,7 @@ from edspec.frozen_spectrum import (
     eta_from_decomposition,
     eta_inverse_from_decomposition,
 )
+from edspec.operators import Tridiagonal
 
 
 def test_hermitian_diagonal():
@@ -96,6 +97,15 @@ def test_phase_convention_is_deterministic(rng):
 def test_degenerate_spectrum_rejected():
     with pytest.raises(DegenerateSpectrum):
         decompose(np.array([[1.0, 5.0], [0.0, 1.0 + 1e-10]]))
+
+
+@pytest.mark.parametrize("H", [
+    np.array([[np.nan, 1.0], [1.0, 2.0]]),
+    Tridiagonal(np.array([np.inf, 2.0]), np.array([1.0])),
+], ids=["dense", "bands"])
+def test_non_finite_input_rejected(H):
+    with pytest.raises(ValueError, match="non-finite"):
+        decompose(H)
 
 
 def test_signs_validation():

@@ -9,19 +9,36 @@ from edspec.errors import (
     SingularMetric,
 )
 from edspec.evolution import assemble_fv
+from edspec.fixedpoint import trace_branch
 from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
     Grid,
     HOQuadratic,
-    build_kleingordon,
-    build_bands,
-    build_laplacian,
+    Tridiagonal,
     build_parity,
     build_problem,
-    build_schrodinger,
-    tridiagonal,
 )
+
+
+def dense(kind, grid, model, z):
+    return np.asarray(build_problem(kind, grid, model, z))
+
+
+def laplacian(grid):
+    """-d^2/dx^2: the kleingordon form of a zero mass-squared."""
+    return dense("kleingordon", grid, GeneralMassSquared(lambda z, x: 0.0), 0.0)
+
+
+def assembled(diagonal, off_diagonal):
+    """Dense symmetric tridiagonal matrix, assembled entry by entry."""
+    n = len(diagonal)
+    matrix = np.zeros((n, n), dtype=np.result_type(diagonal, off_diagonal))
+    for i in range(n):
+        matrix[i, i] = diagonal[i]
+    for i in range(n - 1):
+        matrix[i, i + 1] = matrix[i + 1, i] = off_diagonal[i]
+    return matrix
 
 
 # ---------------------------------------------------------------- grid
@@ -44,8 +61,8 @@ def test_grid_points_computed_once(monkeypatch):
     linspace = np.linspace
     monkeypatch.setattr(np, "linspace", lambda *a, **k: calls.append(a) or linspace(*a, **k))
     first = grid.points()
-    build_schrodinger(grid, HOQuadratic(1.5, 2.0), 0.5)
-    build_kleingordon(grid, ConstantMass(1.0), 0.5)
+    build_problem("schrodinger", grid, HOQuadratic(1.5, 2.0), 0.5)
+    build_problem("kleingordon", grid, ConstantMass(1.0), 0.5)
     assert grid.points() is first and len(calls) == 1
     np.testing.assert_array_equal(first, expected)
     with pytest.raises(ValueError):
@@ -55,14 +72,14 @@ def test_grid_points_computed_once(monkeypatch):
 # ---------------------------------------------------------------- laplacian
 
 def test_laplacian_3x3_stencil():
-    lap = build_laplacian(Grid(-1.0, 1.0, 3))
+    lap = laplacian(Grid(-1.0, 1.0, 3))
     np.testing.assert_array_equal(lap, [[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
 
 
 @pytest.mark.parametrize("grid", [Grid(-1.0, 1.0, 5), Grid(0.0, 3.0, 17),
                                   Grid(-12.0, 12.0, 101)])
 def test_laplacian_symmetric_positive_definite(grid):
-    lap = build_laplacian(grid)
+    lap = laplacian(grid)
     assert np.array_equal(lap, lap.T)
     assert np.linalg.eigvalsh(lap).min() > 0
 
@@ -73,7 +90,7 @@ def test_laplacian_harmonic_ground_state():
     for n in (101, 201, 401):
         grid = Grid(-10.0, 10.0, n)
         x = grid.points()
-        h = build_laplacian(grid) + np.diag(x * x)
+        h = laplacian(grid) + np.diag(x * x)
         errors.append(abs(np.linalg.eigvalsh(h)[0] - 1.0))
     assert errors[1] < 1e-3
     # second-order convergence: halving h divides the error by ~4
@@ -86,19 +103,19 @@ def test_laplacian_harmonic_ground_state():
 def test_schrodinger_unit_coefficient():
     grid = Grid(-5.0, 5.0, 11)
     x = grid.points()
-    h = build_schrodinger(grid, ConstantMass(0.5), z=7.3)
-    np.testing.assert_array_equal(h, build_laplacian(grid) + np.diag(x * x))
+    h = dense("schrodinger", grid, ConstantMass(0.5), z=7.3)
+    np.testing.assert_array_equal(h, laplacian(grid) + np.diag(x * x))
 
 
 def test_schrodinger_degenerate_mass():
     with pytest.raises(DegenerateMass):
-        build_schrodinger(Grid(-5.0, 5.0, 11), HOQuadratic(1.0, 0.0), z=0.0)
+        build_problem("schrodinger", Grid(-5.0, 5.0, 11), HOQuadratic(1.0, 0.0), z=0.0)
 
 
 def test_schrodinger_frozen_branch_values():
     # frozen oracle: dense eigensolve of (1/4) L + x^2 on [-12, 12], 400 nodes
     grid = Grid(-12.0, 12.0, 400)
-    w = np.linalg.eigvalsh(build_schrodinger(grid, HOQuadratic(1.0, 0.0), z=2.0))
+    w = np.linalg.eigvalsh(dense("schrodinger", grid, HOQuadratic(1.0, 0.0), z=2.0))
     assert w[0] == pytest.approx(0.4997737683593432, abs=1e-10)
     # continuum levels of the frozen family: (2n+1)/(A |z - E0|)
     for n in range(3):
@@ -108,28 +125,28 @@ def test_schrodinger_frozen_branch_values():
 def test_schrodinger_rejects_general_mass():
     model = GeneralMassSquared(lambda z, x: x * x)
     with pytest.raises(EvaluationFailure):
-        build_schrodinger(Grid(-5.0, 5.0, 11), model, z=1.0)
+        build_problem("schrodinger", Grid(-5.0, 5.0, 11), model, z=1.0)
 
 
 # ---------------------------------------------------------------- kleingordon
 
 def test_kleingordon_constant_mass():
     grid = Grid(-4.0, 4.0, 9)
-    h = build_kleingordon(grid, ConstantMass(3.0), z=0.0)
-    np.testing.assert_array_equal(h, build_laplacian(grid) + 9.0 * np.eye(9))
+    h = dense("kleingordon", grid, ConstantMass(3.0), z=0.0)
+    np.testing.assert_array_equal(h, laplacian(grid) + 9.0 * np.eye(9))
 
 
 def test_kleingordon_harmonic_reduction():
     grid = Grid(-4.0, 4.0, 9)
     x = grid.points()
-    h = build_kleingordon(grid, GeneralMassSquared(lambda z, xi: xi * xi), z=0.0)
-    np.testing.assert_allclose(h, build_laplacian(grid) + np.diag(x * x))
+    h = dense("kleingordon", grid, GeneralMassSquared(lambda z, xi: xi * xi), z=0.0)
+    np.testing.assert_allclose(h, laplacian(grid) + np.diag(x * x))
     assert not np.iscomplexobj(h)
 
 
 def test_kleingordon_complex_mass_is_non_hermitian():
     grid = Grid(-4.0, 4.0, 9)
-    h = build_kleingordon(grid, GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi), z=0.0)
+    h = dense("kleingordon", grid, GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi), z=0.0)
     assert np.linalg.norm(h - h.conj().T) > 0
 
 
@@ -140,9 +157,17 @@ def test_kleingordon_evaluator_failure():
         raise ArithmeticError("undefined")
 
     with pytest.raises(EvaluationFailure):
-        build_kleingordon(grid, GeneralMassSquared(bad), z=0.0)
+        build_problem("kleingordon", grid, GeneralMassSquared(bad), z=0.0)
     with pytest.raises(EvaluationFailure):
-        build_kleingordon(grid, GeneralMassSquared(lambda z, x: float("nan")), z=0.0)
+        build_problem("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), z=0.0)
+
+
+@pytest.mark.parametrize("kind, z", [("schrodinger", 1e200), ("kleingordon", 1e100),
+                                     ("kleingordon", 1.3e154)])
+def test_coefficient_overflow_is_an_evaluation_failure(kind, z):
+    # the first two overflow in a float power, the last to an infinite diagonal
+    with pytest.raises(EvaluationFailure):
+        build_problem(kind, Grid(-4.0, 4.0, 9), HOQuadratic(1.5, 2.0), z)
 
 
 @pytest.mark.parametrize("kind, model", [
@@ -155,22 +180,39 @@ def test_kleingordon_evaluator_failure():
         "kleingordon-ho", "kleingordon-real-general"])
 def test_bands_assemble_the_dense_form(kind, model):
     grid = Grid(-4.0, 4.0, 9)
-    diagonal, off_diagonal = build_bands(kind, grid, model, 1.7)
-    assert diagonal.dtype == off_diagonal.dtype == np.float64
-    assert (off_diagonal != 0.0).all()
-    np.testing.assert_array_equal(tridiagonal(diagonal, off_diagonal),
-                                  build_problem(kind, grid, model, 1.7))
+    T = build_problem(kind, grid, model, 1.7)
+    assert isinstance(T, Tridiagonal) and T.shape == (9, 9)
+    assert T.diagonal.dtype == T.off_diagonal.dtype == np.float64
+    assert (T.off_diagonal != 0.0).all()
+    H = np.asarray(T)
+    assert H.dtype == np.float64
+    np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
 
 
 def test_bands_of_complex_mass_are_not_real_symmetric():
     grid = Grid(-4.0, 4.0, 9)
     model = GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi)
+    T = build_problem("kleingordon", grid, model, 0.0)
+    assert T.diagonal.dtype == np.complex128 and T.off_diagonal.dtype == np.float64
+    H = np.asarray(T)
+    np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
+    np.testing.assert_array_equal(H, H.T)
     with pytest.raises(ValueError, match="trace_branch_family"):
-        build_bands("kleingordon", grid, model, 0.0)
+        trace_branch(model, grid, 0, 0.0, 1.0, steps=4, kind="kleingordon")
     with pytest.raises(DegenerateMass):
-        build_bands("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
+        build_problem("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
     with pytest.raises(EvaluationFailure):
-        build_bands("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), 0.0)
+        build_problem("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), 0.0)
+
+
+def test_band_value_array_protocol():
+    T = build_problem("kleingordon", Grid(-4.0, 4.0, 5), ConstantMass(1.0), 0.0)
+    block = np.zeros((10, 10))
+    block[:5, 5:] = T                    # numpy passes dtype and copy here
+    np.testing.assert_array_equal(block[:5, 5:], np.asarray(T))
+    assert np.asarray(T, dtype=complex).dtype == np.complex128
+    with pytest.raises(ValueError):
+        np.asarray(T, copy=False)
 
 
 # ---------------------------------------------------------------- parity

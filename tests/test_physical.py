@@ -7,7 +7,7 @@ import pytest
 from edspec.errors import IllConditionedOverlap, NonHermitianMetric
 from edspec.fixedpoint import PhysicalLevel
 from edspec.frozen_spectrum import decompose, eta_from_decomposition
-from edspec.operators import ConstantMass, Grid, build_kleingordon, build_parity
+from edspec.operators import ConstantMass, Grid, build_parity, build_problem
 from edspec.physical_basis import (
     build_basis,
     build_charge,
@@ -53,7 +53,7 @@ def test_single_level_basis():
 
 def test_constant_mass_full_basis_is_orthonormal():
     grid = Grid(-5.0, 5.0, 10)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
+    h = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
     basis = build_basis(levels_from_matrix(h))
     np.testing.assert_allclose(basis.R, np.eye(10), atol=1e-12)
     np.testing.assert_allclose(basis.double_kets, basis.right_vectors, atol=1e-12)
@@ -87,7 +87,7 @@ def test_partial_basis_projector_is_idempotent():
 
 def test_partial_hermitian_basis_metrics_are_projectors():
     grid = Grid(-5.0, 5.0, 16)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
+    h = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
     levels = levels_from_matrix(h)[:5]
     basis = build_basis(levels)
     span = basis.right_vectors
@@ -119,8 +119,9 @@ def test_too_many_levels_rejected():
 
 def test_constant_mass_limit_collapses_to_h():
     grid = Grid(-5.0, 5.0, 12)
-    h = build_kleingordon(grid, ConstantMass(1.0), 0.0)
-    basis = build_basis(levels_from_matrix(h))
+    bands = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
+    basis = build_basis(levels_from_matrix(bands))
+    h = np.asarray(bands)
     K = build_K(basis)
     L = build_L(basis)
     assert np.linalg.norm(K - h) < 1e-8
@@ -323,7 +324,7 @@ def test_trivial_metric_gives_parity_charge():
 def test_charge_reconstructs_metric():
     grid = Grid(-3.0, 3.0, 9)
     parity = build_parity(grid)
-    h = build_kleingordon(grid, ConstantMass(2.0), 0.0)
+    h = build_problem("kleingordon", grid, ConstantMass(2.0), 0.0)
     eta_plus = eta_from_decomposition(decompose(h))
     charge = build_charge(eta_plus, parity)
     np.testing.assert_allclose(charge.matrix @ parity, eta_plus, atol=1e-12)

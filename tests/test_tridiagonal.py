@@ -6,13 +6,14 @@ import pytest
 import edspec.tridiagonal as tri
 from edspec import cli, fixedpoint
 from edspec.evolution import assemble_fv
+from edspec.frozen_spectrum import _fix_phases, decompose
 from edspec.operators import (
     ConstantMass,
+    GeneralMassSquared,
     Grid,
     HOQuadratic,
-    build_bands,
-    build_kleingordon,
-    tridiagonal,
+    Tridiagonal,
+    build_problem,
 )
 
 SIZES = (1, 2, 3, 50, 400)
@@ -30,7 +31,8 @@ def _cases():
         if n < 3:
             continue       # a grid has at least three points
         for kind in ("schrodinger", "kleingordon"):
-            cases.append((f"{kind}-{n}", *build_bands(kind, Grid(-10.0, 10.0, n), model, 0.7)))
+            T = build_problem(kind, Grid(-10.0, 10.0, n), model, 0.7)
+            cases.append((f"{kind}-{n}", T.diagonal, T.off_diagonal))
     return cases
 
 
@@ -40,14 +42,14 @@ IDS = [name for name, *_ in CASES]
 
 @pytest.mark.parametrize("name, d, e", CASES, ids=IDS)
 def test_eigenvalues_equal_numpy(name, d, e):
-    T = tridiagonal(d, e)
+    T = np.asarray(Tridiagonal(d, e))
     assert np.array_equal(tri.eigvalsh_bands(d, e), np.linalg.eigvalsh(T))
     assert np.array_equal(tri.eigh_bands(d, e)[0], np.linalg.eigh(T)[0])
 
 
 @pytest.mark.parametrize("name, d, e", CASES, ids=IDS)
 def test_eigenvectors_match_dense(name, d, e):
-    T = tridiagonal(d, e)
+    T = np.asarray(Tridiagonal(d, e))
     w, z = tri.eigh_bands(d, e)
     w_dense, z_dense = np.linalg.eigh(T)
     overlaps = np.abs(np.sum(z * z_dense, axis=0))
@@ -80,6 +82,43 @@ def test_fast_path_resolves_on_bundled_openblas():
     if "scipy-openblas" not in lapack:
         pytest.skip(f"numpy links {lapack or 'an unnamed'} LAPACK")
     assert tri._lapack() is not None
+
+
+def _band_reference(d, e):
+    """The real symmetric path of ``decompose`` spelled out on ``eigh_bands``."""
+    w, v = tri.eigh_bands(d, e)
+    kets = _fix_phases(v)
+    n = len(d)
+    return (w.astype(complex), kets, float(np.abs(kets.T @ kets - np.eye(n)).max()),
+            float(np.linalg.norm(kets @ kets.T - np.eye(n))))
+
+
+def _fields(dec):
+    return (dec.eigenvalues, dec.right_kets, dec.biorth_residual,
+            dec.completeness_residual)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "dense-fallback"])
+@pytest.mark.parametrize("name, d, e", CASES, ids=IDS)
+def test_band_value_decomposes_from_its_bands(name, d, e, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(tri, "_lapack", lambda: None)
+    dec = decompose(Tridiagonal(d, e))
+    assert dec.left_bras is dec.right_kets and dec.right_kets.dtype == np.float64
+    for got, expected in zip(_fields(dec), _band_reference(d, e)):
+        assert np.array_equal(got, expected)
+    if fallback:
+        # the dense fallback solves the assembled matrix, as dense input does
+        for got, expected in zip(_fields(dec), _fields(decompose(np.asarray(Tridiagonal(d, e))))):
+            assert np.array_equal(got, expected)
+
+
+def test_complex_band_value_decomposes_as_its_dense_form():
+    model = GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.2j * x)
+    T = build_problem("kleingordon", Grid(-6.0, 6.0, 30), model, 0.0)
+    dec, dense = decompose(T), decompose(np.asarray(T))
+    for got, expected in zip(_fields(dec) + (dec.left_bras,), _fields(dense) + (dense.left_bras,)):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("name, d, e", CASES, ids=IDS)
@@ -190,6 +229,18 @@ def test_spectrum_solves_no_dense_eigenproblem(tmp_path, no_dense_eigensolves):
 
 
 def test_fv_modes_solve_no_dense_eigenproblem(no_dense_eigensolves):
-    H = build_kleingordon(Grid(-8.0, 8.0, 60), ConstantMass(1.0), 0.0)
+    H = build_problem("kleingordon", Grid(-8.0, 8.0, 60), ConstantMass(1.0), 0.0)
     modes = assemble_fv(H).modes
     assert modes.spectrum_real
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fixedpoint", "metric"])
+def test_real_families_stay_banded(tmp_path, monkeypatch, command):
+    def refuse(self, dtype=None, copy=None):
+        raise AssertionError("a real band value was assembled into a dense matrix")
+
+    monkeypatch.setattr(Tridiagonal, "__array__", refuse)
+    cfg = tmp_path / f"{command}.ini"
+    body = REPORT_CONFIGS["fixedpoint" if command == "metric" else command]
+    cfg.write_text(textwrap.dedent(body), encoding="utf-8")
+    assert cli.main([command, "--config", str(cfg), "--out-dir", str(tmp_path)]) == 0
