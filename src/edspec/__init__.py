@@ -26,12 +26,10 @@ from .fixedpoint import (
     CollectResult,
     EnergyBranch,
     FixedPointRoot,
-    IndexedBranch,
     PhysicalLevel,
     WindowDiagnostics,
     collect_physical,
     solve_fixed_points,
-    trace_branch,
     trace_branch_family,
 )
 from .frozen_spectrum import (
@@ -75,9 +73,8 @@ __all__ = [
     "SolverError",
     "FVModes", "FVState", "FVSystem", "assemble_fv", "conservation_report",
     "eigenstate", "evolve",
-    "CollectResult", "EnergyBranch", "FixedPointRoot", "IndexedBranch",
-    "PhysicalLevel", "WindowDiagnostics", "collect_physical", "solve_fixed_points",
-    "trace_branch", "trace_branch_family",
+    "CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
+    "WindowDiagnostics", "collect_physical", "solve_fixed_points", "trace_branch_family",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",

@@ -217,6 +217,8 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig | None, out_dir: Path, seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if cfg is None:
         cfg = RunConfig()
     results = run_all(seed=seed, grid_sizes=cfg.validate_grid_sizes)

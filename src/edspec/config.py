@@ -1,7 +1,8 @@
 """Strict INI-style run configuration.
 
-One section per pipeline stage; unknown sections or keys are errors rather
-than warnings, since a silently ignored typo can corrupt a physics run.
+One section per pipeline stage; unknown sections or keys, and [model] keys
+that the chosen model kind does not read, are errors rather than warnings,
+since a silently ignored typo can corrupt a physics run.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ class ConfigError(Exception):
     """Invalid or missing run configuration."""
 
 
+#: The [model] keys each model kind reads, besides ``kind``.
+_MODEL_KEYS = {"constant": ("m",), "hoquadratic": ("A", "E0")}
+
 _SCHEMA = {
-    "model": {"kind", "m", "A", "E0"},
+    "model": {"kind", *(key for keys in _MODEL_KEYS.values() for key in keys)},
     "grid": {"x_min", "x_max", "n_points"},
     "problem": {"kind"},
     "spectrum": {"z"},
@@ -116,14 +120,17 @@ def _positive(name: str, value: float) -> float:
 
 def _parse_model(parser) -> MassModel:
     kind = _get(parser, "model", "kind", str, required=True).strip().lower()
+    if kind not in _MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r} (expected constant | hoquadratic)")
+    for key in parser.options("model"):
+        if key != "kind" and key not in _MODEL_KEYS[kind]:
+            raise ConfigError(f"key '{key}' in section [model] is not read by kind = {kind}")
     if kind == "constant":
         return ConstantMass(m=_get(parser, "model", "m", _float, required=True))
-    if kind == "hoquadratic":
-        return HOQuadratic(
-            A=_get(parser, "model", "A", _float, required=True),
-            E0=_get(parser, "model", "E0", _float, required=True),
-        )
-    raise ConfigError(f"unknown model kind {kind!r} (expected constant | hoquadratic)")
+    return HOQuadratic(
+        A=_get(parser, "model", "A", _float, required=True),
+        E0=_get(parser, "model", "E0", _float, required=True),
+    )
 
 
 def _check_fixedpoint(cfg: RunConfig) -> None:
@@ -151,7 +158,11 @@ def load_config(path: str | Path) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     parser.optionxform = str
     try:
-        parser.read_string(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    try:
+        parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
 

@@ -1,34 +1,31 @@
 """Eigenvalue branches E_n(z) and fixed points of z = E_n(z).
 
-A branch is labelled across a window of frozen parameters in one of two ways,
-each with its own tool and branch type.
+Each kind of family has one search tool.
 
-* By Sturm index (``collect_physical``, ``trace_branch``; ``IndexedBranch``)
-  for a discretized model whose ``build_problem`` gives a real symmetric
+* ``collect_physical`` labels branches by Sturm index.  It takes a
+  discretized model whose ``build_problem`` gives a real symmetric
   tridiagonal H(z): both stationary forms of the constant and oscillator
   masses, and the Klein-Gordon form of any real mass-squared.  The
   off-diagonals are nonzero, so the eigenvalues are simple and E_n(z) is the
   n-th smallest eigenvalue at every z (Barth, Martin & Wilkinson, Numer.
   Math. 9, 1967).  The sign of f(z) = E_n(z) - z is the inertia of
   H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
-  factorization are negative (``count_below``, O(N)).  ``collect_physical``
-  samples a window once for all branches and takes one such count per
-  sample, which signs every branch at once; bisection counts pivots too.
-  A sample's O(N^2) tridiagonal eigenvalue solve (``eigvalsh_bands``) is
-  made at most once, and only where a report needs the value: at the ends
-  of a sign change and on a window where some branch changes sign nowhere
-  (its near miss).  ``trace_branch`` solves every sample.  Each level's ket
-  comes from one tridiagonal eigensolve (``eigh_bands``) at the root.  A
-  complex mass-squared raises ValueError.
-* By eigenvector overlap (``trace_branch_family``; ``EnergyBranch``) for an
-  arbitrary matrix family, such as ``build_problem`` with a complex
-  mass-squared: at each sample the eigenpair with the largest |<ket_prev|ket>|
-  wins, which keeps labels consistent through avoided crossings where index
-  sorting would swap them, and each bisection step is a fresh overlap-matched
+  factorization are negative (``count_below``, O(N)).  A window is sampled
+  once for all branches and takes one such count per sample, which signs
+  every branch at once; bisection counts pivots too.  A sample's O(N^2)
+  tridiagonal eigenvalue solve (``eigvalsh_bands``) is made at most once,
+  and only where a report needs the value: at the ends of a sign change and
+  on a window where some branch changes sign nowhere (its near miss).  Each
+  level's ket comes from one tridiagonal eigensolve (``eigh_bands``) at the
+  root.  A complex mass-squared raises ValueError.
+* ``trace_branch_family`` and ``solve_fixed_points`` label branches by
+  eigenvector overlap, for an arbitrary matrix family such as
+  ``build_problem`` with a complex mass-squared.  At each sample the
+  eigenpair with the largest |<ket_prev|ket>| wins, which keeps labels
+  consistent through avoided crossings where index sorting would swap them.
+  The fixed points of the ``EnergyBranch`` are bracketed by sign changes of
+  f on the sample grid and bisected, each step a fresh overlap-matched
   eigensolve.
-
-``solve_fixed_points`` takes either branch: fixed points are bracketed by sign
-changes of f on the sample grid and refined by bisection.
 """
 
 from __future__ import annotations
@@ -74,19 +71,6 @@ class EnergyBranch:
     continuity_overlaps: np.ndarray
     kets: np.ndarray = field(repr=False)        # (N, steps) tracked right kets
     family: Family = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class IndexedBranch:
-    """The n-th smallest eigenvalue of a real symmetric tridiagonal family over a window."""
-
-    branch_index: int
-    z_samples: np.ndarray
-    e_values: np.ndarray
-    bands: BandFamily = field(repr=False, compare=False)
-
-
-Branch = EnergyBranch | IndexedBranch
 
 
 @dataclass(frozen=True)
@@ -186,6 +170,11 @@ def _check_window(z_lo: float, z_hi: float, steps: int) -> np.ndarray:
     return np.linspace(z_lo, z_hi, steps)
 
 
+def _check_branch(n: int, size: int) -> None:
+    if n < 0 or n >= size:
+        raise ValueError(f"branch index {n} outside spectrum of size {size}")
+
+
 def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
                         steps: int = WINDOW_STEPS, *,
                         overlap_floor: float = OVERLAP_FLOOR) -> EnergyBranch:
@@ -202,8 +191,7 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
     for k, z in enumerate(z_samples):
         dec = decompose(family(float(z)))
         if k == 0:
-            if n < 0 or n >= dec.size:
-                raise ValueError(f"branch index {n} outside spectrum of size {dec.size}")
+            _check_branch(n, dec.size)
             idx = n
             kets = np.empty((dec.right_kets.shape[0], steps), dtype=complex)
         else:
@@ -229,7 +217,6 @@ class _SampledWindow:
     """
 
     def __init__(self, bands: BandFamily, z_samples: np.ndarray):
-        self.bands = bands
         self.z_samples = z_samples
         self._sample_bands = [bands(float(z)) for z in z_samples]
         self._spectra: list[np.ndarray | None] = [None] * len(self._sample_bands)
@@ -278,29 +265,6 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
     return _SampledWindow(partial(_real_bands, kind, grid, model), z_samples)
 
 
-def _check_branch(n: int, size: int) -> None:
-    if n < 0 or n >= size:
-        raise ValueError(f"branch index {n} outside spectrum of size {size}")
-
-
-def trace_branch(model: MassModel, grid: Grid, n: int, z_lo: float, z_hi: float,
-                 steps: int = WINDOW_STEPS, kind: str = "schrodinger") -> IndexedBranch:
-    """Sturm-index branch n of the discretized model over one window.
-
-    A schrodinger window must not contain the mass singularity z = E0.  A
-    complex mass-squared raises ValueError; continue its branches with
-    ``trace_branch_family`` over ``build_problem``.
-    """
-    window = _sample_window(kind, grid, model, z_lo, z_hi, steps)
-    _check_branch(n, window.size)
-    return IndexedBranch(
-        branch_index=n,
-        z_samples=window.z_samples,
-        e_values=window.e_values(n),
-        bands=window.bands,
-    )
-
-
 def _inertia_sign(bands: BandFamily, n: int) -> SignEvaluator:
     return lambda z, k: 1.0 if count_below(bands(z), z) <= n else -1.0
 
@@ -339,9 +303,13 @@ def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
     )
 
 
-def _close(z: float, z_prev: float) -> bool:
-    """Tangency guard: roots closer than MERGE_FACTOR * (1 + |z|) are one."""
-    return abs(z - z_prev) <= MERGE_FACTOR * (1.0 + abs(z))
+def _close(z: float, z_prev: float, tol: float = 0.0) -> bool:
+    """Roots closer than max(MERGE_FACTOR * (1 + |z|), tol) are one.
+
+    The first term is the tangency guard; ``tol`` lets a caller also merge
+    estimates that bisection to that tolerance cannot tell apart.
+    """
+    return abs(z - z_prev) <= max(MERGE_FACTOR * (1.0 + abs(z)), tol)
 
 
 def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
@@ -378,19 +346,17 @@ def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
     return [FixedPointRoot(z=root, j=j) for j, root in enumerate(merged)], evals
 
 
-def solve_fixed_points(branch: Branch, refine_tol: float = REFINE_TOL, *,
+def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
                        overlap_floor: float = OVERLAP_FLOOR) -> list[FixedPointRoot]:
-    """All fixed points z = E_n(z) bracketed by the branch samples.
+    """All fixed points z = E_n(z) bracketed by the samples of an overlap branch.
 
-    Every sign change of f(z) = E_n(z) - z is refined by bisection: by
-    inertia counts on an ``IndexedBranch``, by fresh overlap-matched
-    eigensolves (held to ``overlap_floor``) on an ``EnergyBranch``.  An f
-    that never changes sign yields an empty list.  Roots closer than
-    1e-8 * (1 + |z|) are merged.
+    Every sign change of f(z) = E_n(z) - z is refined by bisection, each
+    step a fresh eigensolve matched by overlap (held to ``overlap_floor``)
+    to the ket of the bracket's lower sample.  An f that never changes sign
+    yields an empty list.  Roots closer than 1e-8 * (1 + |z|) are merged.
+    The Sturm-index search of a real band family is ``collect_physical``.
     """
-    f_sign = (_inertia_sign(branch.bands, branch.branch_index)
-              if isinstance(branch, IndexedBranch)
-              else _overlap_sign(branch, overlap_floor))
+    f_sign = _overlap_sign(branch, overlap_floor)
     return _solve(branch.z_samples, branch.e_values - branch.z_samples, f_sign, refine_tol)[0]
 
 
@@ -446,11 +412,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     or a branch changes sign nowhere.  Solver failures are recorded per pair
     and the remaining levels are returned, and every solved pair leaves a
     ``WindowDiagnostics`` record.  Roots of one branch found in different
-    windows are merged by the rule ``solve_fixed_points`` applies inside a
-    window, so a root on an endpoint two windows share counts once; the
-    roots are then indexed j = 0, 1, ... in ascending energy.  Windows are
-    not deduplicated here: the same window listed twice yields coincident
-    levels, so the run configuration rejects such a list.
+    windows are one level when they lie within
+    max(MERGE_FACTOR * (1 + |z|), refine_tol) of each other: bisection leaves
+    each estimate within refine_tol / 2 of its root, so a root on an
+    endpoint two windows share, or inside two overlapping windows, counts
+    once.  The roots are then indexed j = 0, 1, ... in ascending energy.
+    Windows are not deduplicated here: the same window listed twice yields
+    coincident levels, so the run configuration rejects such a list.
     """
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
@@ -495,7 +463,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
         found.sort(key=lambda item: item[0])
         kept: list[tuple[float, tuple]] = []
         for z, window in found:
-            if kept and window != kept[-1][1] and _close(z, kept[-1][0]):
+            if kept and window != kept[-1][1] and _close(z, kept[-1][0], refine_tol):
                 continue
             kept.append((z, window))
         levels.extend(_level(bands, n, z, j) for j, (z, _) in enumerate(kept))

@@ -70,6 +70,31 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "typo_key" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_rejected(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(textwrap.dedent(CONSTANT_KG).encode("utf-8") + b"# caf\xff\n")
+    assert main(["spectrum", "--config", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "run.ini" in err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("m = 1.5", "m = 1.5\n    A = 1.0", "A"),
+    ("m = 1.5", "m = 1.5\n    E0 = 0.0", "E0"),
+    ("kind = constant\n    m = 1.5", "kind = hoquadratic\n    A = 1.0\n    E0 = 0.0\n    m = 1.5",
+     "m"),
+], ids=["constant-A", "constant-E0", "hoquadratic-m"])
+def test_model_key_of_another_kind_rejected(tmp_path, capsys, old, new, key):
+    body = CONSTANT_KG.replace(old, new)
+    assert body != CONSTANT_KG
+    cfg = write_config(tmp_path, body)
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"'{key}'" in err
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_spectrum_at_mass_singularity(tmp_path, capsys):
     cfg = write_config(tmp_path, """
         [model]
@@ -565,5 +590,17 @@ def test_validate_duplicate_grid_sizes_rejected_at_load(tmp_path, capsys):
         grid_sizes = 60, 60
     """)
     assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "validation.json").exists()
+
+
+def test_validate_negative_seed_rejected(tmp_path, capsys, monkeypatch):
+    import edspec.cli
+
+    def no_criteria(*args, **kwargs):
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(edspec.cli, "run_all", no_criteria)
+    assert main(["validate", "--seed", "-1", "--out-dir", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err
     assert not (tmp_path / "validation.json").exists()

@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+import edspec
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 import edspec.fixedpoint as fixedpoint_module
-from edspec.errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
+from edspec.errors import BranchLost, ComplexBranch, RefinementStall
 from edspec.fixedpoint import (
     WINDOW_STEPS,
-    IndexedBranch,
     collect_physical,
     count_below,
     solve_fixed_points,
-    trace_branch,
     trace_branch_family,
 )
 from edspec.operators import (
@@ -26,15 +25,29 @@ from edspec.operators import (
 GRID = Grid(-10.0, 10.0, 120)
 
 
+def _eigenvalues(kind, grid, model, z):
+    return np.linalg.eigvalsh(np.asarray(build_problem(kind, grid, model, z)))
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(edspec, name) for name in edspec.__all__)
+    # one Sturm-index search (collect_physical) and one overlap search
+    # (trace_branch_family with solve_fixed_points), nothing beside them
+    exported = {name for name in edspec.__all__
+                if getattr(getattr(edspec, name), "__module__", "") == "edspec.fixedpoint"}
+    assert exported == {"CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
+                        "WindowDiagnostics", "collect_physical", "solve_fixed_points",
+                        "trace_branch_family"}
+
+
 # ---------------------------------------------------------------- tracing
 
 def test_constant_mass_branch_is_flat():
     model = ConstantMass(0.5)
-    branch = trace_branch(model, GRID, 2, 0.1, 5.0, steps=16)
-    assert branch.e_values.max() - branch.e_values.min() < 1e-10
-    # the continuation of the same dense family keeps its eigenvector
     continued = trace_branch_family(lambda z: build_problem("schrodinger", GRID, model, z),
                                     2, 0.1, 5.0, steps=16)
+    assert continued.e_values.max() - continued.e_values.min() < 1e-10
+    # the continuation of a z-independent family keeps its eigenvector
     assert (continued.continuity_overlaps >= 0.999).all()
 
 
@@ -73,11 +86,13 @@ def test_count_below_survives_zero_pivot(d, e, s):
 ])
 def test_index_labels_agree_with_overlap_continuation(kind, model, window):
     refine_tol = 1e-10
-    indexed = trace_branch(model, GRID, 1, *window, steps=24, kind=kind)
     continued = trace_branch_family(lambda z: build_problem(kind, GRID, model, z),
                                     1, *window, steps=24)
-    np.testing.assert_allclose(indexed.e_values, continued.e_values, rtol=1e-12)
-    roots = [r.z for r in solve_fixed_points(indexed, refine_tol)]
+    indexed = [_eigenvalues(kind, GRID, model, z)[1] for z in continued.z_samples]
+    np.testing.assert_allclose(indexed, continued.e_values, rtol=1e-12)
+    result = collect_physical(model, GRID, [1], [window], kind, steps=24,
+                              refine_tol=refine_tol)
+    roots = [lv.energy for lv in result.levels]
     expected = [r.z for r in solve_fixed_points(continued, refine_tol)]
     assert len(roots) == len(expected) == 1
     assert abs(roots[0] - expected[0]) <= refine_tol
@@ -89,28 +104,30 @@ def test_complex_mass_squared_is_continued_by_overlap():
     branch = trace_branch_family(lambda z: build_problem("kleingordon", GRID, model, z),
                                  0, 0.5, 2.0, steps=8)
     assert (branch.continuity_overlaps >= 0.999).all()
+    # a real mass-squared is searched by Sturm index
     real = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z)
-    assert isinstance(trace_branch(real, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon"),
-                      IndexedBranch)
+    result = collect_physical(real, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
+    assert not result.failures and len(result.diagnostics) == 1
 
 
 def test_complex_mass_squared_is_refused_by_the_index_search():
     model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
-    with pytest.raises(ValueError, match="trace_branch_family"):
-        trace_branch(model, GRID, 0, 0.5, 2.0, steps=8, kind="kleingordon")
     with pytest.raises(ValueError, match="trace_branch_family"):
         collect_physical(model, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
 
 
 def test_ho_branch_decreases_with_z():
     # effective mass grows with |z - E0|, so every frozen level falls
-    branch = trace_branch(HOQuadratic(1.0, 0.0), GRID, 0, 0.5, 5.0, steps=24)
+    model = HOQuadratic(1.0, 0.0)
+    branch = trace_branch_family(lambda z: build_problem("schrodinger", GRID, model, z),
+                                 0, 0.5, 5.0, steps=24)
     assert (np.diff(branch.e_values) < 0).all()
 
 
 def test_window_containing_singularity_rejected():
-    with pytest.raises(DegenerateMass):
-        trace_branch(HOQuadratic(1.0, 1.0), GRID, 0, 0.5, 2.0, steps=8)
+    result = collect_physical(HOQuadratic(1.0, 1.0), GRID, [0], [(0.5, 2.0)], steps=8)
+    assert not result.levels and not result.diagnostics
+    assert [(f.window, f.error) for f in result.failures] == [((0.5, 2.0), "DegenerateMass")]
 
 
 def test_kleingordon_window_may_straddle_e0():
@@ -181,11 +198,11 @@ def test_complex_branch_detected():
 
 def test_trace_argument_validation():
     with pytest.raises(ValueError):
-        trace_branch(ConstantMass(1.0), GRID, 0, 1.0, 2.0, steps=1)
+        collect_physical(ConstantMass(1.0), GRID, [0], [(1.0, 2.0)], steps=1)
     with pytest.raises(ValueError):
-        trace_branch(ConstantMass(1.0), GRID, 0, 2.0, 1.0, steps=8)
+        collect_physical(ConstantMass(1.0), GRID, [0], [(2.0, 1.0)], steps=8)
     with pytest.raises(ValueError):
-        trace_branch(ConstantMass(1.0), GRID, 500, 1.0, 2.0, steps=4)
+        collect_physical(ConstantMass(1.0), GRID, [500], [(1.0, 2.0)], steps=4)
 
 
 # ---------------------------------------------------------------- root solving
@@ -257,10 +274,8 @@ def test_multiple_fixed_points_match_closed_form():
     # branch 0 of A=12, E0=1 carries the full multi-index structure: the
     # finite pair below E0 plus one root above it
     model = HOQuadratic(12.0, 1.0)
-    below = trace_branch(model, GRID, 0, 0.02, 0.95, steps=48)
-    above = trace_branch(model, GRID, 0, 1.05, 4.0, steps=48)
-    roots = solve_fixed_points(below) + solve_fixed_points(above)
-    zs = sorted(r.z for r in roots)
+    result = collect_physical(model, GRID, [0], [(0.02, 0.95), (1.05, 4.0)], steps=48)
+    zs = [lv.energy for lv in result.levels]
     params = HOParams(12.0, 1.0)
     pair = spectrum_minus(params, 0)
     expected = sorted([pair[1] / 2.0, pair[0] / 2.0, spectrum_plus(params, 0) / 2.0])
@@ -273,17 +288,17 @@ def test_multiple_fixed_points_match_closed_form():
 def test_root_count_stable_under_resampling():
     model = HOQuadratic(12.0, 1.0)
     for steps in (33, 64):
-        branch = trace_branch(model, GRID, 0, 0.02, 0.95, steps=steps)
-        assert len(solve_fixed_points(branch)) == 2
+        result = collect_physical(model, GRID, [0], [(0.02, 0.95)], steps=steps)
+        assert len(result.levels) == 2
 
 
 def test_fixed_point_identity():
     refine_tol = 1e-10
-    branch = trace_branch(HOQuadratic(1.0, 0.0), GRID, 0, 0.5, 4.0, steps=32)
-    (root,) = solve_fixed_points(branch, refine_tol)
-    h = np.asarray(build_problem("schrodinger", GRID, HOQuadratic(1.0, 0.0), root.z))
-    nearest = np.linalg.eigvalsh(h)
-    assert np.abs(nearest - root.z).min() <= refine_tol * (1.0 + abs(root.z))
+    model = HOQuadratic(1.0, 0.0)
+    result = collect_physical(model, GRID, [0], [(0.5, 4.0)], steps=32, refine_tol=refine_tol)
+    (level,) = result.levels
+    nearest = _eigenvalues("schrodinger", GRID, model, level.energy)
+    assert np.abs(nearest - level.energy).min() <= refine_tol * (1.0 + abs(level.energy))
 
 
 # ---------------------------------------------------------------- collection
@@ -291,7 +306,7 @@ def test_fixed_point_identity():
 def test_constant_mass_levels_equal_spectrum():
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
-    spectrum = np.linalg.eigvalsh(np.asarray(build_problem("schrodinger", grid, model, 0.0)))
+    spectrum = _eigenvalues("schrodinger", grid, model, 0.0)
     covered = spectrum[spectrum < 8.0]
     result = collect_physical(model, grid, range(len(covered)), [(0.0, 8.0)])
     assert not result.failures
@@ -357,14 +372,12 @@ def test_domain_convention_full_line_vs_half_line():
     # virtual Dirichlet node at exactly 0 makes this the half-line problem
     half = Grid(box / n_points, box, n_points)
     for n in range(2):
-        (root_full,) = solve_fixed_points(
-            trace_branch(model, full, n, 0.5, 4.5, steps=40))
-        assert 2.0 * root_full.z == pytest.approx(spectrum_plus(params, n), rel=5e-3)
-        (root_half,) = solve_fixed_points(
-            trace_branch(model, half, n, 0.5, 4.5, steps=40))
-        assert root_half.z == pytest.approx(np.sqrt(4.0 * n + 3.0), rel=5e-3)
+        (level_full,) = collect_physical(model, full, [n], [(0.5, 4.5)], steps=40).levels
+        assert 2.0 * level_full.energy == pytest.approx(spectrum_plus(params, n), rel=5e-3)
+        (level_half,) = collect_physical(model, half, [n], [(0.5, 4.5)], steps=40).levels
+        assert level_half.energy == pytest.approx(np.sqrt(4.0 * n + 3.0), rel=5e-3)
         # the half-line root reproduces only the odd-index table entries
-        assert 2.0 * root_half.z == pytest.approx(
+        assert 2.0 * level_half.energy == pytest.approx(
             spectrum_plus(params, 2 * n + 1), rel=5e-3)
 
 
@@ -399,7 +412,7 @@ def test_root_on_shared_window_endpoint_counts_once():
     # of the next
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
-    e1 = float(np.linalg.eigvalsh(np.asarray(build_problem("schrodinger", grid, model, 0.0)))[1])
+    e1 = float(_eigenvalues("schrodinger", grid, model, 0.0)[1])
     result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
     assert not result.failures
     assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((1, 0), e1)]
@@ -410,28 +423,31 @@ def test_root_on_shared_window_endpoint_counts_once():
     assert [lv.multi_index for lv in twice.levels] == [(1, 0), (1, 1)]
 
 
+def test_overlapping_windows_count_a_root_once():
+    # both windows bracket the branch-0 root near z = 1; each bisection stops
+    # within refine_tol / 2 of it, so the two estimates differ by more than
+    # the tangency guard but by less than refine_tol
+    grid = Grid(-8.0, 8.0, 80)
+    model = HOQuadratic(1.0, 0.0)
+    refine_tol = 1e-3
+    windows = [(0.5, 2.0), (0.7, 3.0)]
+    apart = [collect_physical(model, grid, [0], [w], refine_tol=refine_tol).levels[0].energy
+             for w in windows]
+    assert 1e-8 * 2.0 < abs(apart[0] - apart[1]) <= refine_tol
+    result = collect_physical(model, grid, [0], windows, refine_tol=refine_tol)
+    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), min(apart))]
+    (fine,) = collect_physical(model, grid, [0], windows).levels
+    assert abs(fine.energy - min(apart)) <= refine_tol / 2
+
+
 # ---------------------------------------------------------------- count signs
 
-def _eigenvalue_sign_search(model, grid, n_list, windows, kind, steps):
-    """Reference: every sample solved, brackets from eigenvalue signs."""
-    levels, failures, near_misses = [], [], []
-    for n in n_list:
-        found = []
-        for lo, hi in windows:
-            try:
-                branch = trace_branch(model, grid, n, lo, hi, steps, kind)
-                roots = solve_fixed_points(branch)
-            except SolverError as exc:
-                failures.append((n, (lo, hi), type(exc).__name__))
-                continue
-            near_misses.append(None if roots else float(
-                np.abs(branch.e_values - branch.z_samples).min()))
-            found.extend(root.z for root in roots)
-        levels.extend(((n, j), z) for j, z in enumerate(sorted(found)))
-    return levels, failures, near_misses
+def _eigenvalue_signs(window, n):
+    """Reference signs: E_n(z) - z from the eigenvalues at every sample."""
+    return window.e_values(n) - window.z_samples
 
 
-def test_count_signs_match_eigenvalue_signs():
+def test_count_signs_match_eigenvalue_signs(monkeypatch):
     rng = np.random.default_rng(20261018)
     seen = {"levels": 0, "near_misses": 0, "failures": 0}
     for draw in range(40):
@@ -447,8 +463,12 @@ def test_count_signs_match_eigenvalue_signs():
         windows = [(float(ends[0]), float(ends[1])),
                    (float(ends[2]) + 0.05, float(ends[3]) + 0.1)]
         result = collect_physical(model, grid, n_list, windows, kind, steps=steps)
-        levels, failures, near_misses = _eigenvalue_sign_search(
-            model, grid, n_list, windows, kind, steps)
+        with monkeypatch.context() as patch:
+            patch.setattr(fixedpoint_module, "_window_signs", _eigenvalue_signs)
+            reference = collect_physical(model, grid, n_list, windows, kind, steps=steps)
+        levels = [(lv.multi_index, lv.energy) for lv in reference.levels]
+        failures = [(f.branch_index, f.window, f.error) for f in reference.failures]
+        near_misses = [d.near_miss for d in reference.diagnostics]
         assert [(lv.multi_index, lv.energy) for lv in result.levels] == levels
         assert [(f.branch_index, f.window, f.error) for f in result.failures] == failures
         assert [d.near_miss for d in result.diagnostics] == near_misses
@@ -503,26 +523,23 @@ def test_bisection_makes_no_solves(solves):
     assert (sum(d.bisection_steps for d in fine.diagnostics)
             > sum(d.bisection_steps for d in coarse.diagnostics))
     assert len(solves) == 2 * used
-    branch = trace_branch(HOQuadratic(1.0, 0.0), GRID, 0, 0.5, 4.0, steps=32)
-    del solves[:]
-    assert len(solve_fixed_points(branch, refine_tol=1e-12)) == 1
-    assert solves == []
 
 
 def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkeypatch,
                                                                           solves):
     model, window, steps = HOQuadratic(1.0, 0.0), (0.5, 4.0), 32
-    branch = trace_branch(model, GRID, 0, *window, steps=steps)
-    (k,) = np.flatnonzero(np.diff(np.sign(branch.e_values - branch.z_samples)))
+    (honest,) = collect_physical(model, GRID, [0], [window], steps=steps).levels
+    z_samples = np.linspace(*window, steps)
+    k = int(np.searchsorted(z_samples, honest.energy)) - 1
     # the count at the sample after the bracket end claims f > 0 where the
     # eigenvalue has f < 0: the count brackets two roots that do not exist
-    liar = float(branch.z_samples[k + 2])
+    liar = float(z_samples[k + 2])
+    assert _eigenvalues("schrodinger", GRID, model, liar)[0] < liar
     count = fixedpoint_module.count_below
     monkeypatch.setattr(fixedpoint_module, "count_below",
                         lambda T, s: count(T, s) - (s == liar))
     del solves[:]
     result = collect_physical(model, GRID, [0], [window], steps=steps)
-    (root,) = solve_fixed_points(branch)
-    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), root.z)]
+    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), honest.energy)]
     assert len(solves) == steps
 

@@ -9,7 +9,7 @@ from edspec.errors import (
     SingularMetric,
 )
 from edspec.evolution import assemble_fv
-from edspec.fixedpoint import trace_branch
+from edspec.fixedpoint import collect_physical
 from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
@@ -198,7 +198,7 @@ def test_bands_of_complex_mass_are_not_real_symmetric():
     np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
     np.testing.assert_array_equal(H, H.T)
     with pytest.raises(ValueError, match="trace_branch_family"):
-        trace_branch(model, grid, 0, 0.0, 1.0, steps=4, kind="kleingordon")
+        collect_physical(model, grid, [0], [(0.0, 1.0)], "kleingordon", steps=4)
     with pytest.raises(DegenerateMass):
         build_problem("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
     with pytest.raises(EvaluationFailure):
