@@ -1,8 +1,9 @@
 """Strict INI-style run configuration.
 
-One section per pipeline stage; unknown sections or keys, and [model] keys
-that the chosen model kind does not read, are errors rather than warnings,
-since a silently ignored typo can corrupt a physics run.
+One section per pipeline stage; unknown sections or keys, [model] keys that
+the chosen model kind does not read and [evolve] keys that the chosen
+initial state does not read are errors rather than warnings, since a
+silently ignored typo can corrupt a physics run.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ class ConfigError(Exception):
 
 #: The [model] keys each model kind reads, besides ``kind``.
 _MODEL_KEYS = {"constant": ("m",), "hoquadratic": ("A", "E0")}
+#: The [evolve] keys each initial state reads, besides the common ones.
+_STATE_KEYS = {"gaussian": ("center", "width", "momentum"), "eigenstate": ("index",)}
+_EVOLVE_KEYS = ("t_final", "steps", "metric", "state")
 
 _SCHEMA = {
     "model": {"kind", *(key for keys in _MODEL_KEYS.values() for key in keys)},
@@ -31,8 +35,7 @@ _SCHEMA = {
     "problem": {"kind"},
     "spectrum": {"z"},
     "fixedpoint": {"branches", "windows", "steps", "refine_tol"},
-    "evolve": {"t_final", "steps", "metric", "state", "center", "width",
-               "momentum", "index"},
+    "evolve": {*_EVOLVE_KEYS, *(key for keys in _STATE_KEYS.values() for key in keys)},
     "output": {"dump_matrices"},
     "validate": {"grid_sizes"},
 }
@@ -212,8 +215,12 @@ def load_config(path: str | Path) -> RunConfig:
         if metric not in BLOCK_METRICS:
             raise ConfigError(f"unknown evolve metric {metric!r}")
         state = _get(parser, "evolve", "state", str, default="gaussian").strip().lower()
-        if state not in ("gaussian", "eigenstate"):
+        if state not in _STATE_KEYS:
             raise ConfigError(f"unknown evolve state {state!r}")
+        for key in parser.options("evolve"):
+            if key not in _EVOLVE_KEYS and key not in _STATE_KEYS[state]:
+                raise ConfigError(f"key '{key}' in section [evolve] is not read by "
+                                  f"state = {state}")
         steps = _get(parser, "evolve", "steps", int, required=True)
         if steps < 0:
             raise ConfigError(f"evolve steps must be >= 0, got {steps}")

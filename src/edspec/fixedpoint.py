@@ -12,11 +12,12 @@ Each kind of family has one search tool.
   H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
   factorization are negative (``count_below``, O(N)).  A window is sampled
   once for all branches and takes one such count per sample, which signs
-  every branch at once; bisection counts pivots too.  A sample's O(N^2)
-  tridiagonal eigenvalue solve (``eigvalsh_bands``) is made at most once,
-  and only where a report needs the value: at the ends of a sign change and
-  on a window where some branch changes sign nowhere (its near miss).  Each
-  level's ket comes from one tridiagonal eigensolve (``eigh_bands``) at the
+  every branch at once; bisection counts pivots too.  The one eigenvalue
+  E_n(z_k) of a (sample, branch) pair is solved at most once, by
+  index-selective bisection (``eigpair_bands``), and only where a report
+  needs the value: at the ends of a sign change and on a window where the
+  branch changes sign nowhere (its near miss).  Each level's ket comes from
+  one selective eigenpair solve (bisection, then inverse iteration) at the
   root.  A complex mass-squared raises ValueError.
 * ``trace_branch_family`` and ``solve_fixed_points`` label branches by
   eigenvector overlap, for an arbitrary matrix family such as
@@ -39,7 +40,7 @@ import numpy as np
 from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
 from .frozen_spectrum import FrozenDecomposition, decompose
 from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
-from .tridiagonal import eigh_bands, eigvalsh_bands
+from .tridiagonal import eigpair_bands
 
 #: Minimal admissible continuation overlap between consecutive samples.
 OVERLAP_FLOOR = 0.7
@@ -212,14 +213,14 @@ def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
 class _SampledWindow:
     """Bands of H(z) at the samples of one window, shared by its branches.
 
-    The inertia count of a sample is taken once for all branches, and its
-    eigenvalues are solved when first asked for, then kept.
+    The inertia count of a sample is taken once for all branches, and the
+    eigenvalue E_n of a sample is solved when first asked for, then kept.
     """
 
     def __init__(self, bands: BandFamily, z_samples: np.ndarray):
         self.z_samples = z_samples
         self._sample_bands = [bands(float(z)) for z in z_samples]
-        self._spectra: list[np.ndarray | None] = [None] * len(self._sample_bands)
+        self._eigenvalues: dict[tuple[int, int], float] = {}
 
     @property
     def size(self) -> int:
@@ -233,10 +234,10 @@ class _SampledWindow:
 
     def eigenvalue(self, k: int, n: int) -> float:
         """E_n(z_k)."""
-        if self._spectra[k] is None:
+        if (k, n) not in self._eigenvalues:
             T = self._sample_bands[k]
-            self._spectra[k] = eigvalsh_bands(T.diagonal, T.off_diagonal)
-        return self._spectra[k][n]
+            self._eigenvalues[k, n] = eigpair_bands(T.diagonal, T.off_diagonal, n)
+        return self._eigenvalues[k, n]
 
     def e_values(self, n: int) -> np.ndarray:
         return np.array([self.eigenvalue(k, n) for k in range(len(self._sample_bands))])
@@ -387,8 +388,7 @@ def _window_signs(window: _SampledWindow, n: int) -> np.ndarray:
 def _level(bands: BandFamily, n: int, z: float, j: int) -> PhysicalLevel:
     T = bands(z)
     diagonal, off = T.diagonal, T.off_diagonal
-    ket = eigh_bands(diagonal, off)[1][:, n]
-    ket = ket * np.sign(ket[np.argmax(np.abs(ket))])
+    ket = eigpair_bands(diagonal, off, n, vectors=True)[1]
     r = (diagonal - z) * ket
     r[:-1] += off * ket[1:]
     r[1:] += off * ket[:-1]
@@ -408,8 +408,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     family with ``trace_branch_family`` and ``solve_fixed_points``).  Each
     window is sampled once for all branches, with one inertia count per
     sample; each (branch, window) pair is then solved independently, and a
-    sample's eigenvalues are solved at most once, where a sign change ends
-    or a branch changes sign nowhere.  Solver failures are recorded per pair
+    sample's eigenvalue E_n is solved at most once, where a sign change of
+    branch n ends or the branch changes sign nowhere.  Solver failures are recorded per pair
     and the remaining levels are returned, and every solved pair leaves a
     ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are one level when they lie within

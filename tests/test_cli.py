@@ -473,9 +473,14 @@ def test_evolve_zero_steps(tmp_path):
     assert len(lines) == 2
 
 
+def _eigenstate(index):
+    """EVOLVE_BASE with the generator eigenstate ``index`` for its initial state."""
+    body = EVOLVE_BASE.replace("state = gaussian", f"state = eigenstate\n    index = {index}")
+    return body.replace("    width = 1.2\n    momentum = 1.5\n", "")
+
+
 def test_evolve_eigenstate(tmp_path):
-    cfg = write_config(tmp_path, EVOLVE_BASE.replace(
-        "state = gaussian", "state = eigenstate\n    index = 2"))
+    cfg = write_config(tmp_path, _eigenstate(2))
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     report = load_json(tmp_path / "evolve.json")
     assert report["flag"] == "PASS"
@@ -510,8 +515,7 @@ def test_evolve_index_rejected_at_load(tmp_path, capsys, monkeypatch, index):
 
     for module in (edspec.cli, edspec.evolution):
         monkeypatch.setattr(module, "decompose", no_solve)
-    cfg = write_config(tmp_path, EVOLVE_BASE.replace(
-        "state = gaussian", f"state = eigenstate\n    index = {index}"))
+    cfg = write_config(tmp_path, _eigenstate(index))
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "config error:" in err and "index" in err
@@ -532,11 +536,24 @@ def test_evolve_eigenstate_decomposes_h_once(tmp_path, monkeypatch):
 
     for module in (edspec.cli, edspec.evolution):
         monkeypatch.setattr(module, "decompose", counting)
-    cfg = write_config(tmp_path, EVOLVE_BASE.replace(
-        "state = gaussian", "state = eigenstate\n    index = 79"))
+    cfg = write_config(tmp_path, _eigenstate(79))
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert load_json(tmp_path / "evolve.json")["flag"] == "PASS"
     assert sizes == [40]
+
+
+@pytest.mark.parametrize("body, key", [
+    (_eigenstate(2).replace("index = 2", "index = 2\n    center = 99.0"), "center"),
+    (_eigenstate(2).replace("index = 2", "index = 2\n    width = 7.0"), "width"),
+    (_eigenstate(2).replace("index = 2", "index = 2\n    momentum = 5.0"), "momentum"),
+    (EVOLVE_BASE.replace("momentum = 1.5", "momentum = 1.5\n    index = 3"), "index"),
+], ids=["eigenstate-center", "eigenstate-width", "eigenstate-momentum", "gaussian-index"])
+def test_evolve_key_of_another_state_rejected(tmp_path, capsys, body, key):
+    cfg = write_config(tmp_path, body)
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and f"'{key}'" in err
+    assert not (tmp_path / "evolve.json").exists()
 
 
 @pytest.mark.parametrize("command, body", [

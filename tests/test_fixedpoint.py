@@ -20,6 +20,7 @@ from edspec.operators import (
     Tridiagonal,
     build_problem,
 )
+from edspec.tridiagonal import eigpair_bands
 
 
 GRID = Grid(-10.0, 10.0, 120)
@@ -409,10 +410,12 @@ def test_failures_and_diagnostics_keep_branch_window_order():
 def test_root_on_shared_window_endpoint_counts_once():
     # H does not depend on z for a constant mass, so the branch-1 root is its
     # eigenvalue E1, sampled exactly as the end of one window and the start
-    # of the next
+    # of the next; E1 is the value the search's solver returns, so that the
+    # sample is a root to the last bit
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
-    e1 = float(_eigenvalues("schrodinger", grid, model, 0.0)[1])
+    T = build_problem("schrodinger", grid, model, 0.0)
+    e1 = eigpair_bands(T.diagonal, T.off_diagonal, 1)
     result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
     assert not result.failures
     assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((1, 0), e1)]
@@ -478,17 +481,25 @@ def test_count_signs_match_eigenvalue_signs(monkeypatch):
     assert all(count > 5 for count in seen.values()), seen
 
 
+class _Solves(list):
+    """(bands, branch) of each eigenvalue solve; ``kets`` those of the eigenpair solves."""
+
+    def __init__(self):
+        super().__init__()
+        self.kets = []
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Bands handed to the level search's tridiagonal eigenvalue solver."""
-    calls = []
-    solve = fixedpoint_module.eigvalsh_bands
+    """The level search's tridiagonal solves, counted per (bands, branch)."""
+    calls = _Solves()
+    solve = fixedpoint_module.eigpair_bands
 
-    def counted(d, e):
-        calls.append(d)
-        return solve(d, e)
+    def counted(d, e, n, vectors=False):
+        (calls.kets if vectors else calls).append((d, n))
+        return solve(d, e, n, vectors)
 
-    monkeypatch.setattr(fixedpoint_module, "eigvalsh_bands", counted)
+    monkeypatch.setattr(fixedpoint_module, "eigpair_bands", counted)
     return calls
 
 
@@ -502,6 +513,8 @@ def test_bracketing_window_solves_at_most_bracket_ends(solves, model, n_list, wi
     assert len(result.levels) == brackets
     assert all(d.near_miss is None for d in result.diagnostics)
     assert 0 < len(solves) <= 2 * brackets
+    # one ket per level, each solved for its own branch
+    assert [n for _, n in solves.kets] == [lv.multi_index[0] for lv in result.levels]
 
 
 @pytest.mark.parametrize("n_list", [[0], [0, 1, 2, 3]])
@@ -510,9 +523,11 @@ def test_root_free_window_solves_each_sample_once(solves, n_list):
     result = collect_physical(HOQuadratic(1.0, 0.0), GRID, n_list, [(0.2, 0.9)], steps=16)
     assert not result.levels and not result.failures
     assert all(d.near_miss > 0.0 for d in result.diagnostics)
-    # sixteen solves, each of a different sample's bands
-    assert len(solves) == 16
-    assert len({id(d) for d in solves}) == 16
+    # sixteen solves per branch, each of a different (sample, branch) pair
+    assert len(solves) == 16 * len(n_list)
+    assert len({(id(d), n) for d, n in solves}) == 16 * len(n_list)
+    assert len({id(d) for d, _ in solves}) == 16
+    assert not solves.kets
 
 
 def test_bisection_makes_no_solves(solves):
