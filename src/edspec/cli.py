@@ -18,7 +18,7 @@ from . import __version__
 from . import closed_form as cf
 from .config import ConfigError, RunConfig, load_config, require
 from .errors import SolverError
-from .evolution import FVState, FVSystem, assemble_fv, conservation_report, eigenstate, evolve
+from .evolution import assemble_fv, conservation_report, eigenstate, evolve, gaussian_state
 from .fixedpoint import CollectResult, collect_physical
 from .frozen_spectrum import classify_spectrum, decompose
 from .operators import HOQuadratic, build_problem
@@ -32,7 +32,7 @@ from .physical_basis import (
     projector_residual,
 )
 from .serialize import write_csv, write_json, write_matrix
-from .validate import gaussian_state, run_all
+from .validate import run_all
 
 
 def _report_header(cfg: RunConfig) -> dict:
@@ -175,13 +175,6 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def _initial_state(cfg: RunConfig, system: FVSystem) -> FVState:
-    spec = cfg.evolve
-    if spec.state == "gaussian":
-        return gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
-    return eigenstate(system, spec.index)
-
-
 def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
     require(cfg, "model", "a [model] section")
     require(cfg, "grid", "a [grid] section")
@@ -191,13 +184,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
             f"evolve needs [problem] kind = kleingordon, got {cfg.problem_kind!r}")
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
     system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
-    state = _initial_state(cfg, system)
-    trajectory = evolve(system, state, cfg.evolve.t_final, cfg.evolve.steps)
-    report_data = conservation_report(trajectory, cfg.evolve.metric, system)
-    rows = [
-        [s.t, float(value), float(np.linalg.norm(s.stacked()) ** 2)]
-        for s, value in zip(trajectory, report_data.pseudo_norms)
-    ]
+    spec = cfg.evolve
+    state = (gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
+             if spec.state == "gaussian" else eigenstate(system, spec.index))
+    trajectory = evolve(system, state, spec.t_final, spec.steps)
+    report_data = conservation_report(trajectory, spec.metric, system)
+    rows = np.column_stack([trajectory.t, report_data.pseudo_norms,
+                            report_data.euclidean_norms]).tolist()
     write_csv(out_dir / "trajectory.csv", ["t", "pseudo_norm", "euclidean_norm"], rows)
     report = _report_header(cfg)
     report.update({
@@ -207,9 +200,9 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
         "spectrum_real": report_data.spectrum_real,
         "metric_intertwines": report_data.metric_intertwines,
         "intertwine_residual": report_data.intertwine_residual,
-        "metric": cfg.evolve.metric,
-        "steps": cfg.evolve.steps,
-        "t_final": cfg.evolve.t_final,
+        "metric": spec.metric,
+        "steps": spec.steps,
+        "t_final": spec.t_final,
         "z": z,
     })
     write_json(out_dir / "evolve.json", report)

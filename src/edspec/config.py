@@ -98,16 +98,20 @@ def _bool(raw: str) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _entries(raw: str) -> list[str]:
+    tokens = [tok.strip() for tok in raw.split(",")] if raw.strip() else []
+    if not all(tokens):
+        raise ValueError("a comma-separated list has an empty entry")
+    return tokens
+
+
 def _int_list(raw: str) -> list[int]:
-    return [int(tok) for tok in raw.split(",") if tok.strip()]
+    return [int(tok) for tok in _entries(raw)]
 
 
 def _windows(raw: str) -> list[tuple[float, float]]:
     out = []
-    for tok in raw.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
+    for tok in _entries(raw):
         lo, sep, hi = tok.partition(":")
         if not sep:
             raise ValueError(f"window {tok!r} is not of the form lo:hi")

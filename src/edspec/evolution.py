@@ -5,7 +5,8 @@ i d/dt (phi1, phi2) = h_sr (phi1, phi2), (phi1, phi2) = (i d/dt psi, psi),
 with generator h_sr = [[0, H], [I, 0]]; a pseudo-metric eta of the inner
 block lifts to the block form [[0, eta], [eta, 0]].  ``FVSystem`` keeps only
 the N x N blocks H and eta, and assembles the 2N x 2N forms only on request,
-as dense references.
+as dense references.  ``FVState`` holds states as rows, one per time; a
+trajectory is one of them, and ``eigenstate`` and ``gaussian_state`` give one row.
 
 The system is propagated exactly through one bi-orthogonal decomposition of
 H (``FVSystem.modes``), never through the 2N x 2N generator.  An eigenpair
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianMetric, SingularMetric
 from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, decompose, reality_mask
-from .operators import OperatorMatrix, Tridiagonal
+from .operators import Grid, OperatorMatrix, Tridiagonal
 
 #: Relative pseudo-norm drift accepted as conservation.
 DRIFT_TOLERANCE = 1e-8
@@ -50,20 +51,23 @@ BLOCK_METRICS = ("swap", "identity")
 
 @dataclass(frozen=True)
 class FVState:
-    """Two-component state (phi1, phi2) = (i d/dt psi, psi) at time t."""
+    """Two-component states (phi1, phi2) = (i d/dt psi, psi): ``t`` has shape (k,),
+    ``phi1`` and ``phi2`` shape (k, N), k >= 1, and row j is the state at ``t[j]``."""
 
+    t: np.ndarray
     phi1: np.ndarray
     phi2: np.ndarray
-    t: float
 
     def __post_init__(self):
-        if self.phi1.shape != self.phi2.shape or self.phi1.ndim != 1:
-            raise ValueError("phi1 and phi2 must be 1-d arrays of equal length")
+        shape = self.phi1.shape
+        if (self.phi2.shape != shape or len(shape) != 2 or shape[0] < 1
+                or np.shape(self.t) != shape[:1]):
+            raise ValueError("phi1, phi2 must be equal (k, N) arrays, k >= 1, and t of shape (k,)")
         if not (np.all(np.isfinite(self.phi1)) and np.all(np.isfinite(self.phi2))):
             raise ValueError("state entries must be finite")
 
-    def stacked(self) -> np.ndarray:
-        return np.concatenate([self.phi1, self.phi2])
+    def __len__(self) -> int:
+        return len(self.t)
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,14 @@ def assemble_fv(H: OperatorMatrix | Tridiagonal, eta: OperatorMatrix | None = No
     return FVSystem(H=H, eta=eta)
 
 
+def _check_dimension(state: FVState, system: FVSystem) -> None:
+    if state.phi1.shape[1] != system.base_dimension:
+        raise DimensionMismatch(f"state dimension {state.phi1.shape[1]} does not match "
+                                f"system base {system.base_dimension}")
+
+
 def eigenstate(system: FVSystem, index: int) -> FVState:
-    """Generator eigenstate ``index``, ordered and phased as ``decompose(h_sr)``.
+    """Generator eigenstate ``index`` at t = 0, ordered and phased as ``decompose(h_sr)``.
 
     Eigenvalues ascend by (Re, Im); for a positive spectrum of H, index k < N
     is -sqrt(lambda_{N-1-k}) and k >= N is +sqrt(lambda_{k-N}).  The state is
@@ -191,56 +201,49 @@ def eigenstate(system: FVSystem, index: int) -> FVState:
     k = np.lexsort((energies.imag, energies.real))[index]
     psi = modes.kets[:, k % n]
     ket = _fix_phases(np.concatenate([energies[k] * psi, psi])[:, None])[:, 0]
-    return FVState(phi1=ket[:n], phi2=ket[n:], t=0.0)
+    return FVState(t=np.zeros(1), phi1=ket[None, :n], phi2=ket[None, n:])
 
 
-def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> list[FVState]:
-    """Exact spectral propagation, returning steps+1 states including t = 0.
+def gaussian_state(grid: Grid, center: float, width: float, momentum: float) -> FVState:
+    """Both components loaded with the same normalized gaussian profile, at t = 0."""
+    x = grid.points()
+    profile = np.exp(-0.5 * ((x - center) / width) ** 2 + 1j * momentum * x)
+    profile = profile / np.linalg.norm(profile)
+    return FVState(t=np.zeros(1), phi1=profile[None].copy(), phi2=profile[None].copy())
 
-    Complex eigenvalues of the generator are allowed (a warning is issued and
-    norms may grow); a degenerate generator spectrum raises.
+
+def _rows(start: np.ndarray, coefficients: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    rows = np.empty((len(coefficients) + 1, len(start)), np.result_type(coefficients, kets))
+    rows[0] = start
+    np.matmul(coefficients, kets.T, out=rows[1:])
+    return rows
+
+
+def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVState:
+    """Exact spectral propagation of the last row of ``state`` over the duration ``t_final``.
+
+    Returns steps+1 rows: row 0 is that start row, bit for bit, and row j sits
+    at ``state.t[-1] + t_final * j / steps``.  Complex eigenvalues of the
+    generator are allowed (a warning is issued and norms may grow); a
+    degenerate generator spectrum raises.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    n = system.base_dimension
-    if state.phi1.shape[0] != n:
-        raise DimensionMismatch(
-            f"state dimension {state.phi1.shape[0]} does not match system base {n}"
-        )
+    _check_dimension(state, system)
     modes = system.modes
     if not modes.spectrum_real:
-        warnings.warn(
-            "generator spectrum is not entirely real; evolution proceeds but "
-            "norms may grow",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn("generator spectrum is not entirely real; evolution proceeds but "
+                      "norms may grow", RuntimeWarning, stacklevel=2)
     omega = modes.frequencies
-    c1 = modes.bras.conj().T @ state.phi1
-    c2 = modes.bras.conj().T @ state.phi2
+    c1 = modes.bras.conj().T @ state.phi1[-1]
+    c2 = modes.bras.conj().T @ state.phi2[-1]
     times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
     phase = np.outer(times, omega)
-    cos, sin = np.cos(phase), np.sin(phase)
-    # one row per time sample; mapped back with one product per component
-    phi1 = (c1 * cos - 1j * (omega * c2) * sin) @ modes.kets.T
-    phi2 = (c2 * cos - 1j * (c1 / omega) * sin) @ modes.kets.T
-    return [state] + [FVState(phi1=p1, phi2=p2, t=float(t))
-                      for p1, p2, t in zip(phi1, phi2, times)]
-
-
-def _pseudo_norms(trajectory: list[FVState], metric: str, system: FVSystem) -> np.ndarray:
-    """<Phi|M|Phi> of every state, for the block metric M named by ``metric``."""
-    phi1 = np.array([s.phi1 for s in trajectory])
-    phi2 = np.array([s.phi2 for s in trajectory])
-    if phi1.shape[1] != system.base_dimension:
-        raise DimensionMismatch(
-            f"state dimension {phi1.shape[1]} does not match system base "
-            f"{system.base_dimension}"
-        )
-    if metric == "identity":
-        return (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
-    eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
-    return 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
+    cos, sin = np.cos(phase), np.sin(phase, out=phase)
+    # one row per time sample; one component's coefficients are freed before the next's
+    phi1 = _rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin, modes.kets)
+    phi2 = _rows(state.phi2[-1], c2 * cos - 1j * (c1 / omega) * sin, modes.kets)
+    return FVState(t=np.concatenate([state.t[-1:], state.t[-1] + times]), phi1=phi1, phi2=phi2)
 
 
 def _intertwine_residual(metric: str, system: FVSystem) -> float:
@@ -269,6 +272,7 @@ class ConservationReport:
     """Pseudo-norm drift along a trajectory, with the metric's credentials."""
 
     pseudo_norms: np.ndarray
+    euclidean_norms: np.ndarray       # ||Phi(t)||^2 of every row
     drift: float                      # max |pn(t) - pn(0)| / max(|pn(0)|, floor)
     passed: bool
     degenerate_norm: bool
@@ -277,18 +281,24 @@ class ConservationReport:
     metric_intertwines: bool
 
 
-def conservation_report(trajectory: list[FVState], metric: str,
+def conservation_report(trajectory: FVState, metric: str,
                         system: FVSystem) -> ConservationReport:
-    """Maximal relative pseudo-norm drift over a non-empty trajectory.
+    """Maximal relative drift of the pseudo-norm <Phi|M|Phi> over the rows of ``trajectory``.
 
-    ``metric`` is one of ``BLOCK_METRICS``, evaluated from the N x N blocks
-    of ``system``.  PASS means drift within 1e-8, a real generator spectrum
+    ``metric`` names the block metric M, one of ``BLOCK_METRICS``, evaluated
+    from the N x N blocks of ``system``.  PASS means drift within 1e-8, a real generator spectrum
     (read from ``system.modes``) and a metric that intertwines the generator
     (relative residual within 1e-10).
     """
     if metric not in BLOCK_METRICS:
         raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
-    values = _pseudo_norms(trajectory, metric, system)
+    _check_dimension(trajectory, system)
+    phi1, phi2 = trajectory.phi1, trajectory.phi2
+    if metric == "identity":
+        values = (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
+    else:
+        eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
+        values = 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
     base = float(abs(values[0]))
     degenerate = base < NORM_FLOOR
     if degenerate and np.all(np.abs(values) < NORM_FLOOR):
@@ -300,6 +310,8 @@ def conservation_report(trajectory: list[FVState], metric: str,
     intertwines = residual <= INTERTWINE_TOLERANCE
     return ConservationReport(
         pseudo_norms=values,
+        euclidean_norms=np.array([np.linalg.norm(np.concatenate([p1, p2])) ** 2
+                                  for p1, p2 in zip(phi1, phi2)]),
         drift=drift,
         passed=drift <= DRIFT_TOLERANCE and spectrum_real and intertwines,
         degenerate_norm=degenerate,

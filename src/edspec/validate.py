@@ -13,7 +13,7 @@ import numpy as np
 
 from . import closed_form as cf
 from . import errors
-from .evolution import FVState, assemble_fv, conservation_report, evolve
+from .evolution import assemble_fv, conservation_report, evolve, gaussian_state
 from .fixedpoint import PhysicalLevel, collect_physical
 from .frozen_spectrum import decompose, eta_from_decomposition
 from .operators import ConstantMass, Grid, HOQuadratic, build_problem
@@ -306,23 +306,14 @@ def criterion_fv_square_law(seed: int = 0) -> CriterionResult:
     )
 
 
-def gaussian_state(grid: Grid, center: float, width: float, momentum: float) -> FVState:
-    """Both components loaded with the same normalized gaussian profile."""
-    x = grid.points()
-    profile = np.exp(-0.5 * ((x - center) / width) ** 2 + 1j * momentum * x)
-    profile = profile / np.linalg.norm(profile)
-    return FVState(phi1=profile.copy(), phi2=profile.copy(), t=0.0)
-
-
 def criterion_pseudo_unitarity() -> CriterionResult:
     """7. The swap metric conserves the pseudo-norm where the Euclidean norm
     visibly oscillates."""
     grid = Grid(BOX[0], BOX[1], 120)
     system = assemble_fv(build_problem("kleingordon", grid, ConstantMass(1.0), 0.0))
     state = gaussian_state(grid, center=0.0, width=1.5, momentum=2.0)
-    trajectory = evolve(system, state, t_final=10.0, steps=200)
-    report = conservation_report(trajectory, "swap", system)
-    euclid = np.array([np.linalg.norm(s.stacked()) ** 2 for s in trajectory])
+    report = conservation_report(evolve(system, state, t_final=10.0, steps=200), "swap", system)
+    euclid = report.euclidean_norms
     euclid_variation = float(np.abs(euclid - euclid[0]).max() / euclid[0])
     passed = report.passed and report.drift <= 1e-8 and euclid_variation > 1e-3
     return CriterionResult(

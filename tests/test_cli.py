@@ -300,8 +300,11 @@ def test_fixedpoint_imports_no_scipy(tmp_path):
     ("steps = 32", "steps = 32\n    overlap_floor = 0"),
     ("branches = 0", "branches = 0, 0"),
     ("windows = 3.1:6.0", "windows = 3.1:6.0, 3.10:6"),
+    ("branches = 0", "branches = 0,,1,"),
+    ("windows = 3.1:6.0", "windows = 3.1:6.0,,"),
 ], ids=["reversed-window", "empty-window", "negative-branch", "branch-past-grid",
-        "floor-above-one", "floor-zero", "duplicate-branch", "duplicate-window"])
+        "floor-above-one", "floor-zero", "duplicate-branch", "duplicate-window",
+        "blank-branch-entry", "blank-window-entry"])
 def test_fixedpoint_bad_input_rejected_at_load(tmp_path, capsys, old, new):
     cfg = write_config(tmp_path, HO_FIXEDPOINT.replace(old, new))
     assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
@@ -605,6 +608,16 @@ def test_validate_duplicate_grid_sizes_rejected_at_load(tmp_path, capsys):
     cfg = write_config(tmp_path, """
         [validate]
         grid_sizes = 60, 60
+    """)
+    assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "validation.json").exists()
+
+
+def test_validate_blank_grid_size_entry_rejected_at_load(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+        [validate]
+        grid_sizes = 20,,40
     """)
     assert main(["validate", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
     assert "config error:" in capsys.readouterr().err

@@ -11,6 +11,7 @@ from edspec.evolution import (
     conservation_report,
     eigenstate,
     evolve,
+    gaussian_state,
 )
 from edspec.frozen_spectrum import decompose
 from edspec.operators import (
@@ -19,7 +20,17 @@ from edspec.operators import (
     Grid,
     build_problem,
 )
-from edspec.validate import criterion_pseudo_unitarity, gaussian_state, pseudo_hermitian_pair
+from edspec.validate import criterion_pseudo_unitarity, pseudo_hermitian_pair
+
+
+def _state(phi1, phi2):
+    """One-row state at t = 0."""
+    return FVState(t=np.zeros(1), phi1=np.array([phi1]), phi2=np.array([phi2]))
+
+
+def _row(states, j):
+    """Row j as the stacked 2N vector (phi1, phi2)."""
+    return np.concatenate([states.phi1[j], states.phi2[j]])
 
 
 def _hermitian_system(n_points=40):
@@ -34,42 +45,64 @@ def test_eigenstate_picks_up_a_phase():
     n = system.base_dimension
     ket = dec.right_kets[:, 3]
     energy = dec.eigenvalues[3].real
-    state = FVState(phi1=ket[:n], phi2=ket[n:], t=0.0)
+    state = _state(ket[:n], ket[n:])
     trajectory = evolve(system, state, t_final=2.0, steps=4)
     expected = np.exp(-1j * energy * 2.0) * ket
-    np.testing.assert_allclose(trajectory[-1].stacked(), expected, atol=1e-8)
+    np.testing.assert_allclose(_row(trajectory, -1), expected, atol=1e-8)
 
 
 def test_single_site_analytic_solution():
     # h = [[0, 4], [1, 0]]: phi2(t) = a e^{-2it} + b e^{+2it} with
     # a = (phi2(0) + phi1(0)/2)/2, b = (phi2(0) - phi1(0)/2)/2
     system = assemble_fv(np.array([[4.0]]))
-    state = FVState(phi1=np.array([1.0 + 0.0j]), phi2=np.array([1.0 + 0.0j]), t=0.0)
+    state = _state([1.0 + 0.0j], [1.0 + 0.0j])
     trajectory = evolve(system, state, t_final=1.0, steps=10)
     a, b = 0.75, 0.25
-    for s in trajectory:
-        phi2 = a * np.exp(-2j * s.t) + b * np.exp(2j * s.t)
-        phi1 = 2 * a * np.exp(-2j * s.t) - 2 * b * np.exp(2j * s.t)
-        assert s.phi2[0] == pytest.approx(phi2, abs=1e-10)
-        assert s.phi1[0] == pytest.approx(phi1, abs=1e-10)
+    for t, row1, row2 in zip(trajectory.t, trajectory.phi1, trajectory.phi2):
+        phi2 = a * np.exp(-2j * t) + b * np.exp(2j * t)
+        phi1 = 2 * a * np.exp(-2j * t) - 2 * b * np.exp(2j * t)
+        assert row2[0] == pytest.approx(phi2, abs=1e-10)
+        assert row1[0] == pytest.approx(phi1, abs=1e-10)
 
 
 def test_zero_time_returns_initial_state():
     _, system = _hermitian_system()
     n = system.base_dimension
-    state = FVState(phi1=np.zeros(n, complex), phi2=np.ones(n, complex), t=0.0)
+    state = _state(np.zeros(n, complex), np.ones(n, complex))
     trajectory = evolve(system, state, t_final=0.0, steps=0)
     assert len(trajectory) == 1
-    assert trajectory[0] is state
+    for field in ("t", "phi1", "phi2"):
+        assert getattr(trajectory, field).tobytes() == getattr(state, field).tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 7])
+def test_trajectory_has_a_row_per_step_and_starts_at_the_state(steps):
+    grid, system = _hermitian_system()
+    state = gaussian_state(grid, center=0.5, width=1.0, momentum=1.0)
+    trajectory = evolve(system, state, t_final=2.0, steps=steps)
+    assert len(trajectory) == steps + 1
+    assert trajectory.phi1.shape == trajectory.phi2.shape == (steps + 1, grid.n_points)
+    assert trajectory.t[0] == state.t[0]
+    assert trajectory.phi1[0].tobytes() == state.phi1[0].tobytes()
+    assert trajectory.phi2[0].tobytes() == state.phi2[0].tobytes()
+
+
+def test_evolve_continues_the_clock():
+    # t_final is a duration: a state at t = 1 evolved for 2 in 2 steps sits at 1, 2, 3
+    grid, system = _hermitian_system()
+    start = evolve(system, gaussian_state(grid, center=0.5, width=1.0, momentum=1.0),
+                   t_final=1.0, steps=1)
+    assert start.t.tolist() == [0.0, 1.0]
+    assert evolve(system, start, t_final=2.0, steps=2).t.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_group_property():
     grid, system = _hermitian_system()
     state = gaussian_state(grid, center=0.5, width=1.0, momentum=1.0)
-    direct = evolve(system, state, t_final=3.0, steps=3)[-1]
-    partway = evolve(system, state, t_final=1.0, steps=1)[-1]
-    resumed = evolve(system, partway, t_final=2.0, steps=2)[-1]
-    np.testing.assert_allclose(resumed.stacked(), direct.stacked(), atol=1e-8)
+    direct = evolve(system, state, t_final=3.0, steps=3)
+    partway = evolve(system, state, t_final=1.0, steps=1)
+    resumed = evolve(system, partway, t_final=2.0, steps=2)
+    np.testing.assert_allclose(_row(resumed, -1), _row(direct, -1), atol=1e-8)
 
 
 @pytest.mark.parametrize("phi1, phi2", [
@@ -79,7 +112,22 @@ def test_group_property():
 ], ids=["nan-imag", "inf-imag", "nan-real"])
 def test_state_rejects_non_finite_entries(phi1, phi2):
     with pytest.raises(ValueError, match="finite"):
-        FVState(phi1=np.array(phi1, complex), phi2=np.array(phi2, complex), t=0.0)
+        _state(np.array(phi1, complex), np.array(phi2, complex))
+
+
+@pytest.mark.parametrize("t, phi1, phi2", [
+    (np.zeros(2), np.ones((3, 2)), np.ones((3, 2))),
+    (np.zeros(1), np.ones(2), np.ones(2)),
+    (0.0, np.ones(2), np.ones(2)),
+    (np.zeros(1), np.ones((1, 2)), np.ones((1, 3))),
+    (np.zeros(2), np.ones((2, 2)), np.ones((1, 2))),
+    (np.zeros(0), np.ones((0, 2)), np.ones((0, 2))),
+], ids=["rows-of-t-and-phi", "one-d-phi", "scalar-t-one-d-phi", "columns-of-phi1-and-phi2",
+        "rows-of-phi1-and-phi2", "no-rows"])
+def test_state_rejects_inconsistent_shapes(t, phi1, phi2):
+    with pytest.raises(ValueError, match=r"\(k, N\) arrays"):
+        FVState(t=t, phi1=phi1, phi2=phi2)
+
 
 def test_complex_spectrum_warns_but_proceeds():
     grid = Grid(-6.0, 6.0, 16)
@@ -96,7 +144,7 @@ def _expm_trajectory(system, state, t_final, steps):
     from scipy.linalg import expm
 
     h_sr = system.h_sr
-    return [expm(-1j * (t_final * k / steps) * h_sr) @ state.stacked()
+    return [expm(-1j * (t_final * k / steps) * h_sr) @ _row(state, 0)
             for k in range(steps + 1)]
 
 
@@ -115,8 +163,9 @@ def test_trajectory_matches_matrix_exponential(mass_squared):
         trajectory = evolve(system, state, t_final=3.0, steps=6)
     reference = _expm_trajectory(system, state, 3.0, 6)
     scale = max(np.abs(v).max() for v in reference)
-    for s, expected in zip(trajectory, reference):
-        assert np.abs(s.stacked() - expected).max() <= 1e-9 * scale
+    assert len(trajectory) == len(reference)
+    for j, expected in enumerate(reference):
+        assert np.abs(_row(trajectory, j) - expected).max() <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("pick", [lambda n: 0, lambda n: n - 1, lambda n: n,
@@ -130,7 +179,7 @@ def test_eigenstate_matches_generator_decomposition(pick):
     k = pick(system.base_dimension)
     state = eigenstate(system, k)
     expected = decompose(system.h_sr).right_kets[:, k]
-    assert np.abs(state.stacked() - expected).max() <= 1e-12
+    assert np.abs(_row(state, 0) - expected).max() <= 1e-12
 
 
 def test_eigenstate_index_out_of_range():
@@ -143,7 +192,7 @@ def test_eigenstate_index_out_of_range():
 def test_zero_frequency_is_degenerate():
     # lambda = 0 makes h_sr = [[0, 0], [1, 0]], a Jordan block
     system = assemble_fv(np.zeros((1, 1)))
-    state = FVState(phi1=np.array([1.0 + 0.0j]), phi2=np.array([0.0j]), t=0.0)
+    state = _state([1.0 + 0.0j], [0.0j])
     with pytest.raises(DegenerateSpectrum):
         evolve(system, state, t_final=1.0, steps=2)
 
@@ -164,27 +213,29 @@ def test_negative_mass_squared_warns():
 
 def test_identity_metric_is_euclidean():
     v = np.array([1.0, 2.0j])
-    state = FVState(phi1=v[:1], phi2=v[1:], t=0.0)
+    state = _state(v[:1], v[1:])
     system = assemble_fv(np.array([[4.0]]))
-    assert conservation_report([state], "identity", system).pseudo_norms[0] == pytest.approx(5.0)
+    assert conservation_report(state, "identity", system).pseudo_norms[0] == pytest.approx(5.0)
 
 
 def test_swap_metric_signature():
     # no inner eta: the swap metric is [[0, I], [I, 0]]
     v = np.array([1.0 + 1.0j, 0.5])
     system = assemble_fv(np.diag([1.0, 4.0]))
-    plus = FVState(phi1=v, phi2=v, t=0.0)
-    minus = FVState(phi1=v, phi2=-v, t=0.0)
+    plus_and_minus = FVState(t=np.zeros(2), phi1=np.array([v, v]), phi2=np.array([v, -v]))
     norm2 = float(np.linalg.norm(v) ** 2)
-    values = conservation_report([plus, minus], "swap", system).pseudo_norms
+    values = conservation_report(plus_and_minus, "swap", system).pseudo_norms
     assert values[0] == pytest.approx(2.0 * norm2)
     assert values[1] == pytest.approx(-2.0 * norm2)
 
 
 def test_dimension_mismatch():
-    state = FVState(phi1=np.ones(3), phi2=np.ones(3), t=0.0)
+    state = _state(np.ones(3), np.ones(3))
+    system = assemble_fv(np.diag([1.0, 4.0]))
     with pytest.raises(DimensionMismatch):
-        conservation_report([state], "identity", assemble_fv(np.diag([1.0, 4.0]))).pseudo_norms
+        conservation_report(state, "identity", system)
+    with pytest.raises(DimensionMismatch):
+        evolve(system, state, t_final=1.0, steps=2)
 
 
 # ---------------------------------------------------------------- conservation
@@ -210,10 +261,20 @@ def test_wrong_metric_shows_drift():
     assert not report.metric_intertwines
 
 
+def test_euclidean_norms_follow_the_per_state_formula():
+    grid, system = _hermitian_system()
+    state = gaussian_state(grid, center=0.0, width=1.2, momentum=1.5)
+    trajectory = evolve(system, state, t_final=10.0, steps=100)
+    report = conservation_report(trajectory, "swap", system)
+    per_state = [np.linalg.norm(_row(trajectory, j)) ** 2 for j in range(len(trajectory))]
+    assert report.euclidean_norms.tobytes() == np.array(per_state).tobytes()
+    assert np.abs(report.euclidean_norms - 2.0).max() > 1e-3
+
+
 def test_zero_state_has_zero_drift():
     _, system = _hermitian_system(16)
     n = system.base_dimension
-    state = FVState(phi1=np.zeros(n), phi2=np.zeros(n), t=0.0)
+    state = _state(np.zeros(n), np.zeros(n))
     trajectory = evolve(system, state, t_final=1.0, steps=3)
     report = conservation_report(trajectory, "swap", system)
     assert report.drift == 0.0
@@ -241,11 +302,11 @@ def test_block_metric_matches_dense_form(system, metric):
     n = system.base_dimension
     M = system.eta_sr if metric == "swap" else np.eye(2 * n)
     h = system.h_sr
-    states = [FVState(phi1=rng.standard_normal(n) + 1j * rng.standard_normal(n),
-                      phi2=rng.standard_normal(n) + 1j * rng.standard_normal(n), t=0.0)
-              for _ in range(5)]
+    # five states, drawn phi1 then phi2 each
+    draws = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(10)]
+    states = FVState(t=np.zeros(5), phi1=np.array(draws[0::2]), phi2=np.array(draws[1::2]))
     report = conservation_report(states, metric, system)
-    dense = np.array([np.vdot(s.stacked(), M @ s.stacked()).real for s in states])
+    dense = np.array([np.vdot(_row(states, j), M @ _row(states, j)).real for j in range(5)])
     np.testing.assert_allclose(report.pseudo_norms, dense, rtol=1e-12)
     residual = (np.linalg.norm(M @ h - h.conj().T @ M)
                 / (np.linalg.norm(h) * np.linalg.norm(M)))
