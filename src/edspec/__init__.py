@@ -1,12 +1,12 @@
 """Energy-dependent eigenvalue problems via frozen spectra and fixed points.
 
-The pipeline: discretize the energy-dependent operator family H(z), trace its
-real eigenvalue branches E_n(z) (by Sturm index for the real symmetric
-tridiagonal model families, by bi-orthogonal eigenvector overlap for a general
-matrix family), solve the fixed-point constraint z = E_n(z) for the physical
-level set, and build the energy-independent operators K and L together with
-the metrics that make them quasi-Hermitian.  A two-component rearrangement
-with pseudo-unitary evolution covers the second-order-in-time case.
+The pipeline: discretize the energy-dependent operator family H(z), label its
+real eigenvalue branches E_n(z) by Sturm index (H(z) is real symmetric
+tridiagonal for a real mass-squared), solve the fixed-point constraint
+z = E_n(z) for the physical level set, and build the energy-independent
+operators K and L together with the metrics that make them quasi-Hermitian.
+A two-component rearrangement with pseudo-unitary evolution covers the
+second-order-in-time case.
 """
 
 __version__ = "0.1.0"
@@ -22,16 +22,7 @@ from .evolution import (
     eigenstate,
     evolve,
 )
-from .fixedpoint import (
-    CollectResult,
-    EnergyBranch,
-    FixedPointRoot,
-    PhysicalLevel,
-    WindowDiagnostics,
-    collect_physical,
-    solve_fixed_points,
-    trace_branch_family,
-)
+from .fixedpoint import CollectResult, PhysicalLevel, WindowDiagnostics, collect_physical
 from .frozen_spectrum import (
     FrozenDecomposition,
     classify_spectrum,
@@ -73,8 +64,7 @@ __all__ = [
     "SolverError",
     "FVModes", "FVState", "FVSystem", "assemble_fv", "conservation_report",
     "eigenstate", "evolve",
-    "CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
-    "WindowDiagnostics", "collect_physical", "solve_fixed_points", "trace_branch_family",
+    "CollectResult", "PhysicalLevel", "WindowDiagnostics", "collect_physical",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",

@@ -41,14 +41,6 @@ class ComplexSpectrum(SolverError):
     """An operation requiring a real spectrum met complex eigenvalues."""
 
 
-class BranchLost(SolverError):
-    """Eigenvector-overlap continuation fell below the overlap floor."""
-
-
-class ComplexBranch(SolverError):
-    """A tracked eigenvalue branch left the real axis."""
-
-
 class RefinementStall(SolverError):
     """Bisection could not reach the requested tolerance."""
 

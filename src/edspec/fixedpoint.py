@@ -1,49 +1,39 @@
 """Eigenvalue branches E_n(z) and fixed points of z = E_n(z).
 
-Each kind of family has one search tool.
-
-* ``collect_physical`` labels branches by Sturm index.  It takes a
-  discretized model whose ``build_problem`` gives a real symmetric
-  tridiagonal H(z): both stationary forms of the constant and oscillator
-  masses, and the Klein-Gordon form of any real mass-squared.  The
-  off-diagonals are nonzero, so the eigenvalues are simple and E_n(z) is the
-  n-th smallest eigenvalue at every z (Barth, Martin & Wilkinson, Numer.
-  Math. 9, 1967).  The sign of f(z) = E_n(z) - z is the inertia of
-  H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T
-  factorization are negative (``count_below``, O(N)).  A window is sampled
-  once for all branches and takes one such count per sample, which signs
-  every branch at once; bisection counts pivots too.  The one eigenvalue
-  E_n(z_k) of a (sample, branch) pair is solved at most once, by
-  index-selective bisection (``eigpair_bands``), and only where a report
-  needs the value: at the ends of a sign change and on a window where the
-  branch changes sign nowhere (its near miss).  Each level's ket comes from
-  one selective eigenpair solve (bisection, then inverse iteration) at the
-  root.  A complex mass-squared raises ValueError.
-* ``trace_branch_family`` and ``solve_fixed_points`` label branches by
-  eigenvector overlap, for an arbitrary matrix family such as
-  ``build_problem`` with a complex mass-squared.  At each sample the
-  eigenpair with the largest |<ket_prev|ket>| wins, which keeps labels
-  consistent through avoided crossings where index sorting would swap them.
-  The fixed points of the ``EnergyBranch`` are bracketed by sign changes of
-  f on the sample grid and bisected, each step a fresh overlap-matched
-  eigensolve.
+``collect_physical`` is the level search.  It takes a discretized model
+whose ``build_problem`` gives a real symmetric tridiagonal H(z): both
+stationary forms of the constant and oscillator masses, and the
+Klein-Gordon form of any real mass-squared.  The off-diagonals are nonzero,
+so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
+every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): branches are
+labelled by Sturm index.  The sign of f(z) = E_n(z) - z is the inertia of
+H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T factorization
+are negative (``count_below``, O(N)).  A window is sampled once for all
+branches and takes one such count per sample, which signs every branch at
+once; bisection counts pivots too.  The one eigenvalue E_n(z_k) of a
+(sample, branch) pair is solved at most once, by index-selective bisection
+(``eigpair_bands``), and only where a report needs the value: at the ends of
+a sign change and on a window where the branch changes sign nowhere (its
+near miss).  Each level's ket comes from one selective eigenpair solve
+(bisection, then inverse iteration) at the root.  A complex mass-squared
+raises ValueError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BranchLost, ComplexBranch, DegenerateMass, RefinementStall, SolverError
-from .frozen_spectrum import FrozenDecomposition, decompose
+from .errors import DegenerateMass, RefinementStall, SolverError
+# unused by the search; bench/test_bench.py asserts that this module binds
+# the traced ``decompose``
+from .frozen_spectrum import decompose  # noqa: F401
 from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
 from .tridiagonal import eigpair_bands
 
-#: Minimal admissible continuation overlap between consecutive samples.
-OVERLAP_FLOOR = 0.7
 #: Default number of samples per search window.
 WINDOW_STEPS = 64
 #: Default absolute bisection tolerance on z.
@@ -51,35 +41,10 @@ REFINE_TOL = 1e-10
 #: Roots closer than 1e-8 * (1 + |z|) are merged (tangency guard).
 MERGE_FACTOR = 1e-8
 
-Family = Callable[[float], np.ndarray]
 #: z -> the bands of a real symmetric tridiagonal H(z).
 BandFamily = Callable[[float], Tridiagonal]
-#: (z, bracket k) -> a number with the sign of f(z) = E_n(z) - z.
-SignEvaluator = Callable[[float, int], float]
-
-
-@dataclass(frozen=True)
-class EnergyBranch:
-    """One real eigenvalue branch of a matrix family, continued by eigenvector overlap.
-
-    ``kets`` holds the tracked right ket at each sample and
-    ``continuity_overlaps`` the overlaps between consecutive samples.
-    """
-
-    branch_index: int
-    z_samples: np.ndarray
-    e_values: np.ndarray
-    continuity_overlaps: np.ndarray
-    kets: np.ndarray = field(repr=False)        # (N, steps) tracked right kets
-    family: Family = field(repr=False, compare=False)
-
-
-@dataclass(frozen=True)
-class FixedPointRoot:
-    """Solution of z = E_n(z); j counts roots of the branch in ascending z."""
-
-    z: float
-    j: int
+#: z -> a number with the sign of f(z) = E_n(z) - z.
+SignEvaluator = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -144,72 +109,6 @@ def count_below(T: Tridiagonal, shift: float) -> int:
     return count
 
 
-def _pick_by_overlap(dec: FrozenDecomposition, ref_ket: np.ndarray,
-                     overlap_floor: float) -> tuple[int, float]:
-    overlaps = np.abs(ref_ket.conj() @ dec.right_kets)
-    idx = int(np.argmax(overlaps))
-    best = float(min(overlaps[idx], 1.0))
-    if best < overlap_floor:
-        raise BranchLost(
-            f"best continuation overlap {best:.3f} below floor {overlap_floor}"
-        )
-    return idx, best
-
-
-def _real_or_raise(dec: FrozenDecomposition, idx: int, z: float, n: int) -> float:
-    e = dec.eigenvalues[idx]
-    if not dec.reality_flags[idx]:
-        raise ComplexBranch(f"branch {n} left the real axis at z = {z}: E = {e}")
-    return float(e.real)
-
-
-def _check_window(z_lo: float, z_hi: float, steps: int) -> np.ndarray:
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if not z_lo < z_hi:
-        raise ValueError(f"need z_lo < z_hi, got [{z_lo}, {z_hi}]")
-    return np.linspace(z_lo, z_hi, steps)
-
-
-def _check_branch(n: int, size: int) -> None:
-    if n < 0 or n >= size:
-        raise ValueError(f"branch index {n} outside spectrum of size {size}")
-
-
-def trace_branch_family(family: Family, n: int, z_lo: float, z_hi: float,
-                        steps: int = WINDOW_STEPS, *,
-                        overlap_floor: float = OVERLAP_FLOOR) -> EnergyBranch:
-    """Follow branch n of a matrix family H(z) across [z_lo, z_hi].
-
-    The branch starts at the n-th eigenvalue (by (Re, Im) order) of the first
-    sample and is continued by eigenvector overlap.
-    """
-    z_samples = _check_window(z_lo, z_hi, steps)
-    e_values = np.empty(steps)
-    overlaps = np.empty(steps - 1)
-    kets = None
-    ref = None
-    for k, z in enumerate(z_samples):
-        dec = decompose(family(float(z)))
-        if k == 0:
-            _check_branch(n, dec.size)
-            idx = n
-            kets = np.empty((dec.right_kets.shape[0], steps), dtype=complex)
-        else:
-            idx, overlaps[k - 1] = _pick_by_overlap(dec, ref, overlap_floor)
-        e_values[k] = _real_or_raise(dec, idx, float(z), n)
-        ref = dec.right_kets[:, idx]
-        kets[:, k] = ref
-    return EnergyBranch(
-        branch_index=n,
-        z_samples=z_samples,
-        e_values=e_values,
-        continuity_overlaps=overlaps,
-        kets=kets,
-        family=family,
-    )
-
-
 class _SampledWindow:
     """Bands of H(z) at the samples of one window, shared by its branches.
 
@@ -249,7 +148,8 @@ def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagona
     if np.iscomplexobj(T.diagonal):
         raise ValueError(
             f"the {kind} form at z = {z} has a complex mass-squared and is not real "
-            "symmetric; continue its branches with fixedpoint.trace_branch_family"
+            "symmetric; the level search needs a real mass-squared (spectrum and "
+            "evolve accept a complex one)"
         )
     return T
 
@@ -262,20 +162,16 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
             f"window [{z_lo}, {z_hi}] contains the mass singularity z = {model.E0}; "
             "split the window around it"
         )
-    z_samples = _check_window(z_lo, z_hi, steps)
-    return _SampledWindow(partial(_real_bands, kind, grid, model), z_samples)
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not z_lo < z_hi:
+        raise ValueError(f"need z_lo < z_hi, got [{z_lo}, {z_hi}]")
+    return _SampledWindow(partial(_real_bands, kind, grid, model),
+                          np.linspace(z_lo, z_hi, steps))
 
 
 def _inertia_sign(bands: BandFamily, n: int) -> SignEvaluator:
-    return lambda z, k: 1.0 if count_below(bands(z), z) <= n else -1.0
-
-
-def _overlap_sign(branch: EnergyBranch, overlap_floor: float) -> SignEvaluator:
-    def sign(z: float, k: int) -> float:
-        dec = decompose(branch.family(z))
-        idx, _ = _pick_by_overlap(dec, branch.kets[:, k], overlap_floor)
-        return _real_or_raise(dec, idx, z, branch.branch_index) - z
-    return sign
+    return lambda z: 1.0 if count_below(bands(z), z) <= n else -1.0
 
 
 def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
@@ -292,7 +188,7 @@ def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        f_mid = f_sign(mid, k)
+        f_mid = f_sign(mid)
         if f_mid == 0.0:
             return mid, evals + 1
         if (f_mid > 0.0) == above_lo:
@@ -314,11 +210,13 @@ def _close(z: float, z_prev: float, tol: float = 0.0) -> bool:
 
 
 def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
-           refine_tol: float) -> tuple[list[FixedPointRoot], int]:
+           refine_tol: float) -> tuple[list[float], int]:
     """Fixed points from per-sample values ``f`` with the sign of E_n(z) - z.
 
     A sample where f is exactly 0 is a root; a sign change between two
-    samples is bisected with ``f_sign``.
+    samples is bisected with ``f_sign``.  Returns the roots in ascending z,
+    merged within MERGE_FACTOR * (1 + |z|), and the number of ``f_sign``
+    evaluations.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
@@ -344,21 +242,7 @@ def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
         if merged and _close(root, merged[-1]):
             continue
         merged.append(root)
-    return [FixedPointRoot(z=root, j=j) for j, root in enumerate(merged)], evals
-
-
-def solve_fixed_points(branch: EnergyBranch, refine_tol: float = REFINE_TOL, *,
-                       overlap_floor: float = OVERLAP_FLOOR) -> list[FixedPointRoot]:
-    """All fixed points z = E_n(z) bracketed by the samples of an overlap branch.
-
-    Every sign change of f(z) = E_n(z) - z is refined by bisection, each
-    step a fresh eigensolve matched by overlap (held to ``overlap_floor``)
-    to the ket of the bracket's lower sample.  An f that never changes sign
-    yields an empty list.  Roots closer than 1e-8 * (1 + |z|) are merged.
-    The Sturm-index search of a real band family is ``collect_physical``.
-    """
-    f_sign = _overlap_sign(branch, overlap_floor)
-    return _solve(branch.z_samples, branch.e_values - branch.z_samples, f_sign, refine_tol)[0]
+    return merged, evals
 
 
 def _window_signs(window: _SampledWindow, n: int) -> np.ndarray:
@@ -404,8 +288,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     """Assemble the physical level set over branches and search windows.
 
     The branches are labelled by Sturm index, so the stationary form must be
-    real symmetric: a complex mass-squared raises ValueError (search such a
-    family with ``trace_branch_family`` and ``solve_fixed_points``).  Each
+    real symmetric: a complex mass-squared raises ValueError (``spectrum``
+    and ``evolve`` accept one; this search does not).  Each
     window is sampled once for all branches, with one inertia count per
     sample; each (branch, window) pair is then solved independently, and a
     sample's eigenvalue E_n is solved at most once, where a sign change of
@@ -436,7 +320,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             window = (float(window[0]), float(window[1]))
             error = entry if isinstance(entry, SolverError) else None
             if error is None:
-                _check_branch(n, entry.size)
+                if not 0 <= n < entry.size:
+                    raise ValueError(f"branch index {n} outside spectrum of size {entry.size}")
                 try:
                     roots, evals = _solve(entry.z_samples, _window_signs(entry, n),
                                           _inertia_sign(bands, n), refine_tol)
@@ -459,7 +344,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                 bisection_steps=evals,
                 near_miss=near_miss,
             ))
-            found.extend((root.z, window) for root in roots)
+            found.extend((root, window) for root in roots)
         found.sort(key=lambda item: item[0])
         kept: list[tuple[float, tuple]] = []
         for z, window in found:

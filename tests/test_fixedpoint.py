@@ -4,13 +4,14 @@ import pytest
 import edspec
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 import edspec.fixedpoint as fixedpoint_module
-from edspec.errors import BranchLost, ComplexBranch, RefinementStall
+from edspec.errors import RefinementStall
 from edspec.fixedpoint import (
+    REFINE_TOL,
     WINDOW_STEPS,
+    _sample_window,
+    _solve,
     collect_physical,
     count_below,
-    solve_fixed_points,
-    trace_branch_family,
 )
 from edspec.operators import (
     ConstantMass,
@@ -32,24 +33,19 @@ def _eigenvalues(kind, grid, model, z):
 
 def test_package_exports_resolve():
     assert all(hasattr(edspec, name) for name in edspec.__all__)
-    # one Sturm-index search (collect_physical) and one overlap search
-    # (trace_branch_family with solve_fixed_points), nothing beside them
+    # the one level search (collect_physical) and its results, nothing beside them
     exported = {name for name in edspec.__all__
                 if getattr(getattr(edspec, name), "__module__", "") == "edspec.fixedpoint"}
-    assert exported == {"CollectResult", "EnergyBranch", "FixedPointRoot", "PhysicalLevel",
-                        "WindowDiagnostics", "collect_physical", "solve_fixed_points",
-                        "trace_branch_family"}
+    assert exported == {"CollectResult", "PhysicalLevel", "WindowDiagnostics",
+                        "collect_physical"}
 
 
-# ---------------------------------------------------------------- tracing
+# ---------------------------------------------------------------- branches
 
 def test_constant_mass_branch_is_flat():
-    model = ConstantMass(0.5)
-    continued = trace_branch_family(lambda z: build_problem("schrodinger", GRID, model, z),
-                                    2, 0.1, 5.0, steps=16)
-    assert continued.e_values.max() - continued.e_values.min() < 1e-10
-    # the continuation of a z-independent family keeps its eigenvector
-    assert (continued.continuity_overlaps >= 0.999).all()
+    window = _sample_window("schrodinger", GRID, ConstantMass(0.5), 0.1, 5.0, 16)
+    e_values = window.e_values(2)
+    assert e_values.max() - e_values.min() < 1e-10
 
 
 def test_count_below_is_the_inertia(rng):
@@ -85,27 +81,32 @@ def test_count_below_survives_zero_pivot(d, e, s):
     ("schrodinger", HOQuadratic(1.0, 0.0), (0.5, 4.0)),
     ("kleingordon", HOQuadratic(1.0, 0.0), (0.5, 3.0)),
 ])
-def test_index_labels_agree_with_overlap_continuation(kind, model, window):
+def test_index_labels_agree_with_dense_bisection(kind, model, window):
+    # oracle: f(z) = E_1(z) - z from a dense eigensolve, signed on a grid ten
+    # times finer than the search's and bisected apart from the search
     refine_tol = 1e-10
-    continued = trace_branch_family(lambda z: build_problem(kind, GRID, model, z),
-                                    1, *window, steps=24)
-    indexed = [_eigenvalues(kind, GRID, model, z)[1] for z in continued.z_samples]
-    np.testing.assert_allclose(indexed, continued.e_values, rtol=1e-12)
+
+    def f(z):
+        return _eigenvalues(kind, GRID, model, z)[1] - z
+
+    z = np.linspace(*window, 241)
+    values = np.array([f(zk) for zk in z])
+    (k,) = np.flatnonzero(np.sign(values[:-1]) != np.sign(values[1:]))
+    lo, hi = z[k], z[k + 1]
+    while hi - lo > refine_tol / 4:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) > 0.0) == (values[k] > 0.0):
+            lo = mid
+        else:
+            hi = mid
     result = collect_physical(model, GRID, [1], [window], kind, steps=24,
                               refine_tol=refine_tol)
     roots = [lv.energy for lv in result.levels]
-    expected = [r.z for r in solve_fixed_points(continued, refine_tol)]
-    assert len(roots) == len(expected) == 1
-    assert abs(roots[0] - expected[0]) <= refine_tol
+    assert len(roots) == 1
+    assert abs(roots[0] - 0.5 * (lo + hi)) <= refine_tol
 
 
-def test_complex_mass_squared_is_continued_by_overlap():
-    # i g x breaks reality of H but not of its low spectrum (PT symmetry)
-    model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
-    branch = trace_branch_family(lambda z: build_problem("kleingordon", GRID, model, z),
-                                 0, 0.5, 2.0, steps=8)
-    assert (branch.continuity_overlaps >= 0.999).all()
-    # a real mass-squared is searched by Sturm index
+def test_real_general_mass_squared_is_searched_by_index():
     real = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z)
     result = collect_physical(real, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
     assert not result.failures and len(result.diagnostics) == 1
@@ -113,16 +114,14 @@ def test_complex_mass_squared_is_continued_by_overlap():
 
 def test_complex_mass_squared_is_refused_by_the_index_search():
     model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
-    with pytest.raises(ValueError, match="trace_branch_family"):
+    with pytest.raises(ValueError, match="needs a real mass-squared"):
         collect_physical(model, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
 
 
 def test_ho_branch_decreases_with_z():
     # effective mass grows with |z - E0|, so every frozen level falls
-    model = HOQuadratic(1.0, 0.0)
-    branch = trace_branch_family(lambda z: build_problem("schrodinger", GRID, model, z),
-                                 0, 0.5, 5.0, steps=24)
-    assert (np.diff(branch.e_values) < 0).all()
+    window = _sample_window("schrodinger", GRID, HOQuadratic(1.0, 0.0), 0.5, 5.0, 24)
+    assert (np.diff(window.e_values(0)) < 0).all()
 
 
 def test_window_containing_singularity_rejected():
@@ -148,55 +147,6 @@ def test_kleingordon_window_may_straddle_e0():
     assert [f.error for f in schrodinger.failures] == ["DegenerateMass"]
 
 
-def test_avoided_crossing_keeps_diabatic_label():
-    # exact 2x2 family: eigenvalues -+sqrt(z^2 + delta^2), eigenvectors
-    # rotating from e1 to e2 through the avoided crossing at z = 0
-    delta = 0.1
-
-    def family(z):
-        return np.array([[z, delta], [delta, -z]])
-
-    branch = trace_branch_family(family, 0, -1.25, 1.25, steps=6)
-    assert (branch.continuity_overlaps >= 0.7).all()
-    # coarse steps straddle the crossing: overlap continuation follows the
-    # diabatic state, so the tracked energy crosses zero ...
-    assert branch.e_values[0] == pytest.approx(-np.sqrt(1.25 ** 2 + delta ** 2), abs=1e-12)
-    assert branch.e_values[-1] == pytest.approx(np.sqrt(1.25 ** 2 + delta ** 2), abs=1e-12)
-    # ... while index sorting would have kept the always-negative branch
-    sorted_at_end = np.linalg.eigvalsh(family(1.25))
-    assert branch.e_values[-1] != pytest.approx(sorted_at_end[0], abs=1e-6)
-    assert branch.e_values[-1] == pytest.approx(sorted_at_end[1], abs=1e-12)
-
-
-def test_branch_lost_on_fast_rotation():
-    # eigenframe rotating by 60 degrees per step about (1,1,1): every overlap
-    # against the previous vector is at most 2/3 < 0.7
-    axis = np.ones(3) / np.sqrt(3.0)
-    cross = np.array([[0.0, -axis[2], axis[1]],
-                      [axis[2], 0.0, -axis[0]],
-                      [-axis[1], axis[0], 0.0]])
-
-    def rotation(theta):
-        return (np.cos(theta) * np.eye(3) + np.sin(theta) * cross
-                + (1 - np.cos(theta)) * np.outer(axis, axis))
-
-    def family(z):
-        r = rotation(z)
-        return r @ np.diag([1.0, 2.0, 3.0]) @ r.T
-
-    with pytest.raises(BranchLost):
-        trace_branch_family(family, 0, 0.0, np.pi, steps=4)
-
-
-def test_complex_branch_detected():
-    # eigenvalues -+sqrt((3-z)^2 - 1) leave the real axis at z = 2
-    def family(z):
-        return np.array([[3.0 - z, 1.0], [-1.0, -(3.0 - z)]])
-
-    with pytest.raises(ComplexBranch):
-        trace_branch_family(family, 0, 1.2, 3.0, steps=7)
-
-
 def test_trace_argument_validation():
     with pytest.raises(ValueError):
         collect_physical(ConstantMass(1.0), GRID, [0], [(1.0, 2.0)], steps=1)
@@ -208,67 +158,49 @@ def test_trace_argument_validation():
 
 # ---------------------------------------------------------------- root solving
 
-def test_constant_branch_single_root():
-    def family(z):
-        return np.array([[3.0]])
+def _fixed_points(energy, z_lo, z_hi, steps, refine_tol=REFINE_TOL):
+    """Roots of z = energy(z), a 1x1 family, by the search's root solver."""
+    z = np.linspace(z_lo, z_hi, steps)
+    f = np.array([energy(float(zk)) for zk in z]) - z
+    return _solve(z, f, lambda zk: energy(zk) - zk, refine_tol)[0]
 
-    branch = trace_branch_family(family, 0, 0.0, 5.0, steps=11)
-    roots = solve_fixed_points(branch)
+
+def test_constant_branch_single_root():
+    roots = _fixed_points(lambda z: 3.0, 0.0, 5.0, 11)
     assert len(roots) == 1
-    assert roots[0].j == 0
-    assert roots[0].z == pytest.approx(3.0, abs=1e-9)
+    assert roots[0] == pytest.approx(3.0, abs=1e-9)
 
 
 def test_hyperbolic_branch_root():
     # E(z) = c/z crosses z = E once on z > 0, at sqrt(c)
-    def family(z):
-        return np.array([[4.0 / z]])
-
-    branch = trace_branch_family(family, 0, 0.5, 5.0, steps=32)
-    roots = solve_fixed_points(branch)
+    roots = _fixed_points(lambda z: 4.0 / z, 0.5, 5.0, 32)
     assert len(roots) == 1
-    assert roots[0].z == pytest.approx(2.0, abs=1e-9)
+    assert roots[0] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_no_bracket_returns_empty():
-    def family(z):
-        return np.array([[10.0]])
-
-    branch = trace_branch_family(family, 0, 0.0, 5.0, steps=8)
-    assert solve_fixed_points(branch) == []
+    assert _fixed_points(lambda z: 10.0, 0.0, 5.0, 8) == []
 
 
 @pytest.mark.parametrize("half_width", [1e-100, 1e-200])
 def test_bracket_of_tiny_values_is_found(half_width):
     # f(z) = z: at +-1e-200 the product f[0] * f[1] underflows to -0.0, but
     # the signs still differ, so the root z = 0 is bisected as at +-1e-100
-    def family(z):
-        return np.array([[2.0 * z]])
-
-    branch = trace_branch_family(family, 0, -half_width, half_width, steps=2)
-    (root,) = solve_fixed_points(branch, refine_tol=1e-300)
-    assert abs(root.z) <= half_width
+    (root,) = _fixed_points(lambda z: 2.0 * z, -half_width, half_width, 2, refine_tol=1e-300)
+    assert abs(root) <= half_width
 
 
 def test_exact_sample_root_needs_no_refinement():
     # the root lands exactly on a sample, so bisection never runs
-    def family(z):
-        return np.array([[3.0]])
-
-    branch = trace_branch_family(family, 0, 0.0, 5.0, steps=11)
-    (root,) = solve_fixed_points(branch, refine_tol=1e-300)
-    assert root.z == 3.0
+    (root,) = _fixed_points(lambda z: 3.0, 0.0, 5.0, 11, refine_tol=1e-300)
+    assert root == 3.0
 
 
 def test_refinement_stall():
     # root at sqrt(2): f never evaluates to exactly zero, and the tolerance
     # sits below float spacing, so bisection must report exhaustion
-    def family(z):
-        return np.array([[2.0 / z]])
-
-    branch = trace_branch_family(family, 0, 0.5, 5.0, steps=10)
     with pytest.raises(RefinementStall):
-        solve_fixed_points(branch, refine_tol=1e-300)
+        _fixed_points(lambda z: 2.0 / z, 0.5, 5.0, 10, refine_tol=1e-300)
 
 
 def test_multiple_fixed_points_match_closed_form():

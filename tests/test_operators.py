@@ -197,7 +197,7 @@ def test_bands_of_complex_mass_are_not_real_symmetric():
     H = np.asarray(T)
     np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
     np.testing.assert_array_equal(H, H.T)
-    with pytest.raises(ValueError, match="trace_branch_family"):
+    with pytest.raises(ValueError, match="needs a real mass-squared"):
         collect_physical(model, grid, [0], [(0.0, 1.0)], "kleingordon", steps=4)
     with pytest.raises(DegenerateMass):
         build_problem("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
