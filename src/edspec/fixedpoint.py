@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import tridiagonal
 from .errors import DegenerateMass, RefinementStall, SolverError
 # unused by the search; bench/test_bench.py asserts that this module binds
 # the traced ``decompose``
@@ -120,6 +121,7 @@ class _SampledWindow:
         self.z_samples = z_samples
         self._sample_bands = [bands(float(z)) for z in z_samples]
         self._eigenvalues: dict[tuple[int, int], float] = {}
+        self._spectra: dict[int, np.ndarray] = {}
 
     @property
     def size(self) -> int:
@@ -132,7 +134,16 @@ class _SampledWindow:
                          for T, z in zip(self._sample_bands, self.z_samples)])
 
     def eigenvalue(self, k: int, n: int) -> float:
-        """E_n(z_k)."""
+        """E_n(z_k).
+
+        Without the LAPACK binding ``eigpair_bands`` solves the whole dense
+        spectrum for one eigenvalue, so there the spectrum of a sample is
+        solved once, by the same ``eigvalsh`` call, and kept for every branch.
+        """
+        if tridiagonal._lapack() is None:
+            if k not in self._spectra:
+                self._spectra[k] = np.linalg.eigvalsh(np.asarray(self._sample_bands[k]))
+            return float(self._spectra[k][n])
         if (k, n) not in self._eigenvalues:
             T = self._sample_bands[k]
             self._eigenvalues[k, n] = eigpair_bands(T.diagonal, T.off_diagonal, n)

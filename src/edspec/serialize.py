@@ -7,8 +7,10 @@ are emitted with lexicographically sorted keys.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +25,6 @@ def format_float(value: float) -> str:
 #: Dense-dump token 're+imj': both parts as in ``format_float``, the
 #: imaginary one with an explicit sign.
 _COMPLEX_TOKEN = "%.16e%+.16ej"
-#: The same token for an imaginary part of +0.0.
-_REAL_TOKEN = "%.16e+0.0000000000000000e+00j"
 
 
 def format_complex(value: complex) -> str:
@@ -110,25 +110,174 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+#: Words of one formatted part, 4 bytes each (little-endian uint32): the
+#: sign or a pad, the leading digit, '.' and the next digit; 12 digits; 3
+#: digits and 'e'; the exponent's sign, its hundreds digit or a pad, its
+#: last two digits.  A positive part's sign and a 2-digit exponent's
+#: hundreds are NUL pad bytes, which joining drops.
+_SLOT = 6
+#: One dump token 're+imj' and its separator: two slots, then ['j', ' ', pad,
+#: pad], with ' ' a pad too after a row's last token.
+_TOKEN = 2 * _SLOT + 1
+_WORD = np.dtype("<u4")
+#: The imaginary slot of a real matrix's tokens.
+_ZERO_IMAG = np.frombuffer(b"+0.0" + b"0" * 15 + b"e+\x0000", dtype=_WORD)
+#: Tokens formatted per block of rows, so the work buffers stay a few MB.
+_BLOCK_TOKENS = 1 << 13
+#: Where the kernel proves its digits: the double-double powers of ten
+#: 10**(16 - k) stay normal, and the scaling cannot overflow.
+_RANGE = (1e-280, 1e280)
+#: Exponents k = floor(log10 |x|) the tables cover, with a margin of one
+#: for log10 rounding at the ends of ``_RANGE``.
+_K_MIN, _K_MAX = -281, 281
+#: A rounding fraction this close to one half is left to ``%`` formatting.
+_TIE_MARGIN = 1e-9
+#: Veltkamp's splitter for float64, 2**27 + 1.
+_SPLIT = 134217729.0
+
+
+class _Tables(NamedTuple):
+    hi: np.ndarray          # 10**(16 - k) correctly rounded, by k - _K_MIN
+    lo: np.ndarray          # 10**(16 - k) - hi correctly rounded
+    lead: np.ndarray        # words [pad, a, '.', b] of the digits ab = 00..99
+    digits: np.ndarray      # words '0000'..'9999'
+    last: np.ndarray        # words '000e'..'999e'
+    exponent: np.ndarray    # words [sign, hundreds or pad, tens, units], by k - _K_MIN
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """The kernel's tables, built from exact integers on the first dump.
+
+    Python's int true division rounds correctly, so hi + lo is 10**(16 - k)
+    to a relative 2**-106.
+    """
+    ks = range(_K_MIN, _K_MAX + 1)
+    hi = np.empty(len(ks))
+    lo = np.empty_like(hi)
+    for i, k in enumerate(ks):
+        num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
+        hi[i] = num / den
+        h_num, h_den = hi[i].as_integer_ratio()
+        lo[i] = (num * h_den - h_num * den) / (den * h_den)
+    hi.flags.writeable = lo.flags.writeable = False
+    words = [b"".join(b"\0%d.%d" % divmod(i, 10) for i in range(100)),
+             b"".join(b"%04d" % i for i in range(10000)),
+             b"".join(b"%03de" % i for i in range(1000)),
+             b"".join(text[:1] + text[1:].rjust(3, b"\0")
+                      for text in (b"%+03d" % k for k in ks))]
+    return _Tables(hi, lo, *(np.frombuffer(table, dtype=_WORD) for table in words))
+
+
+def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
+    """The bytes of ``"%.16e"`` (``"%+.16e"`` if ``plus``) of float64 values.
+
+    Returns the slots (see ``_SLOT``) as words of shape values.shape + (_SLOT,).
+
+    Why the bytes are those of ``%`` formatting, which rounds the exact value
+    of x to 17 significant digits, half to even: with k = floor(log10 |x|),
+    the digits are D = round(|x| * 10**(16 - k)), an integer in
+    [10**16, 10**17] (D = 10**17 carries into k + 1).  The product
+    y = |x| * 10**(16 - k) is formed as an unevaluated sum prod + tail:
+    prod = fl(|x| * hi) and its rounding error are exact (Dekker's
+    two-product on Veltkamp halves), and tail adds fl(|x| * lo).  For |x| in
+    ``_RANGE`` nothing overflows or underflows, so prod + tail errs against
+    the exact y by at most that of hi + lo (2**-106 y), of fl(|x| * lo)
+    (2**-106 y) and of the rounded tail (2**-53 |tail|, |tail| < 24): under
+    1e-14 for y < 1.2e17.  Where the integer part prod + floor(tail) lies in
+    [10**16, 10**17), prod >= 2**53 is an integer, so that is the integer
+    part of y and tail - floor(tail) its fraction, each within 1e-14.
+    Every element whose digits this does not prove is formatted by ``%``
+    instead: |x| outside ``_RANGE`` (zeros and subnormals among them), an
+    integer part below 10**16 or a rounded D of 10**17 or more (log10 off by
+    one, or a carry), and a fraction within ``_TIE_MARGIN`` of one half,
+    where an error of 1e-14 could decide the rounding (exact ties among
+    them).  Elsewhere the rounding is decided correctly, so every token is
+    that of ``%`` formatting, by proof or by construction.  Only IEEE float64 and int64 arithmetic is used (no
+    extended precision, no fused multiply-add), so the bytes do not depend
+    on the platform; ``log10`` only picks k, and the range check catches it
+    when it picks wrong.
+    """
+    tables = _tables()
+    ax = np.abs(values)
+    fast = (ax >= _RANGE[0]) & (ax <= _RANGE[1])
+    ax = np.where(fast, ax, 1.0)
+    k = np.floor(np.log10(ax)).astype(np.int64) - _K_MIN
+    hi, lo = tables.hi[k], tables.lo[k]
+    # Dekker's two-product: prod + err == ax * hi exactly
+    prod = ax * hi
+    c = _SPLIT * ax
+    a_hi = c - (c - ax)
+    a_lo = ax - a_hi
+    c = _SPLIT * hi
+    b_hi = c - (c - hi)
+    b_lo = hi - b_hi
+    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    tail = err + ax * lo
+    whole = np.floor(tail)
+    fraction = tail - whole
+    digits = prod.astype(np.int64) + whole.astype(np.int64)
+    fast &= (digits >= 10 ** 16) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
+    digits += fraction > 0.5
+    fast &= digits < 10 ** 17
+    # 10**16 stands in for the digits of the elements left to %
+    digits[~fast] = 10 ** 16
+
+    words = np.empty(values.shape + (_SLOT,), dtype=_WORD)
+    lead, rest = np.divmod(digits, 10 ** 15)
+    sign = np.where(np.signbit(values), _WORD.type(ord("-")), _WORD.type(ord("+") * plus))
+    np.bitwise_or(tables.lead[lead], sign, out=words[..., 0])
+    upper, lower = np.divmod(rest, 10 ** 7)
+    first, second = np.divmod(upper, 10 ** 4)
+    third, last = np.divmod(lower, 10 ** 3)
+    words[..., 1] = tables.digits[first]
+    words[..., 2] = tables.digits[second]
+    words[..., 3] = tables.digits[third]
+    words[..., 4] = tables.last[last]
+    words[..., 5] = tables.exponent[k]
+    fmt = "%+.16e" if plus else "%.16e"
+    slots = words.view(np.uint8)
+    for i in zip(*np.nonzero(~fast)):
+        token = (fmt % values[i]).encode()
+        slots[i] = 0
+        slots[i][:len(token)] = np.frombuffer(token, dtype=np.uint8)
+    return words
+
+
+def _format_rows(rows: np.ndarray, complex_parts: bool) -> bytes:
+    """Dump lines of a block of rows: 're+imj' tokens, ' '-separated, LF-ended."""
+    count, m = rows.shape
+    buffer = np.zeros((count, m * _TOKEN + 1), dtype=_WORD)
+    tokens = buffer[:, :-1].reshape(count, m, _TOKEN)
+    tokens[..., :_SLOT] = _format_parts(np.asarray(rows.real, dtype=np.float64), plus=False)
+    if complex_parts:
+        tokens[..., _SLOT:-1] = _format_parts(np.asarray(rows.imag, dtype=np.float64),
+                                              plus=True)
+    else:
+        tokens[..., _SLOT:-1] = _ZERO_IMAG
+    tokens[..., -1] = ord("j") | ord(" ") << 8
+    tokens[:, -1:, -1] = ord("j")
+    buffer[:, -1] = ord("\n")
+    return buffer.tobytes().translate(None, b"\0")
+
+
 def write_matrix(path: Path, matrix) -> None:
     """Plain-text dense dump: first line 'N M', then rows of re+imj tokens.
 
-    Tokens are those of ``format_complex``; a non-finite part anywhere
-    raises ValueError before the file is touched.
+    Tokens are those of ``format_complex``, byte for byte; a non-finite part
+    anywhere raises ValueError before the file is touched.  The tokens are
+    formatted by ``_format_parts`` a block of rows at a time.
     """
     matrix = np.asarray(matrix)
     n, m = matrix.shape
     if not np.isfinite(matrix).all():
         raise ValueError("cannot serialize a matrix with non-finite entries")
-    # each row formatted in one operation: the real parts alone when every
-    # imaginary part is +0.0 (-0.0 prints differently), else re, im, re, ...
-    if np.iscomplexobj(matrix) and (matrix.imag.any() or np.signbit(matrix.imag).any()):
-        parts = np.ascontiguousarray(matrix, dtype=complex).view(float).reshape(n, 2 * m)
-        token = _COMPLEX_TOKEN
-    else:
-        parts = matrix.real
-        token = _REAL_TOKEN
-    row = " ".join([token] * m)
-    lines = [f"{n} {m}"]
-    lines.extend(row % tuple(values) for values in parts.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    # a real matrix, or a complex one whose imaginary parts are all +0.0
+    # (-0.0 prints differently), has the constant imaginary token
+    complex_parts = np.iscomplexobj(matrix) and (matrix.imag.any()
+                                                 or np.signbit(matrix.imag).any())
+    block = max(1, _BLOCK_TOKENS // max(m, 1))
+    with open(path, "wb") as out:
+        out.write(f"{n} {m}\n".encode())
+        for start in range(0, n, block):
+            out.write(_format_rows(matrix[start:start + block], complex_parts))

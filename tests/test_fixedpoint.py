@@ -4,6 +4,7 @@ import pytest
 import edspec
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 import edspec.fixedpoint as fixedpoint_module
+import edspec.tridiagonal as tridiagonal
 from edspec.errors import RefinementStall
 from edspec.fixedpoint import (
     REFINE_TOL,
@@ -424,6 +425,9 @@ class _Solves(list):
 @pytest.fixture
 def solves(monkeypatch):
     """The level search's tridiagonal solves, counted per (bands, branch)."""
+    if tridiagonal._lapack() is None:
+        pytest.skip("without the LAPACK binding a sample's spectrum is solved once for "
+                    "all branches (test_dense_fallback_solves_each_sample_once)")
     calls = _Solves()
     solve = fixedpoint_module.eigpair_bands
 
@@ -490,3 +494,32 @@ def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkey
     assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), honest.energy)]
     assert len(solves) == steps
 
+
+def test_dense_fallback_solves_each_sample_once(monkeypatch):
+    # branch 1 has no root in the first window, so its near miss needs every
+    # sample there, as branch 0's bracket ends do
+    args = (HOQuadratic(1.0, 2.0), Grid(-8.0, 8.0, 60), [0, 1], [(0.1, 1.85), (2.1, 8.0)])
+    monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
+    with monkeypatch.context() as patch:
+        # the fallback as it was: one dense eigvalsh per (sample, branch)
+        patch.setattr(fixedpoint_module._SampledWindow, "eigenvalue",
+                      lambda self, k, n: eigpair_bands(self._sample_bands[k].diagonal,
+                                                       self._sample_bands[k].off_diagonal, n))
+        reference = collect_physical(*args, steps=16)
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(matrix):
+        solved.append(np.diag(matrix).tobytes())
+        return eigvalsh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    result = collect_physical(*args, steps=16)
+    assert any(d.near_miss is not None for d in result.diagnostics) and result.levels
+    assert 16 < len(solved) == len(set(solved)) <= 2 * 16
+    assert result.diagnostics == reference.diagnostics and not result.failures
+    assert len(result.levels) == len(reference.levels)
+    for level, expected in zip(result.levels, reference.levels):
+        assert (level.multi_index, level.energy, level.residual) == \
+            (expected.multi_index, expected.energy, expected.residual)
+        assert np.array_equal(level.right_ket, expected.right_ket)

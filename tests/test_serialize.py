@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from edspec import serialize
 from edspec.serialize import (
     format_complex,
     format_float,
@@ -61,8 +62,8 @@ def test_matrix_dump_round_trips(tmp_path):
 def _reference_dump(matrix) -> bytes:
     """The dump built token by token from ``format_complex``."""
     n, m = matrix.shape
-    rows = [" ".join(format_complex(complex(matrix[i, j])) for j in range(m))
-            for i in range(n)]
+    rows = [" ".join(format_complex(complex(value)) for value in row)
+            for row in matrix.tolist()]
     return ("\n".join([f"{n} {m}"] + rows) + "\n").encode()
 
 
@@ -111,3 +112,68 @@ def test_non_finite_real_matrix_rejected(tmp_path, bad):
     with pytest.raises(ValueError):
         write_matrix(path, np.array([[1.0, 2.0], [bad, 3.0]]))
     assert not path.exists()
+
+
+def _hard_values() -> np.ndarray:
+    """Doubles that stress the dump kernel, and their negatives.
+
+    Among them are entries the kernel leaves to ``%`` formatting: zeros,
+    subnormals and magnitudes outside its range, exact decimal ties, which
+    round half to even (1250000000000000.25 down to ...02e+15,
+    1250000000000000.75 up to ...08e+15), and neighbours of powers of ten,
+    where log10 can pick the exponent off by one.
+    """
+    rng = np.random.default_rng(17)
+    powers = np.array([float(f"1e{p}") for p in range(-300, 301)])
+    ties = [float(f"{digits}5e{p}")
+            for digits, p in zip(rng.integers(10 ** 16, 10 ** 17, 4000).tolist(),
+                                 rng.integers(-310, 290, 4000).tolist())]
+    values = np.concatenate([
+        [0.0, 5e-324, np.finfo(float).max, 1250000000000000.25, 1250000000000000.75],
+        powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+        np.ldexp(1.0, np.arange(-1000, 1001)),
+        np.arange(1, 2001), 2.0 ** 53 - np.arange(1000),
+        rng.integers(0, 2 ** 53, 2000).astype(float),
+        ties,
+    ])
+    return np.concatenate([values, -values])
+
+
+#: Columns of the wide test dumps, and the kernel's rows per block at that width.
+_WIDE = 1000
+_BLOCK_ROWS = serialize._BLOCK_TOKENS // _WIDE
+
+
+def _random_bit_patterns(count: int, seed: int) -> np.ndarray:
+    """``count`` finite doubles from uniform 64-bit patterns: every exponent, either sign."""
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=count + count // 100,
+                                                dtype=np.uint64)
+    values = bits.view(np.float64)
+    return values[np.isfinite(values)][:count]
+
+
+def test_kernel_matches_format_on_hard_values(tmp_path):
+    hard = _hard_values()
+    # 100 000 random patterns in each part, on a row count one past a whole block
+    rows = -(-(hard.size + 100_000) // (_WIDE * _BLOCK_ROWS)) * _BLOCK_ROWS + 1
+    random = rows * _WIDE - hard.size
+    real = np.concatenate([hard, _random_bit_patterns(random, 1)])
+    imag = np.concatenate([np.random.default_rng(2).permutation(hard),
+                           _random_bit_patterns(random, 3)])
+    path = tmp_path / "m.txt"
+    for matrix in ((real + 1j * imag).reshape(rows, _WIDE), hard.reshape(-1, 2)):
+        write_matrix(path, matrix)
+        assert path.read_bytes() == _reference_dump(matrix)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, serialize._BLOCK_TOKENS + 5),
+                                   (serialize._BLOCK_TOKENS + 5, 1), (2 * _BLOCK_ROWS + 1, _WIDE)])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_kernel_matches_format_on_every_shape(tmp_path, shape, kind):
+    rng = np.random.default_rng(3)
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    if kind == "complex":
+        matrix = matrix + 1j * rng.standard_normal(shape)
+    path = tmp_path / "m.txt"
+    write_matrix(path, matrix)
+    assert path.read_bytes() == _reference_dump(matrix)
