@@ -12,11 +12,12 @@ are negative (``count_below``, O(N)).  A window is sampled once for all
 branches and takes one such count per sample, which signs every branch at
 once; bisection counts pivots too.  The one eigenvalue E_n(z_k) of a
 (sample, branch) pair is solved at most once, by index-selective bisection
-(``eigpair_bands``), and only where a report needs the value: at the ends of
-a sign change and on a window where the branch changes sign nowhere (its
-near miss).  Each level's ket comes from one selective eigenpair solve
-(bisection, then inverse iteration) at the root.  A complex mass-squared
-raises ValueError.
+(``eigpair_bands``, through ``Eigenvalues``, which on the dense fallback
+solves a sample's spectrum once for all branches), and only where a report
+needs the value: at the ends of a sign change and on a window where the
+branch changes sign nowhere (its near miss).  Each level's ket comes from
+one selective eigenpair solve (bisection, then inverse iteration) at the
+root.  A complex mass-squared raises ValueError.
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import tridiagonal
 from .errors import DegenerateMass, RefinementStall, SolverError
 # unused by the search; bench/test_bench.py asserts that this module binds
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
 from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
-from .tridiagonal import eigpair_bands
+from .tridiagonal import Eigenvalues, eigpair_bands
 
 #: Default number of samples per search window.
 WINDOW_STEPS = 64
@@ -120,8 +120,7 @@ class _SampledWindow:
     def __init__(self, bands: BandFamily, z_samples: np.ndarray):
         self.z_samples = z_samples
         self._sample_bands = [bands(float(z)) for z in z_samples]
-        self._eigenvalues: dict[tuple[int, int], float] = {}
-        self._spectra: dict[int, np.ndarray] = {}
+        self._eigenvalues = [Eigenvalues(T) for T in self._sample_bands]
 
     @property
     def size(self) -> int:
@@ -134,20 +133,8 @@ class _SampledWindow:
                          for T, z in zip(self._sample_bands, self.z_samples)])
 
     def eigenvalue(self, k: int, n: int) -> float:
-        """E_n(z_k).
-
-        Without the LAPACK binding ``eigpair_bands`` solves the whole dense
-        spectrum for one eigenvalue, so there the spectrum of a sample is
-        solved once, by the same ``eigvalsh`` call, and kept for every branch.
-        """
-        if tridiagonal._lapack() is None:
-            if k not in self._spectra:
-                self._spectra[k] = np.linalg.eigvalsh(np.asarray(self._sample_bands[k]))
-            return float(self._spectra[k][n])
-        if (k, n) not in self._eigenvalues:
-            T = self._sample_bands[k]
-            self._eigenvalues[k, n] = eigpair_bands(T.diagonal, T.off_diagonal, n)
-        return self._eigenvalues[k, n]
+        """E_n(z_k)."""
+        return self._eigenvalues[k][n]
 
     def e_values(self, n: int) -> np.ndarray:
         return np.array([self.eigenvalue(k, n) for k in range(len(self._sample_bands))])

@@ -187,19 +187,21 @@ def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
     1e-14 for y < 1.2e17.  Where the integer part prod + floor(tail) lies in
     [10**16, 10**17), prod >= 2**53 is an integer, so that is the integer
     part of y and tail - floor(tail) its fraction, each within 1e-14.
-    Every element whose digits this does not prove is formatted by ``%``
-    instead: |x| outside ``_RANGE`` (zeros and subnormals among them), an
-    integer part below 10**16 or a rounded D of 10**17 or more (log10 off by
-    one, or a carry), and a fraction within ``_TIE_MARGIN`` of one half,
-    where an error of 1e-14 could decide the rounding (exact ties among
-    them).  Elsewhere the rounding is decided correctly, so every token is
-    that of ``%`` formatting, by proof or by construction.  Only IEEE float64 and int64 arithmetic is used (no
-    extended precision, no fused multiply-add), so the bytes do not depend
-    on the platform; ``log10`` only picks k, and the range check catches it
-    when it picks wrong.
+    A zero has the digits 0 and the exponent +00, which the tables give it
+    directly.  Every other element whose digits this does not prove is
+    formatted by ``%`` instead: |x| outside ``_RANGE`` (subnormals among
+    them), an integer part below 10**16 or a rounded D of 10**17 or more
+    (log10 off by one, or a carry), and a fraction within ``_TIE_MARGIN`` of
+    one half, where an error of 1e-14 could decide the rounding (exact ties
+    among them).  Elsewhere the rounding is decided correctly, so every token is
+    that of ``%`` formatting, by proof or by construction.  Only IEEE
+    float64 and int64 arithmetic is used (no extended precision, no fused
+    multiply-add), so the bytes do not depend on the platform; ``log10``
+    only picks k, and the range check catches it when it picks wrong.
     """
     tables = _tables()
     ax = np.abs(values)
+    zero = ax == 0.0
     fast = (ax >= _RANGE[0]) & (ax <= _RANGE[1])
     ax = np.where(fast, ax, 1.0)
     k = np.floor(np.log10(ax)).astype(np.int64) - _K_MIN
@@ -220,8 +222,10 @@ def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
     fast &= (digits >= 10 ** 16) & (np.abs(fraction - 0.5) >= _TIE_MARGIN)
     digits += fraction > 0.5
     fast &= digits < 10 ** 17
-    # 10**16 stands in for the digits of the elements left to %
+    # 10**16 stands in for the digits of the elements left to %; a zero's
+    # exponent is +00, from ax = 1.0 above
     digits[~fast] = 10 ** 16
+    digits[zero] = 0
 
     words = np.empty(values.shape + (_SLOT,), dtype=_WORD)
     lead, rest = np.divmod(digits, 10 ** 15)
@@ -235,12 +239,13 @@ def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
     words[..., 3] = tables.digits[third]
     words[..., 4] = tables.last[last]
     words[..., 5] = tables.exponent[k]
-    fmt = "%+.16e" if plus else "%.16e"
-    slots = words.view(np.uint8)
-    for i in zip(*np.nonzero(~fast)):
-        token = (fmt % values[i]).encode()
-        slots[i] = 0
-        slots[i][:len(token)] = np.frombuffer(token, dtype=np.uint8)
+    # the rest by one % on all of them, each left-justified in its slot with
+    # blanks, which become pad bytes
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        fmt = f"%-{'+' * plus}{_SLOT * _WORD.itemsize}.16e" * slow.size
+        text = (fmt % tuple(values.ravel()[slow].tolist())).encode().replace(b" ", b"\0")
+        words.reshape(-1, _SLOT)[slow] = np.frombuffer(text, dtype=_WORD).reshape(-1, _SLOT)
     return words
 
 

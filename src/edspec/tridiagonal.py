@@ -24,7 +24,9 @@ through numpy's own ``_umath_linalg`` extension finds the library numpy
 already loaded, whatever its hashed file name.  The symbols are resolved on
 first use, not at import.  Where numpy links another LAPACK (MKL,
 Accelerate, conda builds) the symbols are absent and both functions fall
-back to numpy's dense solvers on the assembled matrix.
+back to numpy's dense solvers on the assembled matrix.  ``Eigenvalues``
+serves E_n of one matrix to a caller that asks for several n: on that
+fallback it solves the dense spectrum once for all of them.
 """
 
 from __future__ import annotations
@@ -145,3 +147,27 @@ def eigpair_bands(d, e, n: int, vectors: bool = False):
     if found[0] != 1:
         raise np.linalg.LinAlgError(f"LAPACK dstevx found {found[0]} eigenvalues, not 1")
     return (float(values[0]), _fix_sign(ket)) if vectors else float(values[0])
+
+
+class Eigenvalues:
+    """The eigenvalues E_n (n = 0, 1, ...) of one matrix, each solved when first asked for.
+
+    With the LAPACK binding E_n is one ``eigpair_bands`` solve.  Without it
+    that solve is the whole dense spectrum, so the first request keeps all of
+    it, from the same ``eigvalsh`` call, for every later n.
+    """
+
+    def __init__(self, T: Tridiagonal):
+        self._bands = T
+        self._values: dict[int, float] = {}
+
+    def __getitem__(self, n: int) -> float:
+        if n not in self._values:
+            d, e = self._bands.diagonal, self._bands.off_diagonal
+            # an index outside the spectrum is refused by eigpair_bands
+            if _lapack() is not None or not 0 <= n < len(d):
+                self._values[n] = eigpair_bands(d, e, n)
+            else:
+                spectrum = np.linalg.eigvalsh(np.asarray(Tridiagonal(*_work_copies(d, e))))
+                self._values = dict(enumerate(spectrum.tolist()))
+        return self._values[n]

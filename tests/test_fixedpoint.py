@@ -415,7 +415,11 @@ def test_count_signs_match_eigenvalue_signs(monkeypatch):
 
 
 class _Solves(list):
-    """(bands, branch) of each eigenvalue solve; ``kets`` those of the eigenpair solves."""
+    """(diagonal, branch) of each eigenvalue solve; ``kets`` those of the eigenpair solves.
+
+    With the LAPACK binding a solve is one eigenvalue of one sample; without
+    it, the dense spectrum of one sample, recorded with branch None.
+    """
 
     def __init__(self):
         super().__init__()
@@ -424,18 +428,21 @@ class _Solves(list):
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The level search's tridiagonal solves, counted per (bands, branch)."""
-    if tridiagonal._lapack() is None:
-        pytest.skip("without the LAPACK binding a sample's spectrum is solved once for "
-                    "all branches (test_dense_fallback_solves_each_sample_once)")
+    """The level search's eigenvalue and eigenpair solves, with the bands they solve."""
     calls = _Solves()
-    solve = fixedpoint_module.eigpair_bands
+    solve, spectrum = tridiagonal.eigpair_bands, np.linalg.eigvalsh
 
     def counted(d, e, n, vectors=False):
-        (calls.kets if vectors else calls).append((d, n))
+        (calls.kets if vectors else calls).append((np.asarray(d).tobytes(), n))
         return solve(d, e, n, vectors)
 
+    def counted_spectrum(T):
+        calls.append((np.diag(T).tobytes(), None))
+        return spectrum(T)
+
+    monkeypatch.setattr(tridiagonal, "eigpair_bands", counted)
     monkeypatch.setattr(fixedpoint_module, "eigpair_bands", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_spectrum)
     return calls
 
 
@@ -459,10 +466,11 @@ def test_root_free_window_solves_each_sample_once(solves, n_list):
     result = collect_physical(HOQuadratic(1.0, 0.0), GRID, n_list, [(0.2, 0.9)], steps=16)
     assert not result.levels and not result.failures
     assert all(d.near_miss > 0.0 for d in result.diagnostics)
-    # sixteen solves per branch, each of a different (sample, branch) pair
-    assert len(solves) == 16 * len(n_list)
-    assert len({(id(d), n) for d, n in solves}) == 16 * len(n_list)
-    assert len({id(d) for d, _ in solves}) == 16
+    # sixteen solves per branch, each of a different (sample, branch) pair;
+    # on the dense fallback one spectrum per sample serves every branch
+    per_sample = len(n_list) if tridiagonal._lapack() is not None else 1
+    assert len(solves) == len(set(solves)) == 16 * per_sample
+    assert len({d for d, _ in solves}) == 16
     assert not solves.kets
 
 
@@ -495,7 +503,7 @@ def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkey
     assert len(solves) == steps
 
 
-def test_dense_fallback_solves_each_sample_once(monkeypatch):
+def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
     # branch 1 has no root in the first window, so its near miss needs every
     # sample there, as branch 0's bracket ends do
     args = (HOQuadratic(1.0, 2.0), Grid(-8.0, 8.0, 60), [0, 1], [(0.1, 1.85), (2.1, 8.0)])
@@ -506,17 +514,10 @@ def test_dense_fallback_solves_each_sample_once(monkeypatch):
                       lambda self, k, n: eigpair_bands(self._sample_bands[k].diagonal,
                                                        self._sample_bands[k].off_diagonal, n))
         reference = collect_physical(*args, steps=16)
-    solved = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(matrix):
-        solved.append(np.diag(matrix).tobytes())
-        return eigvalsh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    del solves[:]
     result = collect_physical(*args, steps=16)
     assert any(d.near_miss is not None for d in result.diagnostics) and result.levels
-    assert 16 < len(solved) == len(set(solved)) <= 2 * 16
+    assert 16 < len(solves) == len(set(solves)) <= 2 * 16
     assert result.diagnostics == reference.diagnostics and not result.failures
     assert len(result.levels) == len(reference.levels)
     for level, expected in zip(result.levels, reference.levels):

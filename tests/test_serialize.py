@@ -177,3 +177,16 @@ def test_kernel_matches_format_on_every_shape(tmp_path, shape, kind):
     path = tmp_path / "m.txt"
     write_matrix(path, matrix)
     assert path.read_bytes() == _reference_dump(matrix)
+
+
+def test_kernel_matches_format_on_signed_zeros(tmp_path):
+    # mostly zeros of either sign, with a few subnormals left to %; the
+    # imaginary parts are all zero, and a -0.0 among them makes them print
+    rng = np.random.default_rng(5)
+    parts = np.where(rng.random((2, 300, 40)) < 0.5, 0.0, -0.0)
+    parts[:, ::37, ::7] = 5e-324
+    matrix = parts[0] + 0j
+    matrix.imag = parts[1]
+    path = tmp_path / "m.txt"
+    write_matrix(path, matrix)
+    assert path.read_bytes() == _reference_dump(matrix)
