@@ -139,7 +139,7 @@ class FVSystem:
         dec = decompose(self.H)
         omega = np.sqrt(dec.eigenvalues)
         n = omega.shape[0]
-        scale = np.sqrt(np.linalg.norm(np.asarray(self.H)) ** 2 + n)   # ||h_sr||_F >= 1
+        scale = np.sqrt(_frobenius_sq(self.H) + n)   # ||h_sr||_F >= 1
         # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
         # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
         same = np.abs(omega[:, None] - omega[None, :])
@@ -246,21 +246,38 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
     return FVState(t=np.concatenate([state.t[-1:], state.t[-1] + times]), phi1=phi1, phi2=phi2)
 
 
+def _frobenius_sq(H: OperatorMatrix | Tridiagonal, shift: float = 0.0) -> float:
+    """||H - shift I||_F^2; a band value's from its bands, never assembled."""
+    if isinstance(H, Tridiagonal):
+        entries = np.concatenate([H.diagonal - shift, H.off_diagonal, H.off_diagonal])
+    else:
+        entries = H - shift * np.eye(H.shape[0])
+    return float(np.vdot(entries, entries).real)
+
+
+def _antihermitian_norm(H: OperatorMatrix | Tridiagonal) -> float:
+    """||H - H^dagger||_F; a band value's is 2 ||Im diagonal|| (its off-diagonal is real)."""
+    if isinstance(H, Tridiagonal):
+        return 2.0 * float(np.linalg.norm(H.diagonal.imag))
+    return float(np.linalg.norm(H - H.conj().T))
+
+
 def _intertwine_residual(metric: str, system: FVSystem) -> float:
     """Relative residual ||M h_sr - h_sr^dagger M|| / (||h_sr|| ||M||)."""
-    H = np.asarray(system.H)
+    H = system.H
     n = system.base_dimension
-    h_norm = np.sqrt(np.linalg.norm(H) ** 2 + n)
+    h_norm = np.sqrt(_frobenius_sq(H) + n)
     if metric == "identity":
         # h_sr - h_sr^dagger = [[0, H - I], [I - H^dagger, 0]]
-        commutator = np.sqrt(2.0) * np.linalg.norm(H - np.eye(n))
+        commutator = np.sqrt(2.0 * _frobenius_sq(H, 1.0))
         metric_norm = np.sqrt(2.0 * n)
     else:
         # M h_sr - h_sr^dagger M = [[0, 0], [0, eta H - H^dagger eta]]
         eta = system.eta
         if eta is None:
-            commutator, eta_norm = np.linalg.norm(H - H.conj().T), np.sqrt(n)
+            commutator, eta_norm = _antihermitian_norm(H), np.sqrt(n)
         else:
+            H = np.asarray(H)
             commutator = np.linalg.norm(eta @ H - H.conj().T @ eta)
             eta_norm = np.linalg.norm(eta)
         metric_norm = np.sqrt(2.0) * eta_norm
@@ -294,8 +311,9 @@ def conservation_report(trajectory: FVState, metric: str,
         raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
     _check_dimension(trajectory, system)
     phi1, phi2 = trajectory.phi1, trajectory.phi2
+    euclidean = (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
     if metric == "identity":
-        values = (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
+        values = euclidean
     else:
         eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
         values = 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
@@ -310,8 +328,7 @@ def conservation_report(trajectory: FVState, metric: str,
     intertwines = residual <= INTERTWINE_TOLERANCE
     return ConservationReport(
         pseudo_norms=values,
-        euclidean_norms=np.array([np.linalg.norm(np.concatenate([p1, p2])) ** 2
-                                  for p1, p2 in zip(phi1, phi2)]),
+        euclidean_norms=euclidean,
         drift=drift,
         passed=drift <= DRIFT_TOLERANCE and spectrum_real and intertwines,
         degenerate_norm=degenerate,

@@ -72,6 +72,12 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return out * (np.abs(pivot) / pivot)
 
 
+def _minus_identity(square: np.ndarray) -> np.ndarray:
+    """``square - I``, subtracted from the diagonal in place."""
+    square.flat[:: square.shape[0] + 1] -= 1.0
+    return square
+
+
 def reality_mask(w: np.ndarray) -> np.ndarray:
     """Elementwise reality rule |Im E| <= REAL_TOLERANCE * (1 + |E|)."""
     return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
@@ -90,8 +96,11 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
     inverse of the ket matrix, L^dagger = K^-1.  On the general path
     DegenerateSpectrum is raised when two eigenvalues sit closer than
     1e-8 * ||H||_F, and PairingFailure when K is singular or some ||l_n||
-    (the condition number of E_n) exceeds 1e12 or is not finite.  The two
-    residual products stay N^3 on every path.
+    (the condition number of E_n) exceeds 1e12 or is not finite.  The
+    residuals are max |<l_m|psi_n> - delta_mn| and ||K L^dagger - I||_F.
+    The orthonormal path forms one N^3 product, the Gram matrix V^dagger V:
+    for a square V, ||V V^dagger - I||_F = ||V^dagger V - I||_F in exact
+    arithmetic.  The general path forms both products.
     """
     hermitian = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
     if hermitian:
@@ -112,7 +121,7 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
         # Orthonormalization stays well posed under degeneracy, so the gap
         # check below is skipped on this path.  Both solvers return the
         # eigenvalues in ascending order, and real vectors stay real:
-        # bra = ket, and both residual products below are real.
+        # bra = ket, and the Gram product below is real.
         w = w.astype(complex)
         kets = _fix_phases(v)
         lefts = kets
@@ -144,9 +153,12 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
         order = np.lexsort((w.imag, w.real))
         w, kets, lefts = w[order], kets[:, order], lefts[:, order]
 
-    gram = lefts.conj().T @ kets
-    biorth = float(np.abs(gram - np.eye(n)).max())
-    completeness = float(np.linalg.norm(kets @ lefts.conj().T - np.eye(n)))
+    # <l_m|psi_n> - delta_mn, a real kets.T @ kets being one syrk; on the
+    # orthonormal path it gives the completeness residual too (see above)
+    gram = _minus_identity(lefts.conj().T @ kets)
+    outer = gram if hermitian else _minus_identity(kets @ lefts.conj().T)
+    completeness = float(np.linalg.norm(outer))
+    biorth = float(np.abs(gram).max())
     return FrozenDecomposition(
         eigenvalues=w,
         right_kets=kets,

@@ -6,6 +6,7 @@ import pytest
 import edspec.evolution as evolution
 from edspec.errors import DegenerateSpectrum, DimensionMismatch
 from edspec.evolution import (
+    BLOCK_METRICS,
     FVState,
     assemble_fv,
     conservation_report,
@@ -21,6 +22,8 @@ from edspec.operators import (
     build_problem,
 )
 from edspec.validate import criterion_pseudo_unitarity, pseudo_hermitian_pair
+
+EPS = np.finfo(float).eps
 
 
 def _state(phi1, phi2):
@@ -266,8 +269,15 @@ def test_euclidean_norms_follow_the_per_state_formula():
     state = gaussian_state(grid, center=0.0, width=1.2, momentum=1.5)
     trajectory = evolve(system, state, t_final=10.0, steps=100)
     report = conservation_report(trajectory, "swap", system)
-    per_state = [np.linalg.norm(_row(trajectory, j)) ** 2 for j in range(len(trajectory))]
+    # the sum over each component, as the identity pseudo-norm sums it
+    per_state = [(np.abs(trajectory.phi1[j]) ** 2).sum() + (np.abs(trajectory.phi2[j]) ** 2).sum()
+                 for j in range(len(trajectory))]
     assert report.euclidean_norms.tobytes() == np.array(per_state).tobytes()
+    identity = conservation_report(trajectory, "identity", system)
+    assert report.euclidean_norms.tobytes() == identity.pseudo_norms.tobytes()
+    # the stacked 2N vector's norm, squared, sums in another order
+    stacked = [np.linalg.norm(_row(trajectory, j)) ** 2 for j in range(len(trajectory))]
+    np.testing.assert_allclose(report.euclidean_norms, stacked, rtol=8 * EPS, atol=0)
     assert np.abs(report.euclidean_norms - 2.0).max() > 1e-3
 
 
@@ -311,6 +321,30 @@ def test_block_metric_matches_dense_form(system, metric):
     residual = (np.linalg.norm(M @ h - h.conj().T @ M)
                 / (np.linalg.norm(h) * np.linalg.norm(M)))
     assert report.intertwine_residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("mass", [
+    pytest.param(ConstantMass(1.0), id="real"),
+    pytest.param(GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.2j * x), id="complex"),
+])
+@pytest.mark.parametrize("metric", BLOCK_METRICS)
+def test_band_norms_match_the_dense_form(mass, metric):
+    # a band value's residual comes from its bands, a dense matrix's from all N^2 entries
+    bands = build_problem("kleingordon", Grid(-8.0, 8.0, 60), mass, 0.3)
+    n = bands.shape[0]
+    state = _state(np.ones(n), np.linspace(-1.0, 1.0, n))
+    band = conservation_report(state, metric, assemble_fv(bands)).intertwine_residual
+    dense = conservation_report(state, metric, assemble_fv(np.asarray(bands))).intertwine_residual
+    if metric == "swap" and isinstance(mass, ConstantMass):
+        # a real symmetric H commutes with the swap metric exactly, either way
+        assert band == dense == 0.0
+    else:
+        assert dense > 0.0 and abs(band - dense) <= 8 * EPS * dense
+    H = np.asarray(bands)
+    for shift in (0.0, 1.0):
+        reference = np.linalg.norm(H - shift * np.eye(n))
+        norm = np.sqrt(evolution._frobenius_sq(bands, shift))
+        assert abs(norm - reference) <= 4 * EPS * reference
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from edspec.frozen_spectrum import (
     eta_from_decomposition,
     eta_inverse_from_decomposition,
 )
-from edspec.operators import Tridiagonal
+from edspec.operators import Grid, HOQuadratic, Tridiagonal, build_problem
 
 
 def test_hermitian_diagonal():
@@ -202,3 +202,49 @@ def test_real_symmetric_path_stays_real(rng):
     scale = np.linalg.norm(h)
     assert np.linalg.norm(h.T @ eta - eta @ h) <= 1e-12 * scale * np.linalg.norm(eta)
     assert np.linalg.norm(h @ eta_inv - eta_inv @ h.T) <= 1e-12 * scale * np.linalg.norm(eta_inv)
+
+
+def _paths():
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((30, 30))
+    complex_ = real + 1j * rng.standard_normal((30, 30))
+    bands = build_problem("schrodinger", Grid(-6.0, 6.0, 30), HOQuadratic(1.5, 2.0), 0.7)
+    return [
+        pytest.param(bands, True, id="band"),
+        pytest.param(real + real.T, True, id="real-symmetric"),
+        pytest.param(complex_ + complex_.conj().T, True, id="hermitian"),
+        pytest.param(shifted_random_matrix(rng, 30), False, id="general"),
+    ]
+
+
+@pytest.mark.parametrize("H, orthonormal", _paths())
+def test_residuals_are_those_of_the_gram_products(H, orthonormal):
+    dec = decompose(H)
+    kets, lefts, eye = dec.right_kets, dec.left_bras, np.eye(dec.size)
+    gram = lefts.conj().T @ kets - eye
+    assert dec.biorth_residual == float(np.abs(gram).max())
+    # one Gram product serves both residuals on the orthonormal path;
+    # K L^dagger - I and L^dagger K - I differ in norm on the general one
+    outer = gram if orthonormal else kets @ lefts.conj().T - eye
+    assert dec.completeness_residual == float(np.linalg.norm(outer))
+
+
+def _bands(kind, n):
+    if kind == "random":
+        rng = np.random.default_rng(n)
+        return Tridiagonal(rng.standard_normal(n), rng.standard_normal(n - 1))
+    return build_problem(kind, Grid(-10.0, 10.0, n), HOQuadratic(1.5, 2.0), 0.7)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="np.longdouble is float64 on this platform")
+@pytest.mark.parametrize("kind", ["random", "schrodinger", "kleingordon"])
+@pytest.mark.parametrize("n", [64, 200])
+def test_orthonormal_completeness_matches_extended_precision(kind, n):
+    # ||V V^T - I||_F = ||V^T V - I||_F for the square ket matrix V; the
+    # float64 residual is rounding-sized, so its own rounding shows in percent
+    dec = decompose(_bands(kind, n))
+    kets = dec.right_kets.astype(np.longdouble)
+    residual = kets.T @ kets - np.eye(n)
+    exact = float(np.sqrt((residual * residual).sum()))
+    assert abs(dec.completeness_residual - exact) <= 0.05 * exact
