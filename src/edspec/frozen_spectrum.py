@@ -61,21 +61,48 @@ class FrozenDecomposition:
         return self.eigenvalues.shape[0]
 
 
+#: Columns per block of the pivot search in ``_fix_phases``: the ``abs``
+#: temporary is N x _PIVOT_BLOCK, not N x N.
+_PIVOT_BLOCK = 32
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """Unit-normalize columns and rotate the largest component real positive.
 
-    Real columns stay real: the rotation is then a sign.
+    Overwrites ``vectors`` and returns it.  Real columns stay real: the
+    rotation is then a sign.  Where components tie in magnitude, the first
+    one is the pivot.
     """
-    out = vectors / np.linalg.norm(vectors, axis=0)
-    lead = np.argmax(np.abs(out), axis=0)
-    pivot = out[lead, np.arange(out.shape[1])]
-    return out * (np.abs(pivot) / pivot)
+    vectors /= np.linalg.norm(vectors, axis=0)
+    cols = vectors.shape[1]
+    lead = np.empty(cols, dtype=np.intp)
+    for start in range(0, cols, _PIVOT_BLOCK):
+        block = slice(start, start + _PIVOT_BLOCK)
+        lead[block] = np.argmax(np.abs(vectors[:, block]), axis=0)
+    pivot = vectors[lead, np.arange(cols)]
+    vectors *= np.abs(pivot) / pivot
+    return vectors
 
 
 def _minus_identity(square: np.ndarray) -> np.ndarray:
     """``square - I``, subtracted from the diagonal in place."""
     square.flat[:: square.shape[0] + 1] -= 1.0
     return square
+
+
+def _max_abs(square: np.ndarray) -> float:
+    """max |square|, read from the extremes of a real array without an N x N ``abs``."""
+    if np.iscomplexobj(square):
+        return float(np.abs(square).max())
+    # max(max, -min) >= 0 is max |x| exactly; abs only turns -0.0 into 0.0
+    return float(abs(max(square.max(), -square.min())))
+
+
+def _min_gap(w: np.ndarray) -> float:
+    """The smallest distance between two of the eigenvalues ``w``."""
+    gaps = np.abs(w[:, None] - w[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min()
 
 
 def reality_mask(w: np.ndarray) -> np.ndarray:
@@ -106,7 +133,7 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
     if hermitian:
         if not (np.isfinite(H.diagonal).all() and np.isfinite(H.off_diagonal).all()):
             raise ValueError("H has non-finite entries")
-        w, v = eigh_bands(H.diagonal, H.off_diagonal)
+        w, kets = eigh_bands(H.diagonal, H.off_diagonal)
     else:
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -115,7 +142,7 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
             raise ValueError("H has non-finite entries")
         hermitian = np.array_equal(H, H.conj().T)
         if hermitian:
-            w, v = np.linalg.eigh(H)
+            w, kets = np.linalg.eigh(H)
     n = H.shape[0]
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
@@ -123,20 +150,18 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
         # eigenvalues in ascending order, and real vectors stay real:
         # bra = ket, and the Gram product below is real.
         w = w.astype(complex)
-        kets = _fix_phases(v)
+        kets = _fix_phases(kets)
         lefts = kets
     else:
         scale = max(np.linalg.norm(H), 1e-300)
-        w, v = np.linalg.eig(H)
+        w, kets = np.linalg.eig(H)
         if n > 1:
-            gaps = np.abs(w[:, None] - w[None, :])
-            np.fill_diagonal(gaps, np.inf)
-            gap = gaps.min()
+            gap = _min_gap(w)
             if gap < DEGENERACY_FACTOR * scale:
                 raise DegenerateSpectrum(
                     f"minimal eigenvalue gap {gap:.3e} below {DEGENERACY_FACTOR * scale:.3e}"
                 )
-        kets = _fix_phases(v)
+        kets = _fix_phases(kets)
         # L^dagger = K^-1 pairs the bras with the kets by construction, and
         # ||l_k|| is the condition number of eigenvalue k (unit kets)
         try:
@@ -155,10 +180,13 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
 
     # <l_m|psi_n> - delta_mn, a real kets.T @ kets being one syrk; on the
     # orthonormal path it gives the completeness residual too (see above)
-    gram = _minus_identity(lefts.conj().T @ kets)
-    outer = gram if hermitian else _minus_identity(kets @ lefts.conj().T)
-    completeness = float(np.linalg.norm(outer))
-    biorth = float(np.abs(gram).max())
+    residual = _minus_identity(lefts.conj().T @ kets)
+    biorth = _max_abs(residual)
+    if not hermitian:
+        # K L^dagger - I, formed once the Gram matrix is dropped
+        del residual
+        residual = _minus_identity(kets @ lefts.conj().T)
+    completeness = float(np.linalg.norm(residual))
     return FrozenDecomposition(
         eigenvalues=w,
         right_kets=kets,

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import edspec.frozen_spectrum as fs
+import edspec.tridiagonal as tri
 from conftest import pseudo_hermitian_pair, shifted_random_matrix
 from edspec.errors import ComplexSpectrum, DegenerateSpectrum, PairingFailure
 from edspec.frozen_spectrum import (
@@ -248,3 +252,60 @@ def test_orthonormal_completeness_matches_extended_precision(kind, n):
     residual = kets.T @ kets - np.eye(n)
     exact = float(np.sqrt((residual * residual).sum()))
     assert abs(dec.completeness_residual - exact) <= 0.05 * exact
+
+
+def _phased_out_of_place(vectors):
+    """The phase convention as one out-of-place formula, the pivot from one N x N ``abs``."""
+    out = vectors / np.linalg.norm(vectors, axis=0)
+    lead = np.argmax(np.abs(out), axis=0)
+    pivot = out[lead, np.arange(out.shape[1])]
+    return out * (np.abs(pivot) / pivot)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_fix_phases_overwrites_its_argument_with_the_same_bits(dtype):
+    rng = np.random.default_rng(3)
+    cols = 2 * fs._PIVOT_BLOCK + 7
+    vectors = rng.standard_normal((40, cols)).astype(dtype)
+    if dtype == np.complex128:
+        vectors += 1j * rng.standard_normal((40, cols))
+    # magnitude ties in the last block, where the first component must win:
+    # -a before a flips the column, a before -a (or i a before a) keeps it
+    a = 3 * np.abs(vectors).max()
+    tie = -a if dtype == np.float64 else 1j * a
+    vectors[[5, 9], cols - 3] = -a, a
+    vectors[[2, 30], cols - 2] = a, -a
+    vectors[[0, 39], cols - 1] = tie, a
+    expected = _phased_out_of_place(vectors)
+    got = fs._fix_phases(vectors)
+    assert got is vectors
+    assert np.array_equal(got, expected)
+    pivots = got[[5, 2, 0], [cols - 3, cols - 2, cols - 1]]
+    assert (pivots.real > 0).all() and (pivots.imag == 0).all()
+
+
+def test_max_abs_reads_the_extremes_exactly():
+    rng = np.random.default_rng(4)
+    real = rng.standard_normal((30, 30))
+    cases = [real, real - 10.0, real + 10.0, real + 1j * real.T,
+             np.array([[-0.0, 0.0], [0.0, -0.0]]), np.full((3, 3), -0.0)]
+    for square in cases:
+        got, expected = fs._max_abs(square), float(np.abs(square).max())
+        assert got == expected and np.signbit(got) == np.signbit(expected)
+
+
+def test_band_decomposition_peaks_at_two_square_arrays():
+    if tri._lapack() is None:
+        pytest.skip("the dense fallback assembles the band value by design")
+    n = 400
+    T = build_problem("schrodinger", Grid(-10.0, 10.0, n), HOQuadratic(1.5, 2.0), 0.7)
+    decompose(T)
+    tracemalloc.start()
+    try:
+        decompose(T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the ket matrix and one of: dstevd's Fortran-order output, its C-order
+    # copy, the Gram matrix; the out-of-place phasing peaked at 4.00
+    assert peak < 2.25 * n * n * 8
