@@ -8,6 +8,7 @@ are emitted with lexicographically sorted keys.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from pathlib import Path
 from typing import NamedTuple
@@ -22,37 +23,9 @@ def format_float(value: float) -> str:
     return f"{value:.16e}"
 
 
-#: Dense-dump token 're+imj': both parts as in ``format_float``, the
-#: imaginary one with an explicit sign.
-_COMPLEX_TOKEN = "%.16e%+.16ej"
-
-
-def format_complex(value: complex) -> str:
-    """Dense-dump token 're+imj' with fixed-width parts."""
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise ValueError(f"cannot serialize non-finite complex {value!r}")
-    return _COMPLEX_TOKEN % (value.real, value.imag)
-
-
-def _escape(text: str) -> str:
-    out = ["\""]
-    for ch in text:
-        if ch == "\"":
-            out.append("\\\"")
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append("\"")
-    return "".join(out)
+#: A JSON string, non-ASCII characters kept as they are (``json.dumps(text,
+#: ensure_ascii=False)`` without building an encoder per call).
+_json_string = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def json_dumps(obj, indent: int = 0) -> str:
@@ -64,14 +37,14 @@ def json_dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, (bool, np.bool_)):
         return "true" if obj else "false"
     if isinstance(obj, str):
-        return _escape(obj)
+        return _json_string(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         # diagnostics of failing runs may carry inf/nan; JSON has no literal
         # for them, so they are emitted as quoted strings
         if not math.isfinite(obj):
-            return _escape(str(float(obj)))
+            return json_dumps(str(float(obj)))
         return format_float(float(obj))
     if isinstance(obj, dict):
         if not obj:
@@ -80,7 +53,7 @@ def json_dumps(obj, indent: int = 0) -> str:
         for key in sorted(obj):
             if not isinstance(key, str):
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            items.append(f"{' ' * child}{_escape(key)}: {json_dumps(obj[key], child)}")
+            items.append(f"{' ' * child}{json_dumps(key)}: {json_dumps(obj[key], child)}")
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -110,18 +83,16 @@ def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-#: Words of one formatted part, 4 bytes each (little-endian uint32): the
+#: Words of one formatted value, 4 bytes each (little-endian uint32): the
 #: sign or a pad, the leading digit, '.' and the next digit; 12 digits; 3
 #: digits and 'e'; the exponent's sign, its hundreds digit or a pad, its
-#: last two digits.  A positive part's sign and a 2-digit exponent's
+#: last two digits.  A positive value's sign and a 2-digit exponent's
 #: hundreds are NUL pad bytes, which joining drops.
 _SLOT = 6
-#: One dump token 're+imj' and its separator: two slots, then ['j', ' ', pad,
-#: pad], with ' ' a pad too after a row's last token.
-_TOKEN = 2 * _SLOT + 1
+#: One dump token and its separator: a slot, then [' ', pad, pad, pad], with
+#: ' ' a pad too after a row's last token.
+_TOKEN = _SLOT + 1
 _WORD = np.dtype("<u4")
-#: The imaginary slot of a real matrix's tokens.
-_ZERO_IMAG = np.frombuffer(b"+0.0" + b"0" * 15 + b"e+\x0000", dtype=_WORD)
 #: Tokens formatted per block of rows, so the work buffers stay a few MB.
 _BLOCK_TOKENS = 1 << 13
 #: Where the kernel proves its digits: the double-double powers of ten
@@ -169,8 +140,8 @@ def _tables() -> _Tables:
     return _Tables(hi, lo, *(np.frombuffer(table, dtype=_WORD) for table in words))
 
 
-def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
-    """The bytes of ``"%.16e"`` (``"%+.16e"`` if ``plus``) of float64 values.
+def _format_values(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``"%.16e"`` of float64 values, as ``format_float`` gives them.
 
     Returns the slots (see ``_SLOT``) as words of shape values.shape + (_SLOT,).
 
@@ -229,7 +200,7 @@ def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
 
     words = np.empty(values.shape + (_SLOT,), dtype=_WORD)
     lead, rest = np.divmod(digits, 10 ** 15)
-    sign = np.where(np.signbit(values), _WORD.type(ord("-")), _WORD.type(ord("+") * plus))
+    sign = np.signbit(values) * _WORD.type(ord("-"))
     np.bitwise_or(tables.lead[lead], sign, out=words[..., 0])
     upper, lower = np.divmod(rest, 10 ** 7)
     first, second = np.divmod(upper, 10 ** 4)
@@ -243,46 +214,38 @@ def _format_parts(values: np.ndarray, plus: bool) -> np.ndarray:
     # blanks, which become pad bytes
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:
-        fmt = f"%-{'+' * plus}{_SLOT * _WORD.itemsize}.16e" * slow.size
+        fmt = f"%-{_SLOT * _WORD.itemsize}.16e" * slow.size
         text = (fmt % tuple(values.ravel()[slow].tolist())).encode().replace(b" ", b"\0")
         words.reshape(-1, _SLOT)[slow] = np.frombuffer(text, dtype=_WORD).reshape(-1, _SLOT)
     return words
 
 
-def _format_rows(rows: np.ndarray, complex_parts: bool) -> bytes:
-    """Dump lines of a block of rows: 're+imj' tokens, ' '-separated, LF-ended."""
+def _format_rows(rows: np.ndarray) -> bytes:
+    """Dump lines of a block of rows: ' '-separated tokens, LF-ended."""
     count, m = rows.shape
     buffer = np.zeros((count, m * _TOKEN + 1), dtype=_WORD)
     tokens = buffer[:, :-1].reshape(count, m, _TOKEN)
-    tokens[..., :_SLOT] = _format_parts(np.asarray(rows.real, dtype=np.float64), plus=False)
-    if complex_parts:
-        tokens[..., _SLOT:-1] = _format_parts(np.asarray(rows.imag, dtype=np.float64),
-                                              plus=True)
-    else:
-        tokens[..., _SLOT:-1] = _ZERO_IMAG
-    tokens[..., -1] = ord("j") | ord(" ") << 8
-    tokens[:, -1:, -1] = ord("j")
+    tokens[..., :_SLOT] = _format_values(np.asarray(rows, dtype=np.float64))
+    tokens[:, :-1, -1] = ord(" ")
     buffer[:, -1] = ord("\n")
     return buffer.tobytes().translate(None, b"\0")
 
 
 def write_matrix(path: Path, matrix) -> None:
-    """Plain-text dense dump: first line 'N M', then rows of re+imj tokens.
+    """Plain-text dense dump of a real matrix: first line 'N M', then rows of tokens.
 
-    Tokens are those of ``format_complex``, byte for byte; a non-finite part
-    anywhere raises ValueError before the file is touched.  The tokens are
-    formatted by ``_format_parts`` a block of rows at a time.
+    Tokens are those of ``format_float``, byte for byte; a complex matrix or a
+    non-finite entry raises ValueError before the file is touched.  The
+    tokens are formatted by ``_format_values`` a block of rows at a time.
     """
     matrix = np.asarray(matrix)
     n, m = matrix.shape
+    if np.iscomplexobj(matrix):
+        raise ValueError("cannot serialize a complex matrix; dumps are real")
     if not np.isfinite(matrix).all():
         raise ValueError("cannot serialize a matrix with non-finite entries")
-    # a real matrix, or a complex one whose imaginary parts are all +0.0
-    # (-0.0 prints differently), has the constant imaginary token
-    complex_parts = np.iscomplexobj(matrix) and (matrix.imag.any()
-                                                 or np.signbit(matrix.imag).any())
     block = max(1, _BLOCK_TOKENS // max(m, 1))
     with open(path, "wb") as out:
         out.write(f"{n} {m}\n".encode())
         for start in range(0, n, block):
-            out.write(_format_rows(matrix[start:start + block], complex_parts))
+            out.write(_format_rows(matrix[start:start + block]))

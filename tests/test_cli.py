@@ -418,12 +418,21 @@ def test_metric_duplicated_level_ill_conditioned(tmp_path, capsys, monkeypatch):
 def test_metric_matrix_dumps(tmp_path):
     cfg = write_config(tmp_path, METRIC_BASE + "\n    [output]\n    dump_matrices = true\n")
     assert main(["metric", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
-    for name in ("K.txt", "L.txt", "mu.txt", "nu.txt", "R.txt"):
-        lines = (tmp_path / name).read_text().strip().split("\n")
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    energies = [level["energy"] for level in load_json(tmp_path / "fixedpoint.json")["levels"]]
+    dumps = {}
+    for name in ("K", "L", "mu", "nu", "R"):
+        lines = (tmp_path / f"{name}.txt").read_text().strip().split("\n")
         n, m = (int(tok) for tok in lines[0].split())
         assert len(lines) == n + 1
-        assert len(lines[1].split()) == m
-        assert lines[1].split()[0].endswith("j")
+        tokens = [line.split(" ") for line in lines[1:]]
+        assert all(len(row) == m for row in tokens)
+        assert not any("j" in tok for row in tokens for tok in row)
+        dumps[name] = np.array([[float(tok) for tok in row] for row in tokens])
+    assert dumps["R"].shape == (len(energies),) * 2
+    np.testing.assert_allclose(np.diag(dumps["R"]), 1.0, rtol=0, atol=1e-8)
+    for name in ("K", "L"):
+        assert np.trace(dumps[name]) == pytest.approx(sum(energies), rel=1e-7)
 
 
 # ---------------------------------------------------------------- evolve

@@ -1,9 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from edspec import serialize
 from edspec.serialize import (
-    format_complex,
     format_float,
     json_dumps,
     write_csv,
@@ -21,12 +23,6 @@ def test_float_format_is_fixed_width():
         format_float(float("inf"))
 
 
-def test_complex_token_round_trips():
-    token = format_complex(1.5 - 2.25j)
-    assert token == "1.5000000000000000e+00-2.2500000000000000e+00j"
-    assert complex(token) == 1.5 - 2.25j
-
-
 def test_json_keys_sorted_and_typed():
     text = json_dumps({"b": 1, "a": [True, None, 2.0], "c": "x\"y"})
     assert text.index("\"a\"") < text.index("\"b\"") < text.index("\"c\"")
@@ -41,6 +37,15 @@ def test_json_accepts_numpy_scalars():
     assert "nan" in json_dumps({"x": float("nan")})
 
 
+def test_json_strings_round_trip_control_characters():
+    text = "".join(map(chr, range(0x20))) + "\"\\\x7f\u00e9\u2028\U0001f600"
+    raw = json_dumps({text: [text]})
+    assert json.loads(raw) == {text: [text]}
+    # U+0008 and U+000C take their short escapes; other controls are \u-escaped
+    assert "\\b" in raw and "\\f" in raw and "\\u001f" in raw
+    assert "\u00e9" in raw
+
+
 def test_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1, 2.0], [True, -1.0]])
@@ -51,40 +56,31 @@ def test_csv_layout(tmp_path):
 
 def test_matrix_dump_round_trips(tmp_path):
     path = tmp_path / "m.txt"
-    matrix = np.array([[1.0 + 2.0j, -0.5], [0.0, 3.25 - 1.0j]])
+    matrix = np.array([[1.0, -0.5], [-0.0, 3.25]])
     write_matrix(path, matrix)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "2 2"
-    parsed = np.array([[complex(tok) for tok in line.split()] for line in lines[1:]])
+    assert lines[1] == "1.0000000000000000e+00 -5.0000000000000000e-01"
+    parsed = np.array([[float(tok) for tok in line.split(" ")] for line in lines[1:]])
     np.testing.assert_array_equal(parsed, matrix)
+    np.testing.assert_array_equal(np.signbit(parsed), np.signbit(matrix))
 
 
 def _reference_dump(matrix) -> bytes:
-    """The dump built token by token from ``format_complex``."""
+    """The dump built token by token from ``format_float``."""
     n, m = matrix.shape
-    rows = [" ".join(format_complex(complex(value)) for value in row)
+    rows = [" ".join(format_float(value) for value in row)
             for row in matrix.tolist()]
     return ("\n".join([f"{n} {m}"] + rows) + "\n").encode()
 
 
-# complex with every imaginary part +0.0, and the same with one -0.0
-_PLUS_ZERO_IMAG = np.random.default_rng(2).standard_normal((3, 4)).astype(complex)
-_ONE_MINUS_ZERO_IMAG = _PLUS_ZERO_IMAG.copy()
-_ONE_MINUS_ZERO_IMAG[1, 2] = complex(_ONE_MINUS_ZERO_IMAG[1, 2].real, -0.0)
-
-
 @pytest.mark.parametrize("matrix", [
-    np.array([[complex(0.0, 0.0), complex(-0.0, -0.0)],
-              [complex(0.0, -0.0), complex(-0.0, 0.0)]]),
-    np.array([[5e-324 - 5e-324j, 1e308 - 1e308j, -1e308 + 5e-324j]]),
-    np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308]]),     # real, 2 x 3
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[5e-324, 1e308, -1e308], [-5e-324, -1e308, 5e-324]]),
+    np.array([[0.0, -0.0, 5e-324], [-5e-324, 1e308, -1e308]]),     # 2 x 3
     np.array([[-0.0]]),                                             # 1 x 1
-    np.random.default_rng(0).standard_normal((4, 4))
-    + 1j * np.random.default_rng(1).standard_normal((4, 4)),
-    _PLUS_ZERO_IMAG,
-    _ONE_MINUS_ZERO_IMAG,
-], ids=["signed-zeros", "extremes", "real-2x3", "1x1", "random", "complex-plus-zero-imag",
-        "complex-one-minus-zero-imag"])
+    np.random.default_rng(0).standard_normal((4, 4)),
+], ids=["signed-zeros", "extremes", "real-2x3", "1x1", "random"])
 def test_matrix_dump_bytes_match_tokens(tmp_path, matrix):
     path = tmp_path / "m.txt"
     write_matrix(path, matrix)
@@ -96,12 +92,35 @@ def test_matrix_dump_bytes_match_tokens(tmp_path, matrix):
     complex(1.0, float("nan")), complex(0.0, -float("inf")),
 ])
 def test_non_finite_parts_rejected(tmp_path, bad):
+    # a complex matrix is refused whatever it holds, and its non-finite part
+    # is refused as a real entry
+    part = bad.imag if math.isfinite(bad.real) else bad.real
     with pytest.raises(ValueError):
-        format_complex(bad)
-    matrix = np.eye(2, dtype=complex)
-    matrix[1, 0] = bad
+        format_float(part)
     path = tmp_path / "m.txt"
-    with pytest.raises(ValueError):
+    for matrix, entry in ((np.eye(2, dtype=complex), bad), (np.eye(2), part)):
+        matrix[1, 0] = entry
+        with pytest.raises(ValueError):
+            write_matrix(path, matrix)
+        assert not path.exists()
+
+
+# complex with every imaginary part +0.0, and the same with one -0.0
+_PLUS_ZERO_IMAG = np.random.default_rng(2).standard_normal((3, 4)).astype(complex)
+_ONE_MINUS_ZERO_IMAG = _PLUS_ZERO_IMAG.copy()
+_ONE_MINUS_ZERO_IMAG[1, 2] = complex(_ONE_MINUS_ZERO_IMAG[1, 2].real, -0.0)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.array([[1.0 + 2.0j, -0.5], [0.0, 3.25 - 1.0j]]),
+    _PLUS_ZERO_IMAG,
+    _ONE_MINUS_ZERO_IMAG,
+    np.zeros((serialize._BLOCK_TOKENS + 5, 1), dtype=np.complex64),
+], ids=["complex", "plus-zero-imag", "one-minus-zero-imag", "complex64-past-a-block"])
+def test_complex_matrix_refused(tmp_path, matrix):
+    # dumps are real: a complex dtype is refused even when every imaginary part is zero
+    path = tmp_path / "m.txt"
+    with pytest.raises(ValueError, match="complex"):
         write_matrix(path, matrix)
     assert not path.exists()
 
@@ -154,14 +173,15 @@ def _random_bit_patterns(count: int, seed: int) -> np.ndarray:
 
 def test_kernel_matches_format_on_hard_values(tmp_path):
     hard = _hard_values()
-    # 100 000 random patterns in each part, on a row count one past a whole block
+    # 100 000 random patterns in each wide matrix, on a row count one past a whole block
     rows = -(-(hard.size + 100_000) // (_WIDE * _BLOCK_ROWS)) * _BLOCK_ROWS + 1
     random = rows * _WIDE - hard.size
-    real = np.concatenate([hard, _random_bit_patterns(random, 1)])
-    imag = np.concatenate([np.random.default_rng(2).permutation(hard),
-                           _random_bit_patterns(random, 3)])
+    first = np.concatenate([hard, _random_bit_patterns(random, 1)])
+    second = np.concatenate([np.random.default_rng(2).permutation(hard),
+                             _random_bit_patterns(random, 3)])
     path = tmp_path / "m.txt"
-    for matrix in ((real + 1j * imag).reshape(rows, _WIDE), hard.reshape(-1, 2)):
+    for matrix in (first.reshape(rows, _WIDE), second.reshape(rows, _WIDE),
+                   hard.reshape(-1, 2)):
         write_matrix(path, matrix)
         assert path.read_bytes() == _reference_dump(matrix)
 
@@ -172,21 +192,20 @@ def test_kernel_matches_format_on_hard_values(tmp_path):
 def test_kernel_matches_format_on_every_shape(tmp_path, shape, kind):
     rng = np.random.default_rng(3)
     matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
-    if kind == "complex":
-        matrix = matrix + 1j * rng.standard_normal(shape)
+    # the complex kind's real and imaginary parts dump as two real matrices
+    parts = [matrix, rng.standard_normal(shape)] if kind == "complex" else [matrix]
     path = tmp_path / "m.txt"
-    write_matrix(path, matrix)
-    assert path.read_bytes() == _reference_dump(matrix)
+    for part in parts:
+        write_matrix(path, part)
+        assert path.read_bytes() == _reference_dump(part)
 
 
 def test_kernel_matches_format_on_signed_zeros(tmp_path):
-    # mostly zeros of either sign, with a few subnormals left to %; the
-    # imaginary parts are all zero, and a -0.0 among them makes them print
+    # mostly zeros of either sign, with a few subnormals left to %
     rng = np.random.default_rng(5)
     parts = np.where(rng.random((2, 300, 40)) < 0.5, 0.0, -0.0)
     parts[:, ::37, ::7] = 5e-324
-    matrix = parts[0] + 0j
-    matrix.imag = parts[1]
     path = tmp_path / "m.txt"
-    write_matrix(path, matrix)
-    assert path.read_bytes() == _reference_dump(matrix)
+    for matrix in parts:
+        write_matrix(path, matrix)
+        assert path.read_bytes() == _reference_dump(matrix)
