@@ -38,21 +38,17 @@ from .operators import (
     MassModel,
     OperatorMatrix,
     Tridiagonal,
-    build_parity,
     build_problem,
 )
 from .physical_basis import (
-    ChargeOperator,
     MetricSuite,
     PhysicalBasis,
     build_basis,
-    build_charge,
     build_K,
     build_L,
     build_metrics,
     build_mu,
     build_nu,
-    levels_from_decomposition,
     levels_from_matrix,
     projector_residual,
     unit_projector,
@@ -68,9 +64,8 @@ __all__ = [
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",
     "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",
-    "OperatorMatrix", "Tridiagonal", "build_parity", "build_problem",
-    "ChargeOperator", "MetricSuite", "PhysicalBasis", "build_basis",
-    "build_charge", "build_K", "build_L", "build_metrics", "build_mu", "build_nu",
-    "levels_from_decomposition", "levels_from_matrix", "projector_residual",
-    "unit_projector",
+    "OperatorMatrix", "Tridiagonal", "build_problem",
+    "MetricSuite", "PhysicalBasis", "build_basis",
+    "build_K", "build_L", "build_metrics", "build_mu", "build_nu",
+    "levels_from_matrix", "projector_residual", "unit_projector",
 ]

@@ -43,7 +43,7 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     require(cfg, "model", "a [model] section")
     require(cfg, "grid", "a [grid] section")
     z = require(cfg, "spectrum_z", "a [spectrum] section with a z value")
-    dec = decompose(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
+    dec = decompose(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z), vectors=False)
     rows = [
         [i, float(dec.eigenvalues[i].real), float(dec.eigenvalues[i].imag),
          bool(dec.reality_flags[i])]

@@ -13,10 +13,6 @@ class EvaluationFailure(SolverError):
     """A mass-squared evaluator was undefined or non-finite at some (z, x)."""
 
 
-class AsymmetricGrid(SolverError):
-    """Parity requires a grid with x_min = -x_max."""
-
-
 class NonHermitianMetric(SolverError):
     """A metric operator failed its Hermiticity tolerance."""
 

@@ -46,12 +46,14 @@ class FrozenDecomposition:
     ``right_kets`` and ``left_bras`` hold one vector per column, ordered by
     (Re E, Im E); ``left_bras[:, n]`` is the vector whose conjugate transpose
     is the n-th bra.  For Hermitian H both are the same array, real
-    (float64) when H is real symmetric.
+    (float64) when H is real symmetric.  Both are None when ``decompose``
+    ran without vectors; the residuals then describe kets the result does
+    not keep (see ``decompose``).
     """
 
     eigenvalues: np.ndarray
-    right_kets: np.ndarray
-    left_bras: np.ndarray
+    right_kets: np.ndarray | None
+    left_bras: np.ndarray | None
     biorth_residual: float
     completeness_residual: float
     reality_flags: np.ndarray
@@ -60,6 +62,10 @@ class FrozenDecomposition:
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
+
+#: Kets at each end of the spectrum whose Gram columns give the residuals
+#: of a real band value decomposed without vectors.
+_SAMPLE_END = 16
 
 #: Columns per block of the pivot search in ``_fix_phases``: the ``abs``
 #: temporary is N x _PIVOT_BLOCK, not N x N.
@@ -84,10 +90,10 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _minus_identity(square: np.ndarray) -> np.ndarray:
-    """``square - I``, subtracted from the diagonal in place."""
-    square.flat[:: square.shape[0] + 1] -= 1.0
-    return square
+def _minus_identity(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``gram - I[:, rows]`` in place: the Gram columns of the kets ``rows``."""
+    gram[rows, np.arange(rows.shape[0])] -= 1.0
+    return gram
 
 
 def _max_abs(square: np.ndarray) -> float:
@@ -110,7 +116,7 @@ def reality_mask(w: np.ndarray) -> np.ndarray:
     return np.abs(w.imag) <= REAL_TOLERANCE * (1.0 + np.abs(w))
 
 
-def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
+def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
     A real ``Tridiagonal``, the band value of every stationary form
@@ -128,9 +134,18 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
     The orthonormal path forms one N^3 product, the Gram matrix V^dagger V:
     for a square V, ||V V^dagger - I||_F = ||V^dagger V - I||_F in exact
     arithmetic.  The general path forms both products.
+
+    Without ``vectors`` the kets and bras are None.  A real band value then
+    keeps the same eigenvalues, bit for bit, but its kets are neither
+    copied nor phased, and both residuals are read from the columns S of
+    the ``_SAMPLE_END`` lowest and highest kets (all of them when
+    N <= 2 * _SAMPLE_END) of the solver's own V: max |(V^T V - I)[:, S]|
+    and ||(V^T V - I)[:, S]||_F, an O(N^2 |S|) product.  Any other input is
+    decomposed with vectors, as above, and its vectors are dropped.
     """
-    hermitian = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
-    if hermitian:
+    banded = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
+    hermitian = banded
+    if banded:
         if not (np.isfinite(H.diagonal).all() and np.isfinite(H.off_diagonal).all()):
             raise ValueError("H has non-finite entries")
         w, kets = eigh_bands(H.diagonal, H.off_diagonal)
@@ -144,13 +159,26 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
         if hermitian:
             w, kets = np.linalg.eigh(H)
     n = H.shape[0]
+    rows = np.arange(n)
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
         # check below is skipped on this path.  Both solvers return the
         # eigenvalues in ascending order, and real vectors stay real:
         # bra = ket, and the Gram product below is real.
         w = w.astype(complex)
-        kets = _fix_phases(kets)
+        if banded and not vectors:
+            # the solver's own kets, neither copied nor phased (see above),
+            # in dstevd's order on either path of ``eigh_bands``, which
+            # keeps the residuals bit-identical across the two
+            kets = np.asfortranarray(kets)
+            if n > 2 * _SAMPLE_END:
+                rows = np.r_[rows[:_SAMPLE_END], rows[-_SAMPLE_END:]]
+        else:
+            # numpy's eigh returns C-ordered vectors; the same layout keeps
+            # the products below bit-identical to the dense path.  The
+            # solver's array is dropped before the phasing's N x N temporary.
+            kets = np.ascontiguousarray(kets)
+            kets = _fix_phases(kets)
         lefts = kets
     else:
         scale = max(np.linalg.norm(H), 1e-300)
@@ -178,19 +206,21 @@ def decompose(H: OperatorMatrix | Tridiagonal) -> FrozenDecomposition:
         order = np.lexsort((w.imag, w.real))
         w, kets, lefts = w[order], kets[:, order], lefts[:, order]
 
-    # <l_m|psi_n> - delta_mn, a real kets.T @ kets being one syrk; on the
-    # orthonormal path it gives the completeness residual too (see above)
-    residual = _minus_identity(lefts.conj().T @ kets)
+    # <l_m|psi_n> - delta_mn for the kets ``rows``, a real kets.T @ kets
+    # being one syrk; on the orthonormal path it gives the completeness
+    # residual too (see above)
+    columns = kets if rows.size == n else kets[:, rows]
+    residual = _minus_identity(lefts.conj().T @ columns, rows)
     biorth = _max_abs(residual)
     if not hermitian:
         # K L^dagger - I, formed once the Gram matrix is dropped
         del residual
-        residual = _minus_identity(kets @ lefts.conj().T)
+        residual = _minus_identity(kets @ lefts.conj().T, rows)
     completeness = float(np.linalg.norm(residual))
     return FrozenDecomposition(
         eigenvalues=w,
-        right_kets=kets,
-        left_bras=lefts,
+        right_kets=kets if vectors else None,
+        left_bras=lefts if vectors else None,
         biorth_residual=biorth,
         completeness_residual=completeness,
         reality_flags=reality_mask(w),

@@ -30,11 +30,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import (
-    AsymmetricGrid,
-    DegenerateMass,
-    EvaluationFailure,
-)
+from .errors import DegenerateMass, EvaluationFailure
 
 # Dense finite matrix representation of an operator; square.
 OperatorMatrix = np.ndarray
@@ -60,11 +56,6 @@ class Grid:
     @property
     def h(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
-
-    @property
-    def symmetric(self) -> bool:
-        """True iff the endpoints are mirror images (required for parity)."""
-        return abs(self.x_min + self.x_max) <= 1e-12 * abs(self.x_max)
 
     def points(self) -> np.ndarray:
         """The n_points nodes, computed once per grid and read-only."""
@@ -198,12 +189,3 @@ def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiago
     if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
         raise EvaluationFailure(f"H({z}) has non-finite entries")
     return Tridiagonal(diagonal, off_diagonal)
-
-
-def build_parity(grid: Grid) -> OperatorMatrix:
-    """Coordinate-reversal permutation matrix; involutory and Hermitian."""
-    if not grid.symmetric:
-        raise AsymmetricGrid(
-            f"parity needs x_min = -x_max, got [{grid.x_min}, {grid.x_max}]"
-        )
-    return np.fliplr(np.eye(grid.n_points))

@@ -34,9 +34,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ComplexSpectrum, IllConditionedOverlap, NonHermitianMetric
+from .errors import ComplexSpectrum, IllConditionedOverlap
 from .fixedpoint import PhysicalLevel
-from .frozen_spectrum import FrozenDecomposition, decompose
+from .frozen_spectrum import decompose
 from .operators import OperatorMatrix, Tridiagonal
 
 #: Overlap-matrix condition number above which the basis is rejected.
@@ -85,14 +85,6 @@ class MetricSuite:
     min_eig_nu: float
 
 
-@dataclass(frozen=True)
-class ChargeOperator:
-    """Charge C = eta_plus . parity, with ||C^2 - I|| recorded, not asserted."""
-
-    matrix: OperatorMatrix
-    involution_residual: float
-
-
 def build_basis(levels: Sequence[PhysicalLevel]) -> PhysicalBasis:
     """Overlaps, rank-revealing inverse, and dual vectors of a level set."""
     if len(levels) < 1:
@@ -126,13 +118,13 @@ def build_basis(levels: Sequence[PhysicalLevel]) -> PhysicalBasis:
     )
 
 
-def levels_from_decomposition(dec: FrozenDecomposition,
-                              H: OperatorMatrix | Tridiagonal) -> list[PhysicalLevel]:
+def levels_from_matrix(H: OperatorMatrix | Tridiagonal) -> list[PhysicalLevel]:
     """Treat a fixed operator's whole spectrum as the physical level set.
 
     This is the energy-independent limit: every eigenpair is its own fixed
     point, indexed (n, 0).  Requires a real spectrum.
     """
+    dec = decompose(H)
     if not bool(np.all(dec.reality_flags)):
         raise ComplexSpectrum("physical levels require real energies")
     H = np.asarray(H)
@@ -148,11 +140,6 @@ def levels_from_decomposition(dec: FrozenDecomposition,
             residual=float(np.linalg.norm(H @ ket - energy * ket)),
         ))
     return levels
-
-
-def levels_from_matrix(H: OperatorMatrix | Tridiagonal) -> list[PhysicalLevel]:
-    """Convenience wrapper: decompose H and promote its spectrum to levels."""
-    return levels_from_decomposition(decompose(H), H)
 
 
 def projector_residual(basis: PhysicalBasis) -> float:
@@ -227,27 +214,4 @@ def build_metrics(basis: PhysicalBasis) -> MetricSuite:
         residual_L=float(np.linalg.norm(r @ (J @ E - E @ J.conj().T) @ r.conj().T)),
         min_eig_mu=_min_gram_eig(M),
         min_eig_nu=_min_gram_eig(r),
-    )
-
-
-def build_charge(eta_plus: OperatorMatrix, parity: OperatorMatrix) -> ChargeOperator:
-    """Factor the positive metric as eta_plus = C . parity, i.e. C = eta_plus . parity.
-
-    Uses parity^-1 = parity.  ||C^2 - I|| is a diagnostic only: nothing here
-    guarantees the charge squares to the identity.
-    """
-    eta_plus = np.asarray(eta_plus)
-    parity = np.asarray(parity)
-    n = parity.shape[0]
-    if np.abs(parity @ parity - np.eye(n)).max() > 1e-10:
-        raise ValueError("parity operator is not involutory")
-    scale = max(1.0, np.abs(eta_plus).max())
-    if np.abs(eta_plus - eta_plus.conj().T).max() > 1e-10 * scale:
-        raise NonHermitianMetric("eta_plus fails the 1e-10 Hermiticity tolerance")
-    if np.linalg.eigvalsh(_hermitize(eta_plus)).min() <= 0.0:
-        raise ValueError("eta_plus must be positive definite")
-    C = eta_plus @ parity
-    return ChargeOperator(
-        matrix=C,
-        involution_residual=float(np.linalg.norm(C @ C - np.eye(n))),
     )

@@ -104,7 +104,11 @@ def _fix_sign(ket: np.ndarray) -> np.ndarray:
 
 
 def eigh_bands(d, e) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues and orthonormal eigenvectors (one per column)."""
+    """Ascending eigenvalues and orthonormal eigenvectors (one per column).
+
+    The vectors are in the solver's own layout: Fortran order from
+    ``dstevd``, C order from the dense fallback, as numpy's ``eigh`` gives.
+    """
     w, off = _work_copies(d, e)
     lapack = _lapack()
     if lapack is None:
@@ -112,9 +116,7 @@ def eigh_bands(d, e) -> tuple[np.ndarray, np.ndarray]:
     n = w.shape[0]
     z = np.empty((n, n), order="F")
     _check(lapack.stevd(_COL_MAJOR, b"V", n, w, off, z, max(n, 1)), "dstevd")
-    # numpy's eigh returns C-ordered vectors; the same layout keeps the
-    # products callers form with them bit-identical to the dense path
-    return w, np.ascontiguousarray(z)
+    return w, z
 
 
 def eigpair_bands(d, e, n: int, vectors: bool = False):

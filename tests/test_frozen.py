@@ -13,7 +13,7 @@ from edspec.frozen_spectrum import (
     eta_from_decomposition,
     eta_inverse_from_decomposition,
 )
-from edspec.operators import Grid, HOQuadratic, Tridiagonal, build_problem
+from edspec.operators import GeneralMassSquared, Grid, HOQuadratic, Tridiagonal, build_problem
 
 
 def test_hermitian_diagonal():
@@ -309,3 +309,96 @@ def test_band_decomposition_peaks_at_two_square_arrays():
     # the ket matrix and one of: dstevd's Fortran-order output, its C-order
     # copy, the Gram matrix; the out-of-place phasing peaked at 4.00
     assert peak < 2.25 * n * n * 8
+
+
+def _sample(n):
+    """The kets whose Gram columns give the residuals without vectors: the
+    16 lowest and 16 highest, as README documents."""
+    return np.arange(n) if n <= 32 else np.r_[:16, n - 16:n]
+
+
+def _values_only_fields(dec):
+    return (dec.eigenvalues, dec.reality_flags, dec.biorth_residual, dec.completeness_residual)
+
+
+@pytest.mark.parametrize("kind", ["random", "schrodinger"])
+@pytest.mark.parametrize("n", [20, 32, 33, 400])
+def test_values_only_band_keeps_the_eigenvalues(kind, n, monkeypatch):
+    T = _bands(kind, n)
+    results = []
+    for fallback in (False, True):
+        if fallback:
+            monkeypatch.setattr(tri, "_lapack", lambda: None)
+        full, values = decompose(T), decompose(T, vectors=False)
+        assert np.array_equal(values.eigenvalues, full.eigenvalues)
+        assert np.array_equal(values.reality_flags, full.reality_flags)
+        assert values.right_kets is None and values.left_bras is None
+        assert values.biorth_residual <= 1e-12 and values.completeness_residual <= 1e-12
+        results.append(_values_only_fields(values))
+    # the dense fallback's kets have dstevd's bits and are read in its layout
+    for got, expected in zip(*results):
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "dense-fallback"])
+@pytest.mark.parametrize("kind", ["random", "schrodinger", "kleingordon"])
+@pytest.mark.parametrize("n", [20, 33, 400])
+def test_values_only_residuals_read_the_sampled_gram_columns(kind, n, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(tri, "_lapack", lambda: None)
+    T = _bands(kind, n)
+    dec = decompose(T, vectors=False)
+    # unphased, in dstevd's layout
+    kets = np.asfortranarray(tri.eigh_bands(T.diagonal, T.off_diagonal)[1])
+    rows = _sample(n)
+    columns = kets if rows.size == n else kets[:, rows]
+    gram = kets.T @ columns - np.eye(n)[:, rows]
+    assert dec.biorth_residual == float(np.abs(gram).max())
+    assert dec.completeness_residual == float(np.linalg.norm(gram))
+    # BLAS rounds a product of |S| columns and the full V^T V alike only when
+    # S is every ket; otherwise the full Gram's columns agree to rounding
+    full = (kets.T @ kets - np.eye(n))[:, rows]
+    if rows.size == n:
+        assert np.array_equal(gram, full)
+    eps = np.finfo(float).eps
+    assert abs(dec.biorth_residual - float(np.abs(full).max())) <= eps
+    assert dec.completeness_residual == pytest.approx(float(np.linalg.norm(full)), rel=0.05)
+
+
+def _dense_paths():
+    rng = np.random.default_rng(6)
+    real = rng.standard_normal((30, 30))
+    complex_ = real + 1j * rng.standard_normal((30, 30))
+    complex_band = build_problem("kleingordon", Grid(-6.0, 6.0, 30),
+                                 GeneralMassSquared(lambda z, x: 1.0 + 0.2j * x), 0.0)
+    return [
+        pytest.param(complex_band, id="complex-band"),
+        pytest.param(real + real.T, id="real-symmetric"),
+        pytest.param(complex_ + complex_.conj().T, id="hermitian"),
+        pytest.param(shifted_random_matrix(rng, 30), id="general"),
+    ]
+
+
+@pytest.mark.parametrize("H", _dense_paths())
+def test_values_only_dense_input_keeps_its_residuals(H):
+    full, values = decompose(H), decompose(H, vectors=False)
+    assert values.right_kets is None and values.left_bras is None
+    for field in ("eigenvalues", "reality_flags", "biorth_residual", "completeness_residual"):
+        assert np.array_equal(getattr(values, field), getattr(full, field))
+
+
+def test_values_only_band_decomposition_peaks_at_one_square_array():
+    if tri._lapack() is None:
+        pytest.skip("the dense fallback assembles the band value by design")
+    n = 400
+    T = build_problem("schrodinger", Grid(-10.0, 10.0, n), HOQuadratic(1.5, 2.0), 0.7)
+    decompose(T, vectors=False)
+    tracemalloc.start()
+    try:
+        decompose(T, vectors=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # dstevd's Fortran-order output, the sampled columns and their Gram
+    # columns (2 * 32 / N square arrays); no C-order copy, phasing or N x N Gram
+    assert peak < 1.25 * n * n * 8

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from edspec.errors import (
-    AsymmetricGrid,
     DegenerateMass,
     EvaluationFailure,
     NonHermitianMetric,
@@ -16,7 +15,6 @@ from edspec.operators import (
     Grid,
     HOQuadratic,
     Tridiagonal,
-    build_parity,
     build_problem,
 )
 
@@ -50,8 +48,6 @@ def test_grid_invariants():
         Grid(-1.0, 1.0, 2)
     g = Grid(-1.0, 1.0, 3)
     assert g.h == 1.0
-    assert g.symmetric
-    assert not Grid(-1.0, 2.0, 5).symmetric
 
 
 def test_grid_points_computed_once(monkeypatch):
@@ -213,27 +209,6 @@ def test_band_value_array_protocol():
     assert np.asarray(T, dtype=complex).dtype == np.complex128
     with pytest.raises(ValueError):
         np.asarray(T, copy=False)
-
-
-# ---------------------------------------------------------------- parity
-
-def test_parity_reversal_matrix():
-    p = build_parity(Grid(-1.0, 1.0, 3))
-    np.testing.assert_array_equal(p, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
-
-
-@pytest.mark.parametrize("n", [5, 8, 33])
-def test_parity_involution_and_reflection(n):
-    grid = Grid(-2.5, 2.5, n)
-    p = build_parity(grid)
-    np.testing.assert_array_equal(p @ p, np.eye(n))
-    x = np.diag(grid.points())
-    np.testing.assert_allclose(p @ x @ p, -x, atol=1e-12)
-
-
-def test_parity_asymmetric_grid():
-    with pytest.raises(AsymmetricGrid):
-        build_parity(Grid(-1.0, 2.0, 7))
 
 
 # ---------------------------------------------------------------- FV blocks

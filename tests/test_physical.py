@@ -4,13 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from edspec.errors import IllConditionedOverlap, NonHermitianMetric
+from edspec.errors import IllConditionedOverlap
 from edspec.fixedpoint import PhysicalLevel
-from edspec.frozen_spectrum import decompose, eta_from_decomposition
-from edspec.operators import ConstantMass, Grid, build_parity, build_problem
+from edspec.operators import ConstantMass, Grid, build_problem
 from edspec.physical_basis import (
     build_basis,
-    build_charge,
     build_K,
     build_L,
     build_metrics,
@@ -309,34 +307,3 @@ def test_factored_suite_forms_no_dense_matrix():
         tracemalloc.stop()
     # one complex N x N array alone is 16 MB
     assert peak < 16 * n * n / 16
-
-
-# ---------------------------------------------------------------- charge
-
-def test_trivial_metric_gives_parity_charge():
-    grid = Grid(-3.0, 3.0, 7)
-    parity = build_parity(grid)
-    charge = build_charge(np.eye(7), parity)
-    np.testing.assert_array_equal(charge.matrix, parity)
-    assert charge.involution_residual < 1e-12
-
-
-def test_charge_reconstructs_metric():
-    grid = Grid(-3.0, 3.0, 9)
-    parity = build_parity(grid)
-    h = build_problem("kleingordon", grid, ConstantMass(2.0), 0.0)
-    eta_plus = eta_from_decomposition(decompose(h))
-    charge = build_charge(eta_plus, parity)
-    np.testing.assert_allclose(charge.matrix @ parity, eta_plus, atol=1e-12)
-    assert np.isfinite(charge.involution_residual)
-
-
-def test_charge_rejections():
-    grid = Grid(-3.0, 3.0, 7)
-    parity = build_parity(grid)
-    with pytest.raises(NonHermitianMetric):
-        build_charge(np.triu(np.ones((7, 7))), parity)
-    with pytest.raises(ValueError):
-        build_charge(-np.eye(7), parity)
-    with pytest.raises(ValueError):
-        build_charge(np.eye(7), np.zeros((7, 7)))

@@ -228,9 +228,10 @@ def test_eigpair_driver_failures_raise(monkeypatch):
 
 def _band_reference(d, e):
     """The real symmetric path of ``decompose`` spelled out on ``eigh_bands``:
-    both residuals come from the one Gram product kets^T kets."""
+    the kets in C order, as numpy's ``eigh`` gives them, and both residuals
+    from the one Gram product kets^T kets."""
     w, v = tri.eigh_bands(d, e)
-    kets = _fix_phases(v)
+    kets = _fix_phases(np.ascontiguousarray(v))
     gram = kets.T @ kets - np.eye(len(d))
     return (w.astype(complex), kets, float(np.abs(gram).max()), float(np.linalg.norm(gram)))
 
