@@ -44,12 +44,9 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
     require(cfg, "grid", "a [grid] section")
     z = require(cfg, "spectrum_z", "a [spectrum] section with a z value")
     dec = decompose(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z), vectors=False)
-    rows = [
-        [i, float(dec.eigenvalues[i].real), float(dec.eigenvalues[i].imag),
-         bool(dec.reality_flags[i])]
-        for i in range(dec.size)
-    ]
-    write_csv(out_dir / "spectrum.csv", ["index", "re", "im", "reality_flag"], rows)
+    write_csv(out_dir / "spectrum.csv", ["index", "re", "im", "reality_flag"],
+              [np.arange(dec.size), dec.eigenvalues.real, dec.eigenvalues.imag,
+               dec.reality_flags])
     classification = classify_spectrum(dec)
     report = _report_header(cfg)
     report.update({
@@ -124,11 +121,10 @@ def _search_record(result: CollectResult) -> dict:
 
 def cmd_fixedpoint(cfg: RunConfig, out_dir: Path) -> int:
     result = _collect_levels(cfg)
-    rows = [
-        [lv.multi_index[0], lv.multi_index[1], lv.energy, lv.residual]
-        for lv in result.levels
-    ]
-    write_csv(out_dir / "levels.csv", ["n", "j", "E_alpha", "residual"], rows)
+    levels = result.levels
+    write_csv(out_dir / "levels.csv", ["n", "j", "E_alpha", "residual"],
+              [[lv.multi_index[0] for lv in levels], [lv.multi_index[1] for lv in levels],
+               [lv.energy for lv in levels], [lv.residual for lv in levels]])
     report = _report_header(cfg)
     report.update({
         "n_levels": len(result.levels),
@@ -189,9 +185,8 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
              if spec.state == "gaussian" else eigenstate(system, spec.index))
     trajectory = evolve(system, state, spec.t_final, spec.steps)
     report_data = conservation_report(trajectory, spec.metric, system)
-    rows = np.column_stack([trajectory.t, report_data.pseudo_norms,
-                            report_data.euclidean_norms]).tolist()
-    write_csv(out_dir / "trajectory.csv", ["t", "pseudo_norm", "euclidean_norm"], rows)
+    write_csv(out_dir / "trajectory.csv", ["t", "pseudo_norm", "euclidean_norm"],
+              [trajectory.t, report_data.pseudo_norms, report_data.euclidean_norms])
     report = _report_header(cfg)
     report.update({
         "flag": "PASS" if report_data.passed else "FAIL",

@@ -24,6 +24,13 @@ conserves <Phi|M|Phi> along the flow exactly when M intertwines h_sr with
 its adjoint and the spectrum is real; for the swap lift [[0, eta], [eta, 0]]
 the pseudo-norm is 2 Re <phi1|eta phi2> and the intertwining residual is
 that of eta with H, both evaluated from the blocks.
+
+A real, positive spectrum of H (a real mass-squared >= 0: every
+``evolve`` of the command line) has real frequencies.  ``evolve`` then
+takes the cosines and sines of real phases in float64, and
+``FVSystem.modes`` finds the generator gap from the sorted frequencies;
+both give the bits of the complex arithmetic, which a complex spectrum
+keeps, with its N x N gap.
 """
 
 from __future__ import annotations
@@ -75,8 +82,10 @@ class FVModes:
     """Normal modes of the block generator, from one decomposition of H.
 
     ``frequencies[n]`` is the principal square root of the n-th eigenvalue of
-    H; ``kets`` and ``bras`` are H's right kets and left vectors, in the order
-    of ``decompose``.  The generator's eigenvalues are +-frequencies.
+    H, complex-typed even when every one is real (``eigenstate`` builds its
+    ket from them, and a real ket would move its bits); ``kets`` and
+    ``bras`` are H's right kets and left vectors, in the order of
+    ``decompose``.  The generator's eigenvalues are +-frequencies.
     """
 
     frequencies: np.ndarray
@@ -134,23 +143,37 @@ class FVSystem:
         Raises DegenerateSpectrum when two generator eigenvalues
         +-sqrt(lambda) sit closer than 1e-8 * ||h_sr||_F, the gap rule
         ``decompose`` applies; in particular a zero eigenvalue of H (a
-        Jordan block of h_sr) raises.
+        Jordan block of h_sr) raises.  Real frequencies find the gap by a
+        sort (``_generator_gap``), with the bits of the dense N x N form.
         """
         dec = decompose(self.H)
         omega = np.sqrt(dec.eigenvalues)
         n = omega.shape[0]
         scale = np.sqrt(_frobenius_sq(self.H) + n)   # ||h_sr||_F >= 1
-        # gaps of {-omega, omega}: |omega_i - omega_j| for i != j (twice each)
-        # and |omega_i + omega_j| for all i, j (2 |omega_i| on the diagonal)
-        same = np.abs(omega[:, None] - omega[None, :])
-        np.fill_diagonal(same, np.inf)
-        gap = min(same.min(), np.abs(omega[:, None] + omega[None, :]).min())
+        gap = _generator_gap(omega)
         if gap < DEGENERACY_FACTOR * scale:
             raise DegenerateSpectrum(
                 f"minimal generator eigenvalue gap {gap:.3e} below "
                 f"{DEGENERACY_FACTOR * scale:.3e}"
             )
         return FVModes(frequencies=omega, kets=dec.right_kets, bras=dec.left_bras)
+
+
+def _generator_gap(omega: np.ndarray) -> float:
+    """The smallest distance between two of the generator eigenvalues +-omega.
+
+    That is the least of |omega_i - omega_j| over i != j and |omega_i + omega_j|
+    over all i, j.  Real frequencies are principal roots, so omega >= 0, and
+    rounding is monotone: the differences are least between neighbours in
+    sorted order and the sums at 2 min(omega), bit for bit the dense minima.
+    Complex frequencies take the dense N x N form.
+    """
+    if not omega.imag.any():
+        real = np.sort(omega.real)
+        return float(min(np.diff(real).min(initial=np.inf), 2.0 * real[0]))
+    same = np.abs(omega[:, None] - omega[None, :])
+    np.fill_diagonal(same, np.inf)
+    return float(min(same.min(), np.abs(omega[:, None] + omega[None, :]).min()))
 
 
 def assemble_fv(H: OperatorMatrix | Tridiagonal, eta: OperatorMatrix | None = None) -> FVSystem:
@@ -223,9 +246,12 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
     """Exact spectral propagation of the last row of ``state`` over the duration ``t_final``.
 
     Returns steps+1 rows: row 0 is that start row, bit for bit, and row j sits
-    at ``state.t[-1] + t_final * j / steps``.  Complex eigenvalues of the
-    generator are allowed (a warning is issued and norms may grow); a
-    degenerate generator spectrum raises.
+    at ``state.t[-1] + t_final * j / steps``.  A real generator spectrum
+    is propagated on real phases omega t, whose cos and sin are the real
+    parts of the complex phases' (the same bits on IEEE platforms whose
+    complex cos and sin are built from the real ones).  Complex eigenvalues
+    of the generator are allowed (a warning is issued and norms may grow);
+    a degenerate generator spectrum raises.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -235,6 +261,9 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
         warnings.warn("generator spectrum is not entirely real; evolution proceeds but "
                       "norms may grow", RuntimeWarning, stacklevel=2)
     omega = modes.frequencies
+    if not omega.imag.any():
+        # real phases: cos and sin run in float64, not complex arithmetic
+        omega = omega.real
     c1 = modes.bras.conj().T @ state.phi1[-1]
     c2 = modes.bras.conj().T @ state.phi2[-1]
     times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)

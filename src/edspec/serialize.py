@@ -67,20 +67,42 @@ def write_json(path: Path, obj: dict) -> None:
     Path(path).write_text(json_dumps(obj) + "\n", encoding="utf-8", newline="\n")
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    """Comma-separated, header row, LF endings; floats in fixed format."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("1" if cell else "0")
-            elif isinstance(cell, float):
-                cells.append(format_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+def write_csv(path: Path, header: list[str], columns) -> None:
+    """Comma-separated, header row, LF endings; one array per column.
+
+    A float column's tokens are those of ``format_float``, formatted by
+    ``_format_values``; a bool column writes 1 and 0, an integer column its
+    digits.  A non-finite float raises ValueError before the file is touched.
+    """
+    cells = [_column_bytes(np.asarray(column)) for column in columns]
+    if len(cells) != len(header) or len({len(cell) for cell in cells}) > 1:
+        raise ValueError(f"{len(header)} header names need as many columns of one length")
+    rows = len(cells[0]) if cells else 0
+    line = np.zeros((rows, sum(cell.shape[1] + 1 for cell in cells)), dtype=np.uint8)
+    end = 0
+    for cell in cells:
+        line[:, end:end + cell.shape[1]] = cell
+        end += cell.shape[1] + 1
+        line[:, end - 1] = ord(",")
+    line[:, -1:] = ord("\n")
+    with open(path, "wb") as out:
+        out.write((",".join(header) + "\n").encode())
+        out.write(line.tobytes().translate(None, b"\0"))
+
+
+def _column_bytes(column: np.ndarray) -> np.ndarray:
+    """The CSV cells of a 1-D column, one row of NUL-padded bytes per cell."""
+    if column.dtype == bool:
+        return (column + np.uint8(ord("0")))[:, None]
+    if column.dtype.kind in "iu":
+        # at most 20 characters: the digits of an int64 or a uint64, and a sign
+        return column.astype("S20").view(np.uint8).reshape(len(column), 20)
+    if column.dtype.kind == "f":
+        if not np.isfinite(column).all():
+            raise ValueError("cannot serialize a column with non-finite entries")
+        words = _format_values(column.astype(np.float64, copy=False))
+        return words.view(np.uint8).reshape(len(column), _SLOT * _WORD.itemsize)
+    raise TypeError(f"cannot serialize a column of dtype {column.dtype}")
 
 
 #: Words of one formatted value, 4 bytes each (little-endian uint32): the
@@ -118,26 +140,45 @@ class _Tables(NamedTuple):
 
 @functools.cache
 def _tables() -> _Tables:
-    """The kernel's tables, built from exact integers on the first dump.
+    """The kernel's tables, built from exact integers on the first dump or CSV.
 
     Python's int true division rounds correctly, so hi + lo is 10**(16 - k)
     to a relative 2**-106.
     """
-    ks = range(_K_MIN, _K_MAX + 1)
+    ks = np.arange(_K_MIN, _K_MAX + 1, dtype=np.int16)
     hi = np.empty(len(ks))
     lo = np.empty_like(hi)
-    for i, k in enumerate(ks):
+    for i, k in enumerate(ks.tolist()):
         num, den = 10 ** max(16 - k, 0), 10 ** max(k - 16, 0)
         hi[i] = num / den
         h_num, h_den = hi[i].as_integer_ratio()
         lo[i] = (num * h_den - h_num * den) / (den * h_den)
     hi.flags.writeable = lo.flags.writeable = False
-    words = [b"".join(b"\0%d.%d" % divmod(i, 10) for i in range(100)),
-             b"".join(b"%04d" % i for i in range(10000)),
-             b"".join(b"%03de" % i for i in range(1000)),
-             b"".join(text[:1] + text[1:].rjust(3, b"\0")
-                      for text in (b"%+03d" % k for k in ks))]
-    return _Tables(hi, lo, *(np.frombuffer(table, dtype=_WORD) for table in words))
+    # the word tables by digit arithmetic on small-integer arrays, so that
+    # building them holds about 0.2 MB and no per-entry Python objects
+    pad, point, e = np.uint8(0), np.uint8(ord(".")), np.uint8(ord("e"))
+    lead = _digits(np.arange(100, dtype=np.int16), 2)
+    exponent = _digits(np.abs(ks), 3)
+    exponent[np.abs(ks) < 100, 0] = pad
+    sign = np.where(ks < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    return _Tables(hi, lo,
+                   _words(pad, lead[:, 0], point, lead[:, 1]),
+                   _words(*_digits(np.arange(10000, dtype=np.int16), 4).T),
+                   _words(*_digits(np.arange(1000, dtype=np.int16), 3).T, e),
+                   _words(sign, *exponent.T))
+
+
+def _digits(values: np.ndarray, places: int) -> np.ndarray:
+    """ASCII digits of small non-negative integers, zero-padded to ``places`` columns."""
+    powers = 10 ** np.arange(places - 1, -1, -1, dtype=values.dtype)
+    return (values[:, None] // powers % 10).astype(np.uint8) + np.uint8(ord("0"))
+
+
+def _words(*columns) -> np.ndarray:
+    """Read-only words of four bytes, byte n from column n (uint8 arrays or scalars)."""
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).view(_WORD)[:, 0]
+    table.flags.writeable = False
+    return table
 
 
 def _format_values(values: np.ndarray) -> np.ndarray:

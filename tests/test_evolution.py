@@ -19,6 +19,8 @@ from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
     Grid,
+    HOQuadratic,
+    Tridiagonal,
     build_problem,
 )
 from edspec.validate import criterion_pseudo_unitarity, pseudo_hermitian_pair
@@ -210,6 +212,113 @@ def test_negative_mass_squared_warns():
     with pytest.warns(RuntimeWarning, match="not entirely real"):
         trajectory = evolve(system, state, t_final=0.5, steps=2)
     assert len(trajectory) == 3
+
+
+# ---------------------------------------------------------------- real phases
+
+def _complex_phase_rows(system, state, t_final, steps):
+    """``evolve``'s rows by complex phases omega t on the same ``system.modes``,
+    with the phases."""
+    modes = system.modes
+    omega = modes.frequencies
+    c1 = modes.bras.conj().T @ state.phi1[-1]
+    c2 = modes.bras.conj().T @ state.phi2[-1]
+    times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
+    phase = np.outer(times, omega)
+    cos, sin = np.cos(phase), np.sin(phase)
+    phi1 = evolution._rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin, modes.kets)
+    phi2 = evolution._rows(state.phi2[-1], c2 * cos - 1j * (c1 / omega) * sin, modes.kets)
+    return phi1, phi2, phase
+
+
+def _kleingordon_bands(model, n):
+    """Klein-Gordon bands of N = n points, or the leading n x n block of a 3-point grid."""
+    grid = Grid(-6.0, 6.0, max(n, 3))
+    bands = build_problem("kleingordon", grid, model, 0.5)
+    return grid, Tridiagonal(bands.diagonal[:n], bands.off_diagonal[:n - 1])
+
+
+@pytest.mark.parametrize("start", ["gaussian", "eigenstate"])
+@pytest.mark.parametrize("n", [1, 2, 33, 200])
+@pytest.mark.parametrize("model", [ConstantMass(1.3), HOQuadratic(1.0, 3.0)],
+                         ids=["constant", "oscillator"])
+def test_real_phases_keep_the_complex_phase_bits(model, n, start):
+    grid, bands = _kleingordon_bands(model, n)
+    system = assemble_fv(bands)
+    # the frequencies stay complex-typed: eigenstate's ket is built from them
+    frequencies = system.modes.frequencies
+    assert frequencies.dtype == complex and not frequencies.imag.any()
+    if start == "gaussian":
+        profile = gaussian_state(grid, center=0.4, width=1.1, momentum=1.5).phi1[:, :n]
+        state = FVState(t=np.zeros(1), phi1=profile, phi2=0.5 * profile)
+    else:
+        state = eigenstate(system, n)
+    same_trig = True
+    for steps in (0, 1, 50):
+        trajectory = evolve(system, state, t_final=3.7, steps=steps)
+        phi1, phi2, phase = _complex_phase_rows(system, state, 3.7, steps)
+        same_trig &= (np.array_equal(np.cos(phase.real), np.cos(phase).real)
+                      and np.array_equal(np.sin(phase.real), np.sin(phase).real))
+        for rows, reference in ((trajectory.phi1, phi1), (trajectory.phi2, phi2)):
+            assert rows.dtype == reference.dtype
+            np.testing.assert_allclose(rows, reference, rtol=0,
+                                       atol=8 * EPS * np.abs(reference).max())
+            if same_trig:
+                assert np.array_equal(rows.view(np.uint64), reference.view(np.uint64))
+    if not same_trig:
+        pytest.skip("this platform's real cos and sin differ from the real parts of its "
+                    "complex ones, so only the few-ulp agreement is checked")
+
+
+def _dense_gap(omega):
+    """The generator gap from the N x N distances |omega_i -+ omega_j|."""
+    same = np.abs(omega[:, None] - omega[None, :])
+    np.fill_diagonal(same, np.inf)
+    return min(same.min(), np.abs(omega[:, None] + omega[None, :]).min())
+
+
+_RNG = np.random.default_rng(23)
+
+
+@pytest.mark.parametrize("eigenvalues", [
+    _RNG.uniform(0.0, 10.0, 200),
+    10.0 ** _RNG.uniform(-12.0, 12.0, 200),
+    np.repeat(_RNG.uniform(1.0, 2.0, 20), 2),
+    np.r_[_RNG.uniform(0.5, 4.0, 20), 0.0],
+    np.r_[0.0, 0.0],
+    [7.0],
+    [1.0, 1.0 + 2 ** -52],
+], ids=["uniform", "wide", "repeated", "zero", "double-zero", "single", "one-ulp"])
+def test_sorted_gap_is_the_dense_gap(eigenvalues):
+    omega = np.sqrt(np.asarray(eigenvalues, dtype=complex))
+    assert not omega.imag.any()
+    assert evolution._generator_gap(omega) == _dense_gap(omega)
+
+
+@pytest.mark.parametrize("near", ["sum", "difference"])
+def test_degeneracy_threshold_is_unchanged(near):
+    # walk the eigenvalue that sets the gap across 1e-8 ||h_sr||_F, one ulp at a time:
+    # "sum" sets it by 2 sqrt(lambda) of a 1 x 1 H, "difference" by
+    # sqrt(lambda) - 1 of diag(1, lambda, 4)
+    threshold = 1e-8 * (1.0 if near == "sum" else np.sqrt(21.0))   # ~1e-8 ||h_sr||_F
+    centre = (threshold / 2) ** 2 if near == "sum" else (1.0 + threshold) ** 2
+    verdicts = set()
+    for lam in centre + np.spacing(centre) * np.arange(-16, 17):
+        if near == "sum":
+            bands = Tridiagonal(np.array([lam]), np.empty(0))
+        else:
+            bands = Tridiagonal(np.array([1.0, lam, 4.0]), np.zeros(2))
+        omega = np.sqrt(decompose(bands).eigenvalues)
+        scale = np.sqrt(evolution._frobenius_sq(bands) + bands.shape[0])
+        degenerate = _dense_gap(omega) < 1e-8 * scale
+        verdicts.add(degenerate)
+        system = assemble_fv(bands)
+        if degenerate:
+            with pytest.raises(DegenerateSpectrum):
+                system.modes
+        else:
+            assert np.array_equal(system.modes.frequencies, omega)
+    assert verdicts == {True, False}
 
 
 # ---------------------------------------------------------------- pseudo-norm

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,10 +49,71 @@ def test_json_strings_round_trip_control_characters():
 
 def test_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
-    write_csv(path, ["a", "b"], [[1, 2.0], [True, -1.0]])
-    raw = path.read_bytes().decode()
-    assert raw == "a,b\n1,2.0000000000000000e+00\n1,-1.0000000000000000e+00\n"
-    assert "\r" not in raw
+    # one array per column; an integer 1 and a bool True both write 1
+    for first in ([1, 1], [True, True]):
+        write_csv(path, ["a", "b"], [first, [2.0, -1.0]])
+        raw = path.read_bytes().decode()
+        assert raw == "a,b\n1,2.0000000000000000e+00\n1,-1.0000000000000000e+00\n"
+        assert "\r" not in raw
+
+
+def _near_ties(offsets) -> list[float]:
+    """Doubles x in [1, 2) with x * 1e16 = an integer + 1/2 + r / 2**36, one per offset r.
+
+    x = M / 2**52 gives x * 1e16 = M * 5**16 / 2**36, so M * 5**16 = 2**35 + r
+    (mod 2**36) sets the fraction; |r| = 68 lies inside the kernel's tie margin
+    (9.9e-10) and |r| = 69 just outside (1.004e-9).
+    """
+    inverse = pow(5 ** 16, -1, 2 ** 36)
+    values = [(2 ** 52 + (2 ** 35 + r) * inverse % 2 ** 36) / 2 ** 52 for r in offsets]
+    for r, x in zip(offsets, values):
+        scaled = Fraction(x) * 10 ** 16
+        assert scaled - math.floor(scaled) == Fraction(1, 2) + Fraction(r, 2 ** 36)
+    return values
+
+
+def test_csv_tokens_match_format_float(tmp_path):
+    ties = _near_ties([0, 1, -1, 68, -68, 69, -69, 70, -70, 2 ** 20, -2 ** 20])
+    floats = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300,
+                       -1e-300, 1e300, -1e300, 1e-280, 1e280, np.finfo(float).max,
+                       *ties, *(-np.array(ties)), *(np.array(ties) * 1e-10)])
+    count = len(floats)
+    integers = np.arange(count) * 10 ** 15 - 3 * 10 ** 16
+    flags = np.arange(count) % 3 == 0
+    path = tmp_path / "t.csv"
+    write_csv(path, ["x", "n", "flag", "y"], [floats, integers, flags, floats[::-1]])
+    lines = [f"{format_float(x)},{n},{int(flag)},{format_float(y)}"
+             for x, n, flag, y in zip(floats.tolist(), integers.tolist(), flags.tolist(),
+                                      floats[::-1].tolist())]
+    assert path.read_bytes() == ("\n".join(["x,n,flag,y"] + lines) + "\n").encode()
+    # no rows: the header line alone
+    write_csv(path, ["n", "E"], [[], []])
+    assert path.read_bytes() == b"n,E\n"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_csv_refuses_non_finite_floats(tmp_path, bad):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_csv(path, ["n", "x"], [[0, 1, 2], [1.0, bad, 2.0]])
+    assert not path.exists()
+
+
+def test_tables_match_the_joined_byte_strings():
+    # the word tables as the bytes of %-formatted integers, joined
+    ks = range(serialize._K_MIN, serialize._K_MAX + 1)
+    joined = {
+        "lead": b"".join(b"\0%d.%d" % divmod(i, 10) for i in range(100)),
+        "digits": b"".join(b"%04d" % i for i in range(10000)),
+        "last": b"".join(b"%03de" % i for i in range(1000)),
+        "exponent": b"".join(text[:1] + text[1:].rjust(3, b"\0")
+                             for text in (b"%+03d" % k for k in ks)),
+    }
+    tables = serialize._tables()
+    for name, text in joined.items():
+        table = getattr(tables, name)
+        assert table.dtype == serialize._WORD and not table.flags.writeable
+        assert table.tobytes() == text, name
 
 
 def test_matrix_dump_round_trips(tmp_path):
