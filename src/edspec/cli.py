@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 1 configuration error, 2 solver error, 3 fixed-point
 search found no levels, 4 validation failure.  All reports embed the parsed
-configuration and the tool version, and identical configurations produce
-byte-identical files.
+configuration and the tool version, and identical configurations run with
+the same BLAS thread count produce byte-identical files.  The bytes can
+depend on that count, as OpenBLAS splits its products and sums differently
+across threads (the ``spectrum`` reports can differ in the last digit
+between one and two threads), so pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -181,9 +184,13 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
     system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
     spec = cfg.evolve
-    state = (gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
-             if spec.state == "gaussian" else eigenstate(system, spec.index))
-    trajectory = evolve(system, state, spec.t_final, spec.steps)
+    try:
+        state = (gaussian_state(cfg.grid, spec.center, spec.width, spec.momentum)
+                 if spec.state == "gaussian" else eigenstate(system, spec.index))
+        trajectory = evolve(system, state, spec.t_final, spec.steps)
+    except ValueError as exc:
+        # the state and the duration the configuration asks for cannot be represented
+        raise ConfigError(str(exc)) from None
     report_data = conservation_report(trajectory, spec.metric, system)
     write_csv(out_dir / "trajectory.csv", ["t", "pseudo_norm", "euclidean_norm"],
               [trajectory.t, report_data.pseudo_norms, report_data.euclidean_norms])

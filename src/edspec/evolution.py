@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateSpectrum, DimensionMismatch, NonHermitianMetric, SingularMetric
-from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, decompose, reality_mask
+from .frozen_spectrum import DEGENERACY_FACTOR, _fix_phases, _min_gap, decompose, reality_mask
 from .operators import Grid, OperatorMatrix, Tridiagonal
 
 #: Relative pseudo-norm drift accepted as conservation.
@@ -171,9 +171,7 @@ def _generator_gap(omega: np.ndarray) -> float:
     if not omega.imag.any():
         real = np.sort(omega.real)
         return float(min(np.diff(real).min(initial=np.inf), 2.0 * real[0]))
-    same = np.abs(omega[:, None] - omega[None, :])
-    np.fill_diagonal(same, np.inf)
-    return float(min(same.min(), np.abs(omega[:, None] + omega[None, :]).min()))
+    return float(min(_min_gap(omega), np.abs(omega[:, None] + omega[None, :]).min()))
 
 
 def assemble_fv(H: OperatorMatrix | Tridiagonal, eta: OperatorMatrix | None = None) -> FVSystem:
@@ -228,10 +226,20 @@ def eigenstate(system: FVSystem, index: int) -> FVState:
 
 
 def gaussian_state(grid: Grid, center: float, width: float, momentum: float) -> FVState:
-    """Both components loaded with the same normalized gaussian profile, at t = 0."""
+    """Both components loaded with the same normalized gaussian profile, at t = 0.
+
+    A profile whose norm on the grid is zero or not finite, such as a width
+    far below the spacing away from every node, raises ValueError.
+    """
     x = grid.points()
-    profile = np.exp(-0.5 * ((x - center) / width) ** 2 + 1j * momentum * x)
-    profile = profile / np.linalg.norm(profile)
+    # an overflow here leaves a norm of 0, inf or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        profile = np.exp(-0.5 * ((x - center) / width) ** 2 + 1j * momentum * x)
+    norm = np.linalg.norm(profile)
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"the gaussian of width {width} at center {center} has norm {norm} "
+                         "on the grid nodes; it needs a finite, nonzero one")
+    profile = profile / norm
     return FVState(t=np.zeros(1), phi1=profile[None].copy(), phi2=profile[None].copy())
 
 
@@ -251,7 +259,8 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
     parts of the complex phases' (the same bits on IEEE platforms whose
     complex cos and sin are built from the real ones).  Complex eigenvalues
     of the generator are allowed (a warning is issued and norms may grow);
-    a degenerate generator spectrum raises.
+    a degenerate generator spectrum raises, and so does, as ValueError, a
+    ``t_final`` whose phases omega t overflow.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
@@ -266,8 +275,12 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
         omega = omega.real
     c1 = modes.bras.conj().T @ state.phi1[-1]
     c2 = modes.bras.conj().T @ state.phi2[-1]
-    times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
-    phase = np.outer(times, omega)
+    # an overflow here leaves a phase of inf or nan, which is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
+        phase = np.outer(times, omega)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"t_final = {t_final} overflows the phases omega t")
     cos, sin = np.cos(phase), np.sin(phase, out=phase)
     # one row per time sample; one component's coefficients are freed before the next's
     phi1 = _rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin, modes.kets)

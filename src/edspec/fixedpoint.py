@@ -6,18 +6,20 @@ stationary forms of the constant and oscillator masses, and the
 Klein-Gordon form of any real mass-squared.  The off-diagonals are nonzero,
 so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
 every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): branches are
-labelled by Sturm index.  The sign of f(z) = E_n(z) - z is the inertia of
-H(z) - z: f(z) > 0 exactly when at most n pivots of its LDL^T factorization
-are negative (``count_below``, O(N)).  A window is sampled once for all
-branches and takes one such count per sample, which signs every branch at
-once; bisection counts pivots too.  The one eigenvalue E_n(z_k) of a
-(sample, branch) pair is solved at most once, by index-selective bisection
-(``eigpair_bands``, through ``Eigenvalues``, which on the dense fallback
-solves a sample's spectrum once for all branches), and only where a report
-needs the value: at the ends of a sign change and on a window where the
-branch changes sign nowhere (its near miss).  Each level's ket comes from
-one selective eigenpair solve (bisection, then inverse iteration) at the
-root.  A complex mass-squared raises ValueError.
+labelled by Sturm index.  The sign of f_n(z) = E_n(z) - z is the inertia of
+H(z) - z: f_n(z) > 0 exactly when at most n pivots of its LDL^T
+factorization are negative (``count_below``, O(N)), and that count is the
+only sign the search takes.  A window is sampled once for all branches and
+takes one count per sample, which signs every branch at once; each change
+of sign between two samples is bisected by the count.  A root that falls
+on a sample is bisected like any other, from the bracket on the side its
+count puts it.  Eigenvalues are solved only for a near miss, on a window
+where branch n changes sign nowhere: E_n(z_k) at every sample, by
+index-selective bisection of the same count (``eigpair_bands``, through
+``Eigenvalues``, which on the dense fallback solves a sample's spectrum
+once for all branches).  Each level's ket comes from one selective
+eigenpair solve (bisection, then inverse iteration) at the root.  A
+complex mass-squared raises ValueError.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ MERGE_FACTOR = 1e-8
 
 #: z -> the bands of a real symmetric tridiagonal H(z).
 BandFamily = Callable[[float], Tridiagonal]
-#: z -> a number with the sign of f(z) = E_n(z) - z.
-SignEvaluator = Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,12 @@ def count_below(T: Tridiagonal, shift: float) -> int:
 class _SampledWindow:
     """Bands of H(z) at the samples of one window, shared by its branches.
 
-    The inertia count of a sample is taken once for all branches, and the
-    eigenvalue E_n of a sample is solved when first asked for, then kept.
+    The inertia count of a sample is taken once for all branches; its
+    eigenvalues E_n are solved only for a near miss.
     """
 
     def __init__(self, bands: BandFamily, z_samples: np.ndarray):
+        self.bands = bands
         self.z_samples = z_samples
         self._sample_bands = [bands(float(z)) for z in z_samples]
         self._eigenvalues = [Eigenvalues(T) for T in self._sample_bands]
@@ -132,12 +133,9 @@ class _SampledWindow:
         return np.array([count_below(T, float(z))
                          for T, z in zip(self._sample_bands, self.z_samples)])
 
-    def eigenvalue(self, k: int, n: int) -> float:
-        """E_n(z_k)."""
-        return self._eigenvalues[k][n]
-
     def e_values(self, n: int) -> np.ndarray:
-        return np.array([self.eigenvalue(k, n) for k in range(len(self._sample_bands))])
+        """E_n(z_k) at each sample."""
+        return np.array([values[n] for values in self._eigenvalues])
 
 
 def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
@@ -168,15 +166,12 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
                           np.linspace(z_lo, z_hi, steps))
 
 
-def _inertia_sign(bands: BandFamily, n: int) -> SignEvaluator:
-    return lambda z: 1.0 if count_below(bands(z), z) <= n else -1.0
-
-
-def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
+def _bisect(bands: BandFamily, n: int, lo: float, hi: float, above_lo: bool,
             refine_tol: float) -> tuple[float, int]:
-    """Root of f in the sample bracket k, and the number of evaluations of f."""
-    lo, hi = float(z[k]), float(z[k + 1])
-    above_lo = f[k] > 0.0
+    """Root of f_n between lo and hi, whose signs differ, and the counts it took.
+
+    ``above_lo`` is the sign at lo, f_n(lo) > 0.
+    """
     for evals in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= refine_tol:
@@ -186,10 +181,7 @@ def _bisect(z: np.ndarray, f: np.ndarray, k: int, f_sign: SignEvaluator,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        f_mid = f_sign(mid)
-        if f_mid == 0.0:
-            return mid, evals + 1
-        if (f_mid > 0.0) == above_lo:
+        if (count_below(bands(mid), mid) <= n) == above_lo:
             lo = mid
         else:
             hi = mid
@@ -207,64 +199,24 @@ def _close(z: float, z_prev: float, tol: float = 0.0) -> bool:
     return abs(z - z_prev) <= max(MERGE_FACTOR * (1.0 + abs(z)), tol)
 
 
-def _solve(z: np.ndarray, f: np.ndarray, f_sign: SignEvaluator,
-           refine_tol: float) -> tuple[list[float], int]:
-    """Fixed points from per-sample values ``f`` with the sign of E_n(z) - z.
+def _roots(window: _SampledWindow, n: int, refine_tol: float) -> tuple[list[float], int]:
+    """Fixed points of branch n on one window, and the counts bisection took.
 
-    A sample where f is exactly 0 is a root; a sign change between two
-    samples is bisected with ``f_sign``.  Returns the roots in ascending z,
-    merged within MERGE_FACTOR * (1 + |z|), and the number of ``f_sign``
-    evaluations.
-    """
-    if not refine_tol > 0:
-        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
-    raw: list[float] = []
-    evals = 0
-    # signs, not values: the product of two tiny values can underflow to 0
-    sign = np.sign(f)
-    for k in range(z.shape[0] - 1):
-        if f[k] == 0.0:
-            raw.append(float(z[k]))
-            continue
-        if sign[k] * sign[k + 1] >= 0.0:
-            continue
-        root, used = _bisect(z, f, k, f_sign, refine_tol)
-        raw.append(root)
-        evals += used
-    if f[-1] == 0.0:
-        raw.append(float(z[-1]))
-
-    raw.sort()
-    merged: list[float] = []
-    for root in raw:
-        if merged and _close(root, merged[-1]):
-            continue
-        merged.append(root)
-    return merged, evals
-
-
-def _window_signs(window: _SampledWindow, n: int) -> np.ndarray:
-    """Per-sample values with the sign of f(z) = E_n(z) - z on one window.
-
-    The sign at a sample is that of its inertia count.  Eigenvalues replace
-    the signs at both ends of every sign change: there a sample with
-    E_n(z_k) == z_k is itself a root, and the eigenvalue confirms the side
-    bisection starts from.  A branch whose count never changes sign gets
-    eigenvalues at every sample, for its near miss.  Where an eigenvalue
-    and its count disagree in sign, which only rounding at a root next to
-    a sample can cause, the window falls back to eigenvalue signs.
+    The sign of f_n at a sample is its inertia count, and each change of
+    sign between two samples is bisected.  The roots come in ascending z,
+    merged within MERGE_FACTOR * (1 + |z|).
     """
     z = window.z_samples
-    signs = np.where(window.counts <= n, 1.0, -1.0)
-    change = signs[:-1] != signs[1:]
-    if not change.any():
-        return window.e_values(n) - z
-    for k in np.flatnonzero(np.append(change, False) | np.append(False, change)):
-        f_k = window.eigenvalue(k, n) - z[k]
-        if f_k != 0.0 and (f_k > 0.0) != (signs[k] > 0.0):
-            return window.e_values(n) - z
-        signs[k] = f_k
-    return signs
+    above = window.counts <= n
+    roots: list[float] = []
+    evals = 0
+    for k in np.flatnonzero(above[:-1] != above[1:]):
+        root, used = _bisect(window.bands, n, float(z[k]), float(z[k + 1]), bool(above[k]),
+                             refine_tol)
+        evals += used
+        if not (roots and _close(root, roots[-1])):
+            roots.append(root)
+    return roots, evals
 
 
 def _level(bands: BandFamily, n: int, z: float, j: int) -> PhysicalLevel:
@@ -287,13 +239,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
 
     The branches are labelled by Sturm index, so the stationary form must be
     real symmetric: a complex mass-squared raises ValueError (``spectrum``
-    and ``evolve`` accept one; this search does not).  Each
-    window is sampled once for all branches, with one inertia count per
-    sample; each (branch, window) pair is then solved independently, and a
-    sample's eigenvalue E_n is solved at most once, where a sign change of
-    branch n ends or the branch changes sign nowhere.  Solver failures are recorded per pair
-    and the remaining levels are returned, and every solved pair leaves a
-    ``WindowDiagnostics`` record.  Roots of one branch found in different
+    and ``evolve`` accept one; this search does not).  Each window is
+    sampled once for all branches, with one inertia count per sample; each
+    (branch, window) pair is then solved independently, by bisecting the
+    count, and the eigenvalues E_n of a window's samples are solved only
+    where branch n changes sign nowhere.  Solver failures are recorded per
+    pair and the remaining levels are returned, and every solved pair leaves
+    a ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are one level when they lie within
     max(MERGE_FACTOR * (1 + |z|), refine_tol) of each other: bisection leaves
     each estimate within refine_tol / 2 of its root, so a root on an
@@ -302,6 +254,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     Windows are not deduplicated here: the same window listed twice yields
     coincident levels, so the run configuration rejects such a list.
     """
+    if not refine_tol > 0:
+        raise ValueError(f"refine_tol must be positive, got {refine_tol}")
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
         try:
@@ -321,8 +275,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                 if not 0 <= n < entry.size:
                     raise ValueError(f"branch index {n} outside spectrum of size {entry.size}")
                 try:
-                    roots, evals = _solve(entry.z_samples, _window_signs(entry, n),
-                                          _inertia_sign(bands, n), refine_tol)
+                    roots, evals = _roots(entry, n, refine_tol)
                 except SolverError as exc:
                     error = exc
             if error is not None:

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -552,6 +553,33 @@ def test_evolve_eigenstate_decomposes_h_once(tmp_path, monkeypatch):
     assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
     assert load_json(tmp_path / "evolve.json")["flag"] == "PASS"
     assert sizes == [40]
+
+
+def _evolve_config_error(tmp_path, capsys, body):
+    """The ``config error:`` line of an evolve run that must exit 1 without a warning."""
+    cfg = write_config(tmp_path, body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    assert not caught, [str(w.message) for w in caught]
+    assert not list(tmp_path.glob("*.json")) and not list(tmp_path.glob("*.csv"))
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    return err
+
+
+def test_evolve_gaussian_between_the_nodes_is_a_config_error(tmp_path, capsys):
+    # a width far below the spacing 10 / 39 puts every node of the grid in the
+    # gaussian's tail, where exp underflows to 0: the profile has norm 0
+    body = EVOLVE_BASE.replace("-8.0", "-5.0").replace("x_max = 8.0", "x_max = 5.0")
+    body = body.replace("width = 1.2", "width = 1e-3\n    center = 0.1")
+    assert "n_points = 40" in body and "x_min = -5.0" in body
+    assert "norm 0.0" in _evolve_config_error(tmp_path, capsys, body)
+
+
+def test_evolve_overflowing_duration_is_a_config_error(tmp_path, capsys):
+    body = EVOLVE_BASE.replace("t_final = 5.0", "t_final = 1e308")
+    assert "t_final" in _evolve_config_error(tmp_path, capsys, body)
 
 
 @pytest.mark.parametrize("body, key", [

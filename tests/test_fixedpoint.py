@@ -9,8 +9,10 @@ from edspec.errors import RefinementStall
 from edspec.fixedpoint import (
     REFINE_TOL,
     WINDOW_STEPS,
+    _close,
+    _roots,
     _sample_window,
-    _solve,
+    _SampledWindow,
     collect_physical,
     count_below,
 )
@@ -65,6 +67,40 @@ def test_count_below_is_the_inertia(rng):
                 # ... and a hair away from it the count is exact
                 assert count_below(T, s - gap) == np.sum(w < s - gap)
                 assert count_below(T, s + gap) == np.sum(w < s + gap)
+
+
+def test_count_sign_agrees_with_the_selective_eigenvalue(rng):
+    # the search signs f_n(s) = E_n - s by count_below(T, s) <= n; dstevx
+    # bisects the same count for E_n, so the two signs may differ only within
+    # a few eps * ||T|| of E_n, where rounding decides the count
+    if tridiagonal._lapack() is None:
+        pytest.skip("numpy links no bundled LAPACK; the dense fallback solves no dstevx")
+    eps = np.finfo(float).eps
+    bands = [Tridiagonal(rng.standard_normal(size), rng.standard_normal(size - 1))
+             for size in (1, 2, 5, 17, 40, 120) for _ in range(4)]
+    bands += [build_problem(kind, grid, model, z)
+              for kind in ("schrodinger", "kleingordon")
+              for grid, model in ((GRID, HOQuadratic(1.0, 0.0)),
+                                  (Grid(-8.0, 8.0, 300), HOQuadratic(6.0, 1.2)))
+              for z in (0.3, 1.7, 4.0)]
+    near = far = 0
+    for T in bands:
+        d, e = T.diagonal, T.off_diagonal
+        norm = np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0)      # >= ||T||_2
+        for n in range(0, len(d), max(1, len(d) // 6)):
+            e_n = eigpair_bands(d, e, n)
+            shifts = np.concatenate([
+                [e_n, np.nextafter(e_n, np.inf), np.nextafter(e_n, -np.inf)],
+                e_n + eps * norm * np.arange(-8, 9),
+                rng.uniform(e_n - 1.0, e_n + 1.0, 4)])
+            for s in shifts:
+                if (count_below(T, s) <= n) != (e_n > s):
+                    assert abs(e_n - s) <= 4.0 * eps * norm, (n, e_n, s)
+                if abs(e_n - s) <= 4.0 * eps * norm:
+                    near += 1
+                else:
+                    far += 1
+    assert near > 500 and far > 500
 
 
 @pytest.mark.parametrize("d, e, s", [
@@ -161,15 +197,18 @@ def test_trace_argument_validation():
 
 def _fixed_points(energy, z_lo, z_hi, steps, refine_tol=REFINE_TOL):
     """Roots of z = energy(z), a 1x1 family, by the search's root solver."""
-    z = np.linspace(z_lo, z_hi, steps)
-    f = np.array([energy(float(zk)) for zk in z]) - z
-    return _solve(z, f, lambda zk: energy(zk) - zk, refine_tol)[0]
+    def bands(z):
+        return Tridiagonal(np.array([energy(z)]), np.empty(0))
+
+    return _roots(_SampledWindow(bands, np.linspace(z_lo, z_hi, steps)), 0, refine_tol)[0]
 
 
 def test_constant_branch_single_root():
+    # the root z = 3 is a sample: its count puts it on one side, and the
+    # bracket on the other side is bisected
     roots = _fixed_points(lambda z: 3.0, 0.0, 5.0, 11)
     assert len(roots) == 1
-    assert roots[0] == pytest.approx(3.0, abs=1e-9)
+    assert roots[0] == pytest.approx(3.0, abs=REFINE_TOL / 2)
 
 
 def test_hyperbolic_branch_root():
@@ -183,25 +222,41 @@ def test_no_bracket_returns_empty():
     assert _fixed_points(lambda z: 10.0, 0.0, 5.0, 8) == []
 
 
+def test_tangent_root_on_a_sample_is_one_root():
+    # f(z) = (z - 3)^2 touches 0 at the sample z = 3 only, whose zero pivot
+    # counts as negative: both brackets at that sample change sign.  Within
+    # about sqrt(eps) of 3, z + (z - 3)^2 rounds to z, so the two estimates
+    # stop that far on either side, inside the tangency guard of each other
+    (root,) = _fixed_points(lambda z: z + (z - 3.0) ** 2, 0.0, 5.0, 11)
+    assert root == pytest.approx(3.0, abs=1e-7)
+
+
 @pytest.mark.parametrize("half_width", [1e-100, 1e-200])
 def test_bracket_of_tiny_values_is_found(half_width):
-    # f(z) = z: at +-1e-200 the product f[0] * f[1] underflows to -0.0, but
-    # the signs still differ, so the root z = 0 is bisected as at +-1e-100
-    (root,) = _fixed_points(lambda z: 2.0 * z, -half_width, half_width, 2, refine_tol=1e-300)
-    assert abs(root) <= half_width
-
-
-def test_exact_sample_root_needs_no_refinement():
-    # the root lands exactly on a sample, so bisection never runs
-    (root,) = _fixed_points(lambda z: 3.0, 0.0, 5.0, 11, refine_tol=1e-300)
-    assert root == 3.0
+    # f(z) = z: the counts at +-half_width differ however tiny f is, so the
+    # root z = 0 is bisected to a tolerance at the scale of the bracket
+    (root,) = _fixed_points(lambda z: 2.0 * z, -half_width, half_width, 2,
+                            refine_tol=1e-10 * half_width)
+    assert abs(root) <= 1e-10 * half_width
 
 
 def test_refinement_stall():
-    # root at sqrt(2): f never evaluates to exactly zero, and the tolerance
-    # sits below float spacing, so bisection must report exhaustion
+    # root at sqrt(2), and the tolerance sits below float spacing, so
+    # bisection must report exhaustion
     with pytest.raises(RefinementStall):
         _fixed_points(lambda z: 2.0 / z, 0.5, 5.0, 10, refine_tol=1e-300)
+
+
+def test_refinement_stall_is_a_recorded_failure():
+    # a tolerance below the float spacing at the root z = 1: bisection
+    # exhausts float resolution, and the pair fails alone
+    result = collect_physical(HOQuadratic(1.0, 0.0), GRID, [0, 1], [(0.5, 1.5), (1.5, 2.5)],
+                              steps=8, refine_tol=1e-300)
+    assert [(f.branch_index, f.window, f.error) for f in result.failures] == [
+        (0, (0.5, 1.5), "RefinementStall"), (1, (1.5, 2.5), "RefinementStall")]
+    assert [(d.branch_index, d.window) for d in result.diagnostics] == [
+        (0, (1.5, 2.5)), (1, (0.5, 1.5))]
+    assert not result.levels
 
 
 def test_multiple_fixed_points_match_closed_form():
@@ -343,20 +398,24 @@ def test_failures_and_diagnostics_keep_branch_window_order():
 def test_root_on_shared_window_endpoint_counts_once():
     # H does not depend on z for a constant mass, so the branch-1 root is its
     # eigenvalue E1, sampled exactly as the end of one window and the start
-    # of the next; E1 is the value the search's solver returns, so that the
-    # sample is a root to the last bit
+    # of the next.  The count at E1 puts the sample on one side: the window
+    # on the other side bisects the root, and the one whose samples all lie
+    # on the count's side of it brackets nothing and misses E1 by 0
     grid = Grid(-5.0, 5.0, 24)
     model = ConstantMass(0.5)
     T = build_problem("schrodinger", grid, model, 0.0)
     e1 = eigpair_bands(T.diagonal, T.off_diagonal, 1)
     result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
     assert not result.failures
-    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((1, 0), e1)]
-    assert [d.bisection_steps for d in result.diagnostics] == [0, 0]
+    (level,) = result.levels
+    assert level.multi_index == (1, 0) and abs(level.energy - e1) <= REFINE_TOL / 2
+    assert sorted((d.bisection_steps > 0, d.near_miss) for d in result.diagnostics) == [
+        (False, 0.0), (True, None)]
     # the same window listed twice still yields coincident levels (the run
     # configuration refuses such a list)
-    twice = collect_physical(model, grid, [1], [(0.5 * e1, e1), (0.5 * e1, e1)])
+    twice = collect_physical(model, grid, [1], [(0.5 * e1, 2.0 * e1)] * 2)
     assert [lv.multi_index for lv in twice.levels] == [(1, 0), (1, 1)]
+    assert twice.levels[0].energy == twice.levels[1].energy
 
 
 def test_overlapping_windows_count_a_root_once():
@@ -378,9 +437,34 @@ def test_overlapping_windows_count_a_root_once():
 
 # ---------------------------------------------------------------- count signs
 
-def _eigenvalue_signs(window, n):
-    """Reference signs: E_n(z) - z from the eigenvalues at every sample."""
-    return window.e_values(n) - window.z_samples
+def _eigenvalue_sign_roots(window, n, refine_tol):
+    """Reference search: signs of E_n(z) - z from eigenvalues, at every sample and step.
+
+    A sample where E_n(z) == z is a root; a sign change between two samples
+    is bisected by the sign of the eigenvalue at the midpoint.
+    """
+    z = window.z_samples
+    f = window.e_values(n) - z
+    raw, evals = [], 0
+    for k in range(len(z)):
+        if f[k] == 0.0:
+            raw.append(float(z[k]))
+        elif k + 1 < len(z) and f[k + 1] != 0.0 and (f[k] > 0.0) != (f[k + 1] > 0.0):
+            lo, hi = float(z[k]), float(z[k + 1])
+            while hi - lo > refine_tol:
+                mid = 0.5 * (lo + hi)
+                evals += 1
+                T = window.bands(mid)
+                if (eigpair_bands(T.diagonal, T.off_diagonal, n) > mid) == (f[k] > 0.0):
+                    lo = mid
+                else:
+                    hi = mid
+            raw.append(0.5 * (lo + hi))
+    roots = []
+    for root in raw:
+        if not (roots and _close(root, roots[-1])):
+            roots.append(root)
+    return roots, evals
 
 
 def test_count_signs_match_eigenvalue_signs(monkeypatch):
@@ -400,7 +484,7 @@ def test_count_signs_match_eigenvalue_signs(monkeypatch):
                    (float(ends[2]) + 0.05, float(ends[3]) + 0.1)]
         result = collect_physical(model, grid, n_list, windows, kind, steps=steps)
         with monkeypatch.context() as patch:
-            patch.setattr(fixedpoint_module, "_window_signs", _eigenvalue_signs)
+            patch.setattr(fixedpoint_module, "_roots", _eigenvalue_sign_roots)
             reference = collect_physical(model, grid, n_list, windows, kind, steps=steps)
         levels = [(lv.multi_index, lv.energy) for lv in reference.levels]
         failures = [(f.branch_index, f.window, f.error) for f in reference.failures]
@@ -455,7 +539,8 @@ def test_bracketing_window_solves_at_most_bracket_ends(solves, model, n_list, wi
     result = collect_physical(model, GRID, n_list, [window], steps=32)
     assert len(result.levels) == brackets
     assert all(d.near_miss is None for d in result.diagnostics)
-    assert 0 < len(solves) <= 2 * brackets
+    # counts sign and bisect every bracket
+    assert not solves
     # one ket per level, each solved for its own branch
     assert [n for _, n in solves.kets] == [lv.multi_index[0] for lv in result.levels]
 
@@ -477,47 +562,30 @@ def test_root_free_window_solves_each_sample_once(solves, n_list):
 def test_bisection_makes_no_solves(solves):
     window = [(0.5, 4.0)]
     coarse = collect_physical(HOQuadratic(1.0, 0.0), GRID, [0, 1], window, refine_tol=1e-3)
-    used = len(solves)
     fine = collect_physical(HOQuadratic(1.0, 0.0), GRID, [0, 1], window, refine_tol=1e-12)
     assert (sum(d.bisection_steps for d in fine.diagnostics)
             > sum(d.bisection_steps for d in coarse.diagnostics))
-    assert len(solves) == 2 * used
-
-
-def test_count_disagreeing_with_eigenvalue_falls_back_to_eigenvalue_signs(monkeypatch,
-                                                                          solves):
-    model, window, steps = HOQuadratic(1.0, 0.0), (0.5, 4.0), 32
-    (honest,) = collect_physical(model, GRID, [0], [window], steps=steps).levels
-    z_samples = np.linspace(*window, steps)
-    k = int(np.searchsorted(z_samples, honest.energy)) - 1
-    # the count at the sample after the bracket end claims f > 0 where the
-    # eigenvalue has f < 0: the count brackets two roots that do not exist
-    liar = float(z_samples[k + 2])
-    assert _eigenvalues("schrodinger", GRID, model, liar)[0] < liar
-    count = fixedpoint_module.count_below
-    monkeypatch.setattr(fixedpoint_module, "count_below",
-                        lambda T, s: count(T, s) - (s == liar))
-    del solves[:]
-    result = collect_physical(model, GRID, [0], [window], steps=steps)
-    assert [(lv.multi_index, lv.energy) for lv in result.levels] == [((0, 0), honest.energy)]
-    assert len(solves) == steps
+    assert not solves and len(solves.kets) == len(coarse.levels) + len(fine.levels) == 4
 
 
 def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
-    # branch 1 has no root in the first window, so its near miss needs every
-    # sample there, as branch 0's bracket ends do
-    args = (HOQuadratic(1.0, 2.0), Grid(-8.0, 8.0, 60), [0, 1], [(0.1, 1.85), (2.1, 8.0)])
+    # branches 1 and 2 have no root in the first window, so their near
+    # misses need every sample there; branch 0 brackets roots, which need none
+    args = (HOQuadratic(1.0, 2.0), Grid(-8.0, 8.0, 60), [0, 1, 2], [(0.1, 1.85), (2.1, 8.0)])
     monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
     with monkeypatch.context() as patch:
         # the fallback as it was: one dense eigvalsh per (sample, branch)
-        patch.setattr(fixedpoint_module._SampledWindow, "eigenvalue",
-                      lambda self, k, n: eigpair_bands(self._sample_bands[k].diagonal,
-                                                       self._sample_bands[k].off_diagonal, n))
+        patch.setattr(fixedpoint_module._SampledWindow, "e_values",
+                      lambda self, n: np.array([eigpair_bands(T.diagonal, T.off_diagonal, n)
+                                                for T in self._sample_bands]))
         reference = collect_physical(*args, steps=16)
+    assert len(solves) == 2 * 16
     del solves[:]
     result = collect_physical(*args, steps=16)
-    assert any(d.near_miss is not None for d in result.diagnostics) and result.levels
-    assert 16 < len(solves) == len(set(solves)) <= 2 * 16
+    assert [d.near_miss is not None for d in result.diagnostics] == [False, False, True,
+                                                                     False, True, False]
+    # one spectrum per sample of the first window serves both branches
+    assert len(solves) == len(set(solves)) == 16
     assert result.diagnostics == reference.diagnostics and not result.failures
     assert len(result.levels) == len(reference.levels)
     for level, expected in zip(result.levels, reference.levels):
