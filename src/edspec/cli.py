@@ -1,12 +1,13 @@
 """Command-line front end: spectrum | fixedpoint | metric | evolve | validate.
 
-Exit codes: 0 success, 1 configuration error, 2 solver error, 3 fixed-point
-search found no levels, 4 validation failure.  All reports embed the parsed
-configuration and the tool version, and identical configurations run with
-the same BLAS thread count produce byte-identical files.  The bytes can
-depend on that count, as OpenBLAS splits its products and sums differently
-across threads (the ``spectrum`` reports can differ in the last digit
-between one and two threads), so pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
+Exit codes: 0 success, 1 configuration error (a stray ``--seed`` or an
+unusable ``--out-dir`` too), 2 solver error, 3 fixed-point search found no
+levels, 4 validation failure.  All reports embed the parsed configuration
+and the tool version, and identical configurations run with the same BLAS
+thread count produce byte-identical files.  The bytes can depend on that
+count, as OpenBLAS splits its products and sums differently across threads
+(the ``spectrum`` reports can differ in the last digit between one and two
+threads), so pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
 """
 
 from __future__ import annotations
@@ -212,8 +213,6 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_validate(cfg: RunConfig | None, out_dir: Path, seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"--seed must be >= 0, got {seed}")
     if cfg is None:
         cfg = RunConfig()
     results = run_all(seed=seed, grid_sizes=cfg.validate_grid_sizes)
@@ -244,18 +243,26 @@ def main(argv=None) -> int:
                         choices=["spectrum", "fixedpoint", "metric", "evolve", "validate"])
     parser.add_argument("--config", help="path to the run configuration")
     parser.add_argument("--out-dir", default=".", help="directory for reports")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized validation fixtures")
+    parser.add_argument("--seed", type=int,
+                        help="seed for the randomized fixtures of validate (default 0)")
     args = parser.parse_args(argv)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         cfg = load_config(args.config) if args.config else None
-        if args.command == "validate":
-            return cmd_validate(cfg, out_dir, args.seed)
-        if cfg is None:
+        if args.command != "validate" and args.seed is not None:
+            raise ConfigError(f"--seed is read by validate only, not by {args.command}")
+        if args.command != "validate" and cfg is None:
             raise ConfigError("this command needs --config <path>")
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        # created only once the configuration and the seed are accepted
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create --out-dir {out_dir}: {exc}") from None
+        if args.command == "validate":
+            return cmd_validate(cfg, out_dir, args.seed or 0)
         handler = {
             "spectrum": cmd_spectrum,
             "fixedpoint": cmd_fixedpoint,

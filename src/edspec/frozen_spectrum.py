@@ -47,8 +47,8 @@ class FrozenDecomposition:
     (Re E, Im E); ``left_bras[:, n]`` is the vector whose conjugate transpose
     is the n-th bra.  For Hermitian H both are the same array, real
     (float64) when H is real symmetric.  Both are None when ``decompose``
-    ran without vectors; the residuals then describe kets the result does
-    not keep (see ``decompose``).
+    ran without vectors.  A real band value's residuals describe kets the
+    result does not keep, with or without vectors (see ``decompose``).
     """
 
     eigenvalues: np.ndarray
@@ -63,8 +63,7 @@ class FrozenDecomposition:
         return self.eigenvalues.shape[0]
 
 
-#: Kets at each end of the spectrum whose Gram columns give the residuals
-#: of a real band value decomposed without vectors.
+#: Kets at each end of the spectrum whose Gram columns give a band value's residuals.
 _SAMPLE_END = 16
 
 #: Columns per block of the pivot search in ``_fix_phases``: the ``abs``
@@ -96,14 +95,6 @@ def _minus_identity(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _max_abs(square: np.ndarray) -> float:
-    """max |square|, read from the extremes of a real array without an N x N ``abs``."""
-    if np.iscomplexobj(square):
-        return float(np.abs(square).max())
-    # max(max, -min) >= 0 is max |x| exactly; abs only turns -0.0 into 0.0
-    return float(abs(max(square.max(), -square.min())))
-
-
 def _min_gap(w: np.ndarray) -> float:
     """The smallest distance between two of the eigenvalues ``w``."""
     gaps = np.abs(w[:, None] - w[None, :])
@@ -122,26 +113,25 @@ def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDe
     A real ``Tridiagonal``, the band value of every stationary form
     ``operators.build_problem`` builds without a complex mass-squared, is
     solved from its bands by LAPACK's divide and conquer ``dstevd``
-    (``tridiagonal.eigh_bands``) and never assembled.  Any other input is
-    taken as the dense ``np.asarray(H)``: a Hermitian matrix takes an exact
-    orthonormal path (``eigh``), in real arithmetic when it is real
+    (``tridiagonal.eigh_bands``) and never assembled.  Its residuals are
+    read from the columns S of the ``_SAMPLE_END`` lowest and highest kets
+    (all of them when N <= 2 * _SAMPLE_END) of the solver's own V, before
+    any copy or phasing: max |(V^T V - I)[:, S]| and ||(V^T V - I)[:, S]||_F,
+    an O(N^2 |S|) product, so ``dstevd`` is its only N^3 step.  Any other
+    input is taken as the dense ``np.asarray(H)``: a Hermitian matrix takes
+    an exact orthonormal path (``eigh``), in real arithmetic when it is real
     symmetric; a general matrix takes one ``eig`` and left vectors from the
     inverse of the ket matrix, L^dagger = K^-1.  On the general path
     DegenerateSpectrum is raised when two eigenvalues sit closer than
     1e-8 * ||H||_F, and PairingFailure when K is singular or some ||l_n||
-    (the condition number of E_n) exceeds 1e12 or is not finite.  The
-    residuals are max |<l_m|psi_n> - delta_mn| and ||K L^dagger - I||_F.
-    The orthonormal path forms one N^3 product, the Gram matrix V^dagger V:
-    for a square V, ||V V^dagger - I||_F = ||V^dagger V - I||_F in exact
-    arithmetic.  The general path forms both products.
+    (the condition number of E_n) exceeds 1e12 or is not finite.  Dense
+    residuals are those of the kept vectors, max |<l_m|psi_n> - delta_mn|
+    and ||K L^dagger - I||_F.  The orthonormal path forms one N^3 product,
+    the Gram matrix V^dagger V: for a square V, ||V V^dagger - I||_F =
+    ||V^dagger V - I||_F in exact arithmetic.  The general path forms both.
 
-    Without ``vectors`` the kets and bras are None.  A real band value then
-    keeps the same eigenvalues, bit for bit, but its kets are neither
-    copied nor phased, and both residuals are read from the columns S of
-    the ``_SAMPLE_END`` lowest and highest kets (all of them when
-    N <= 2 * _SAMPLE_END) of the solver's own V: max |(V^T V - I)[:, S]|
-    and ||(V^T V - I)[:, S]||_F, an O(N^2 |S|) product.  Any other input is
-    decomposed with vectors, as above, and its vectors are dropped.
+    Without ``vectors`` the kets and bras are None and nothing else changes:
+    a real band value skips the C-order copy and phasing of its kets.
     """
     banded = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
     hermitian = banded
@@ -149,6 +139,9 @@ def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDe
         if not (np.isfinite(H.diagonal).all() and np.isfinite(H.off_diagonal).all()):
             raise ValueError("H has non-finite entries")
         w, kets = eigh_bands(H.diagonal, H.off_diagonal)
+        # in dstevd's layout on either path of ``eigh_bands``, which keeps
+        # the residuals bit-identical across the two
+        kets = np.asfortranarray(kets)
     else:
         H = np.asarray(H)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -160,26 +153,16 @@ def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDe
             w, kets = np.linalg.eigh(H)
     n = H.shape[0]
     rows = np.arange(n)
+    if banded and n > 2 * _SAMPLE_END:
+        rows = np.r_[rows[:_SAMPLE_END], rows[-_SAMPLE_END:]]
     if hermitian:
         # Orthonormalization stays well posed under degeneracy, so the gap
         # check below is skipped on this path.  Both solvers return the
         # eigenvalues in ascending order, and real vectors stay real:
-        # bra = ket, and the Gram product below is real.
+        # bra = ket, and the Gram product below is real.  A band value's
+        # kets are phased once its residuals are read (see above).
         w = w.astype(complex)
-        if banded and not vectors:
-            # the solver's own kets, neither copied nor phased (see above),
-            # in dstevd's order on either path of ``eigh_bands``, which
-            # keeps the residuals bit-identical across the two
-            kets = np.asfortranarray(kets)
-            if n > 2 * _SAMPLE_END:
-                rows = np.r_[rows[:_SAMPLE_END], rows[-_SAMPLE_END:]]
-        else:
-            # numpy's eigh returns C-ordered vectors; the same layout keeps
-            # the products below bit-identical to the dense path.  The
-            # solver's array is dropped before the phasing's N x N temporary.
-            kets = np.ascontiguousarray(kets)
-            kets = _fix_phases(kets)
-        lefts = kets
+        kets = lefts = kets if banded else _fix_phases(kets)
     else:
         scale = max(np.linalg.norm(H), 1e-300)
         w, kets = np.linalg.eig(H)
@@ -206,17 +189,23 @@ def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDe
         order = np.lexsort((w.imag, w.real))
         w, kets, lefts = w[order], kets[:, order], lefts[:, order]
 
-    # <l_m|psi_n> - delta_mn for the kets ``rows``, a real kets.T @ kets
-    # being one syrk; on the orthonormal path it gives the completeness
-    # residual too (see above)
+    # <l_m|psi_n> - delta_mn for the kets ``rows`` (a real kets.T @ kets is one
+    # syrk); on the orthonormal path also the completeness residual (see above)
     columns = kets if rows.size == n else kets[:, rows]
     residual = _minus_identity(lefts.conj().T @ columns, rows)
-    biorth = _max_abs(residual)
+    completeness = float(np.linalg.norm(residual)) if hermitian else None
+    # |residual| in place, as nothing reads the Gram columns again
+    biorth = float(np.abs(residual, out=residual).real.max())
     if not hermitian:
         # K L^dagger - I, formed once the Gram matrix is dropped
         del residual
-        residual = _minus_identity(kets @ lefts.conj().T, rows)
-    completeness = float(np.linalg.norm(residual))
+        completeness = float(np.linalg.norm(_minus_identity(kets @ lefts.conj().T, rows)))
+    if banded and vectors:
+        # C order, as numpy's eigh gives, keeps the kets' later products
+        # bit-identical to dense input's; dstevd's array goes before phasing
+        del lefts, columns, residual
+        kets = np.ascontiguousarray(kets)
+        kets = lefts = _fix_phases(kets)
     return FrozenDecomposition(
         eigenvalues=w,
         right_kets=kets if vectors else None,

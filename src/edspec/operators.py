@@ -162,9 +162,12 @@ def _schrodinger_bands(grid: Grid, model: MassModel, z: float):
 
 
 def _kleingordon_bands(grid: Grid, model: MassModel, z: float):
-    values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
-    if np.iscomplexobj(values) and not values.imag.any():
-        values = values.real
+    if isinstance(model, GeneralMassSquared):
+        values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
+        if np.iscomplexobj(values) and not values.imag.any():
+            values = values.real
+    else:  # independent of x: evaluated once for every node
+        values = np.full(grid.n_points, mass_squared(model, z, grid.x_min))
     inv_h2 = 1.0 / grid.h ** 2
     return 2.0 * inv_h2 + values, np.full(grid.n_points - 1, -inv_h2)
 

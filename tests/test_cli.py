@@ -1,9 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +611,72 @@ def test_non_finite_floats_rejected_at_load(tmp_path, capsys, command, body):
     err = capsys.readouterr().err
     assert "config error:" in err and "finite" in err
     assert not list(tmp_path.glob("*.json"))
+
+
+# ---------------------------------------------------------------- arguments
+
+@pytest.mark.parametrize("command", ["spectrum", "validate"])
+def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, CONSTANT_KG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory", encoding="utf-8")
+    config = ["--config", cfg] if command == "spectrum" else []
+    assert main([command, "--out-dir", str(taken)] + config) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "out-dir" in err and "Traceback" not in err
+    assert taken.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_rejected_config_creates_no_out_dir(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONSTANT_KG + "\n    colour = blue\n")
+    fresh = tmp_path / "fresh" / "reports"
+    assert main(["spectrum", "--config", cfg, "--out-dir", str(fresh)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "fresh").exists()
+
+
+@pytest.mark.parametrize("command", ["spectrum", "fixedpoint", "metric", "evolve"])
+def test_seed_of_a_command_that_ignores_it_is_rejected(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, CONSTANT_KG)
+    fresh = tmp_path / "fresh"
+    assert main([command, "--config", cfg, "--seed", "5", "--out-dir", str(fresh)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "--seed" in err
+    assert not fresh.exists()
+
+
+def test_validate_seed_defaults_to_zero(tmp_path, monkeypatch):
+    import types
+
+    import edspec.cli
+
+    seeds = []
+
+    def one_criterion(seed, grid_sizes):
+        seeds.append(seed)
+        return [types.SimpleNamespace(name="stub", passed=True, details={})]
+
+    monkeypatch.setattr(edspec.cli, "run_all", one_criterion)
+    assert main(["validate", "--out-dir", str(tmp_path)]) == 0
+    assert main(["validate", "--seed", "3", "--out-dir", str(tmp_path)]) == 0
+    assert seeds == [0, 3]
+
+
+# ---------------------------------------------------------------- README
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    assert len(blocks) == 1
+    cfg = write_config(tmp_path, blocks[0])
+    for command, report in [("spectrum", "spectrum.json"), ("fixedpoint", "fixedpoint.json"),
+                            ("metric", "metric.json")]:
+        assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / report).exists()
+    # the example's [problem] comment: evolve needs kleingordon
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and "kleingordon" in err
 
 
 # ---------------------------------------------------------------- determinism

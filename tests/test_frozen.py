@@ -225,6 +225,10 @@ def _paths():
 def test_residuals_are_those_of_the_gram_products(H, orthonormal):
     dec = decompose(H)
     kets, lefts, eye = dec.right_kets, dec.left_bras, np.eye(dec.size)
+    if isinstance(H, Tridiagonal):
+        # a band value's residuals are those of the solver's own kets,
+        # unphased and in dstevd's layout; at N = 30 every ket is sampled
+        kets = lefts = np.asfortranarray(tri.eigh_bands(H.diagonal, H.off_diagonal)[1])
     gram = lefts.conj().T @ kets - eye
     assert dec.biorth_residual == float(np.abs(gram).max())
     # one Gram product serves both residuals on the orthonormal path;
@@ -246,8 +250,9 @@ def _bands(kind, n):
 @pytest.mark.parametrize("n", [64, 200])
 def test_orthonormal_completeness_matches_extended_precision(kind, n):
     # ||V V^T - I||_F = ||V^T V - I||_F for the square ket matrix V; the
-    # float64 residual is rounding-sized, so its own rounding shows in percent
-    dec = decompose(_bands(kind, n))
+    # float64 residual is rounding-sized, so its own rounding shows in percent.
+    # Dense input forms the whole V^T V; a band value samples its columns.
+    dec = decompose(np.asarray(_bands(kind, n)))
     kets = dec.right_kets.astype(np.longdouble)
     residual = kets.T @ kets - np.eye(n)
     exact = float(np.sqrt((residual * residual).sum()))
@@ -284,16 +289,6 @@ def test_fix_phases_overwrites_its_argument_with_the_same_bits(dtype):
     assert (pivots.real > 0).all() and (pivots.imag == 0).all()
 
 
-def test_max_abs_reads_the_extremes_exactly():
-    rng = np.random.default_rng(4)
-    real = rng.standard_normal((30, 30))
-    cases = [real, real - 10.0, real + 10.0, real + 1j * real.T,
-             np.array([[-0.0, 0.0], [0.0, -0.0]]), np.full((3, 3), -0.0)]
-    for square in cases:
-        got, expected = fs._max_abs(square), float(np.abs(square).max())
-        assert got == expected and np.signbit(got) == np.signbit(expected)
-
-
 def test_band_decomposition_peaks_at_two_square_arrays():
     if tri._lapack() is None:
         pytest.skip("the dense fallback assembles the band value by design")
@@ -306,15 +301,25 @@ def test_band_decomposition_peaks_at_two_square_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the ket matrix and one of: dstevd's Fortran-order output, its C-order
-    # copy, the Gram matrix; the out-of-place phasing peaked at 4.00
+    # dstevd's Fortran-order output beside its C-order copy, which is phased
+    # once the output is dropped; the out-of-place phasing peaked at 4.00
     assert peak < 2.25 * n * n * 8
 
 
 def _sample(n):
-    """The kets whose Gram columns give the residuals without vectors: the
+    """The kets whose Gram columns give the residuals of a band value: the
     16 lowest and 16 highest, as README documents."""
     return np.arange(n) if n <= 32 else np.r_[:16, n - 16:n]
+
+
+def _sampled_gram(T):
+    """The Gram columns of the sampled kets, ``V^T V - I`` over the columns
+    ``_sample(N)``, of the solver's own V: unphased, in dstevd's layout."""
+    n = T.shape[0]
+    kets = np.asfortranarray(tri.eigh_bands(T.diagonal, T.off_diagonal)[1])
+    rows = _sample(n)
+    columns = kets if rows.size == n else kets[:, rows]
+    return kets, rows, kets.T @ columns - np.eye(n)[:, rows]
 
 
 def _values_only_fields(dec):
@@ -348,11 +353,7 @@ def test_values_only_residuals_read_the_sampled_gram_columns(kind, n, fallback, 
         monkeypatch.setattr(tri, "_lapack", lambda: None)
     T = _bands(kind, n)
     dec = decompose(T, vectors=False)
-    # unphased, in dstevd's layout
-    kets = np.asfortranarray(tri.eigh_bands(T.diagonal, T.off_diagonal)[1])
-    rows = _sample(n)
-    columns = kets if rows.size == n else kets[:, rows]
-    gram = kets.T @ columns - np.eye(n)[:, rows]
+    kets, rows, gram = _sampled_gram(T)
     assert dec.biorth_residual == float(np.abs(gram).max())
     assert dec.completeness_residual == float(np.linalg.norm(gram))
     # BLAS rounds a product of |S| columns and the full V^T V alike only when
@@ -363,6 +364,25 @@ def test_values_only_residuals_read_the_sampled_gram_columns(kind, n, fallback, 
     eps = np.finfo(float).eps
     assert abs(dec.biorth_residual - float(np.abs(full).max())) <= eps
     assert dec.completeness_residual == pytest.approx(float(np.linalg.norm(full)), rel=0.05)
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "dense-fallback"])
+@pytest.mark.parametrize("kind", ["random", "schrodinger", "kleingordon"])
+@pytest.mark.parametrize("n", [20, 32, 33, 400])
+def test_band_residuals_do_not_depend_on_vectors(kind, n, fallback, monkeypatch):
+    if fallback:
+        monkeypatch.setattr(tri, "_lapack", lambda: None)
+    T = _bands(kind, n)
+    full, values = decompose(T), decompose(T, vectors=False)
+    for got, expected in zip(_values_only_fields(full), _values_only_fields(values)):
+        assert np.array_equal(got, expected)
+    gram = _sampled_gram(T)[2]
+    assert full.biorth_residual == float(np.abs(gram).max())
+    assert full.completeness_residual == float(np.linalg.norm(gram))
+    # vectors only add the kets: copied to C order and phased
+    solved = tri.eigh_bands(T.diagonal, T.off_diagonal)[1]
+    assert np.array_equal(full.right_kets, fs._fix_phases(np.ascontiguousarray(solved)))
+    assert full.right_kets.flags.c_contiguous and full.left_bras is full.right_kets
 
 
 def _dense_paths():
@@ -400,5 +420,5 @@ def test_values_only_band_decomposition_peaks_at_one_square_array():
     finally:
         tracemalloc.stop()
     # dstevd's Fortran-order output, the sampled columns and their Gram
-    # columns (2 * 32 / N square arrays); no C-order copy, phasing or N x N Gram
+    # columns (2 * 32 / N square arrays); no C-order copy or phasing
     assert peak < 1.25 * n * n * 8

@@ -158,6 +158,36 @@ def test_kleingordon_evaluator_failure():
         build_problem("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), z=0.0)
 
 
+def test_kleingordon_band_evaluates_an_x_independent_mass_once(monkeypatch):
+    import edspec.operators as ops
+
+    rng = np.random.default_rng(11)
+    mass_squared = ops.mass_squared
+    calls = []
+
+    def counted(model, z, x):
+        calls.append(x)
+        return mass_squared(model, z, x)
+
+    monkeypatch.setattr(ops, "mass_squared", counted)
+    for trial in range(300):
+        grid = Grid(-rng.uniform(1.0, 20.0), rng.uniform(1.0, 20.0), int(rng.integers(3, 400)))
+        model = (ConstantMass(rng.uniform(0.01, 10.0)) if trial % 2
+                 else HOQuadratic(rng.uniform(0.1, 5.0), rng.uniform(-5.0, 5.0)))
+        z = rng.uniform(-10.0, 10.0)
+        calls.clear()
+        T = build_problem("kleingordon", grid, model, z)
+        assert len(calls) == 1
+        # the per-node evaluation, bit for bit
+        per_node = 2.0 / grid.h ** 2 + np.array([mass_squared(model, z, xi)
+                                                 for xi in grid.points()])
+        assert np.array_equal(T.diagonal, per_node)
+    # a general model is still evaluated at every node
+    calls.clear()
+    build_problem("kleingordon", Grid(-4.0, 4.0, 9), GeneralMassSquared(lambda z, xi: xi), 0.0)
+    assert len(calls) == 9
+
+
 @pytest.mark.parametrize("kind, z", [("schrodinger", 1e200), ("kleingordon", 1e100),
                                      ("kleingordon", 1.3e154)])
 def test_coefficient_overflow_is_an_evaluation_failure(kind, z):
