@@ -8,6 +8,10 @@ thread count produce byte-identical files.  The bytes can depend on that
 count, as OpenBLAS splits its products and sums differently across threads
 (the ``spectrum`` reports can differ in the last digit between one and two
 threads), so pin it, e.g. ``OPENBLAS_NUM_THREADS=1``.
+
+``COMMANDS`` names what each command reads, and ``main`` checks it before
+it creates ``--out-dir``; only ``evolve``'s initial state and duration,
+which need the grid or the decomposition, are refused once it exists.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from . import closed_form as cf
-from .config import ConfigError, RunConfig, load_config, require
+from .config import ConfigError, RunConfig, load_config
 from .errors import SolverError
 from .evolution import assemble_fv, conservation_report, eigenstate, evolve, gaussian_state
 from .fixedpoint import CollectResult, collect_physical
@@ -44,9 +48,7 @@ def _report_header(cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
-    require(cfg, "model", "a [model] section")
-    require(cfg, "grid", "a [grid] section")
-    z = require(cfg, "spectrum_z", "a [spectrum] section with a z value")
+    z = cfg.spectrum_z
     dec = decompose(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z), vectors=False)
     write_csv(out_dir / "spectrum.csv", ["index", "re", "im", "reality_flag"],
               [np.arange(dec.size), dec.eigenvalues.real, dec.eigenvalues.imag,
@@ -96,10 +98,6 @@ def _closed_form_table(model: HOQuadratic, levels) -> list[dict]:
 
 
 def _collect_levels(cfg: RunConfig) -> CollectResult:
-    require(cfg, "model", "a [model] section")
-    require(cfg, "grid", "a [grid] section")
-    require(cfg, "branches", "a [fixedpoint] section with branches")
-    require(cfg, "windows", "a [fixedpoint] section with non-empty windows")
     return collect_physical(
         cfg.model, cfg.grid, cfg.branches, cfg.windows, cfg.problem_kind,
         steps=cfg.steps, refine_tol=cfg.refine_tol,
@@ -176,12 +174,6 @@ def cmd_metric(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
-    require(cfg, "model", "a [model] section")
-    require(cfg, "grid", "a [grid] section")
-    require(cfg, "evolve", "an [evolve] section")
-    if cfg.problem_kind != "kleingordon":
-        raise ConfigError(
-            f"evolve needs [problem] kind = kleingordon, got {cfg.problem_kind!r}")
     z = cfg.spectrum_z if cfg.spectrum_z is not None else 0.0
     system = assemble_fv(build_problem(cfg.problem_kind, cfg.grid, cfg.model, z))
     spec = cfg.evolve
@@ -212,9 +204,7 @@ def cmd_evolve(cfg: RunConfig, out_dir: Path) -> int:
     return 0
 
 
-def cmd_validate(cfg: RunConfig | None, out_dir: Path, seed: int) -> int:
-    if cfg is None:
-        cfg = RunConfig()
+def cmd_validate(cfg: RunConfig, out_dir: Path, seed: int = 0) -> int:
     results = run_all(seed=seed, grid_sizes=cfg.validate_grid_sizes)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -233,14 +223,30 @@ def cmd_validate(cfg: RunConfig | None, out_dir: Path, seed: int) -> int:
     return 0 if report["all_passed"] else 4
 
 
+_MODEL_GRID = (("model", "a [model] section"), ("grid", "a [grid] section"))
+_FIXEDPOINT = _MODEL_GRID + (("branches", "a [fixedpoint] section with branches"),
+                             ("windows", "a [fixedpoint] section with non-empty windows"))
+
+# Each command's handler, the RunConfig fields it reads in the order they are
+# checked (a command that reads any needs --config), each with the words "this
+# command needs ..." names it by, and the [problem] kind it needs, if any.
+COMMANDS = {
+    "spectrum": (cmd_spectrum, _MODEL_GRID + (
+        ("spectrum_z", "a [spectrum] section with a z value"),), None),
+    "fixedpoint": (cmd_fixedpoint, _FIXEDPOINT, None),
+    "metric": (cmd_metric, _FIXEDPOINT, None),
+    "evolve": (cmd_evolve, _MODEL_GRID + (("evolve", "an [evolve] section"),), "kleingordon"),
+    "validate": (cmd_validate, (), None),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="edspec",
         description="Energy-dependent eigenvalue problems: frozen spectra, "
                     "fixed points, and quasi-Hermitian linear operators",
     )
-    parser.add_argument("command",
-                        choices=["spectrum", "fixedpoint", "metric", "evolve", "validate"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", help="path to the run configuration")
     parser.add_argument("--out-dir", default=".", help="directory for reports")
     parser.add_argument("--seed", type=int,
@@ -249,27 +255,28 @@ def main(argv=None) -> int:
 
     out_dir = Path(args.out_dir)
     try:
-        cfg = load_config(args.config) if args.config else None
+        cfg = load_config(args.config) if args.config else RunConfig()
         if args.command != "validate" and args.seed is not None:
             raise ConfigError(f"--seed is read by validate only, not by {args.command}")
-        if args.command != "validate" and cfg is None:
+        handler, needs, kind = COMMANDS[args.command]
+        if needs and not args.config:
             raise ConfigError("this command needs --config <path>")
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        # created only once the configuration and the seed are accepted
+        for attr, what in needs:
+            if getattr(cfg, attr) in (None, []):
+                raise ConfigError(f"this command needs {what}")
+        if kind not in (None, cfg.problem_kind):
+            raise ConfigError(f"{args.command} needs [problem] kind = {kind}, "
+                              f"got {cfg.problem_kind!r}")
+        # created only once the configuration holds what the command reads
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create --out-dir {out_dir}: {exc}") from None
-        if args.command == "validate":
-            return cmd_validate(cfg, out_dir, args.seed or 0)
-        handler = {
-            "spectrum": cmd_spectrum,
-            "fixedpoint": cmd_fixedpoint,
-            "metric": cmd_metric,
-            "evolve": cmd_evolve,
-        }[args.command]
-        return handler(cfg, out_dir)
+        # only validate is handed a seed; it runs seed 0 when none is given
+        seed = () if args.seed is None else (args.seed,)
+        return handler(cfg, out_dir, *seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -45,12 +45,12 @@ _SCHEMA = {
 class EvolveSpec:
     t_final: float
     steps: int
-    metric: str = "swap"            # swap | identity
-    state: str = "gaussian"         # gaussian | eigenstate
-    center: float = 0.0
-    width: float = 1.0
-    momentum: float = 0.0
-    index: int = 0
+    metric: str                     # swap | identity
+    state: str                      # gaussian | eigenstate
+    center: float
+    width: float
+    momentum: float
+    index: int
 
 
 @dataclass
@@ -251,10 +251,3 @@ def load_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"validate grid_sizes {sizes} list a size twice")
         cfg.validate_grid_sizes = tuple(sizes)
     return cfg
-
-
-def require(cfg: RunConfig, attr: str, what: str):
-    value = getattr(cfg, attr)
-    if value is None or (isinstance(value, list) and not value):
-        raise ConfigError(f"this command needs {what}")
-    return value

@@ -212,12 +212,13 @@ def eigenstate(system: FVSystem, index: int) -> FVState:
     Eigenvalues ascend by (Re, Im); for a positive spectrum of H, index k < N
     is -sqrt(lambda_{N-1-k}) and k >= N is +sqrt(lambda_{k-N}).  The state is
     (E psi, psi) made unit norm with its largest component real positive.
+    An index outside 0..2N-1 raises ValueError before H is decomposed.
     """
-    modes = system.modes
-    omega = modes.frequencies
-    n = omega.shape[0]
+    n = system.base_dimension
     if not 0 <= index < 2 * n:
         raise ValueError(f"eigenstate index {index} outside 0..{2 * n - 1}")
+    modes = system.modes
+    omega = modes.frequencies
     energies = np.concatenate([-omega, omega])
     k = np.lexsort((energies.imag, energies.real))[index]
     psi = modes.kets[:, k % n]

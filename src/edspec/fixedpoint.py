@@ -123,10 +123,6 @@ class _SampledWindow:
         self._sample_bands = [bands(float(z)) for z in z_samples]
         self._eigenvalues = [Eigenvalues(T) for T in self._sample_bands]
 
-    @property
-    def size(self) -> int:
-        return self._sample_bands[0].shape[0]
-
     @cached_property
     def counts(self) -> np.ndarray:
         """Number of eigenvalues of H(z_k) below z_k at each sample."""
@@ -253,9 +249,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     once.  The roots are then indexed j = 0, 1, ... in ascending energy.
     Windows are not deduplicated here: the same window listed twice yields
     coincident levels, so the run configuration rejects such a list.
+    A branch index outside 0..N-1 raises ValueError before any sampling.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    for n in n_list:
+        if not 0 <= n < grid.n_points:
+            raise ValueError(f"branch index {n} outside spectrum of size {grid.n_points}")
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
         try:
@@ -272,8 +272,6 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             window = (float(window[0]), float(window[1]))
             error = entry if isinstance(entry, SolverError) else None
             if error is None:
-                if not 0 <= n < entry.size:
-                    raise ValueError(f"branch index {n} outside spectrum of size {entry.size}")
                 try:
                     roots, evals = _roots(entry, n, refine_tol)
                 except SolverError as exc:

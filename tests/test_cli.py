@@ -627,11 +627,34 @@ def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys, command):
     assert taken.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_rejected_config_creates_no_out_dir(tmp_path, capsys):
-    cfg = write_config(tmp_path, CONSTANT_KG + "\n    colour = blue\n")
+MODEL_ONLY = """
+    [model]
+    kind = constant
+    m = 1.5
+"""
+
+
+@pytest.mark.parametrize("command, body, error", [
+    ("spectrum", CONSTANT_KG + "\n    colour = blue\n",
+     "unknown key 'colour' in section [spectrum]"),
+    ("spectrum", CONSTANT_KG.replace(MODEL_ONLY, ""), "this command needs a [model] section"),
+    ("spectrum", MODEL_ONLY, "this command needs a [grid] section"),
+    ("spectrum", CONSTANT_KG.partition("[spectrum]")[0],
+     "this command needs a [spectrum] section with a z value"),
+    ("fixedpoint", HO_FIXEDPOINT.partition("[fixedpoint]")[0],
+     "this command needs a [fixedpoint] section with branches"),
+    ("metric", HO_FIXEDPOINT.replace("windows = 3.1:6.0", "windows ="),
+     "this command needs a [fixedpoint] section with non-empty windows"),
+    ("evolve", CONSTANT_KG, "this command needs an [evolve] section"),
+    ("evolve", None, "evolve needs [problem] kind = kleingordon, got 'schrodinger'"),
+], ids=["unknown-key", "no-model", "spectrum-no-grid", "spectrum-no-z",
+        "fixedpoint-no-section", "metric-blank-windows", "evolve-no-section",
+        "evolve-readme-schrodinger"])
+def test_rejected_config_creates_no_out_dir(tmp_path, capsys, command, body, error):
+    cfg = write_config(tmp_path, readme_ini() if body is None else body)
     fresh = tmp_path / "fresh" / "reports"
-    assert main(["spectrum", "--config", cfg, "--out-dir", str(fresh)]) == 1
-    assert "config error:" in capsys.readouterr().err
+    assert main([command, "--config", cfg, "--out-dir", str(fresh)]) == 1
+    assert capsys.readouterr().err == f"config error: {error}\n"
     assert not (tmp_path / "fresh").exists()
 
 
@@ -664,11 +687,15 @@ def test_validate_seed_defaults_to_zero(tmp_path, monkeypatch):
 
 # ---------------------------------------------------------------- README
 
-def test_readme_example_config_runs(tmp_path, capsys):
+def readme_ini():
+    """README's one ``ini`` block, the example configuration."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
-    assert len(blocks) == 1
-    cfg = write_config(tmp_path, blocks[0])
+    (block,) = re.findall(r"^```ini\n(.*?)^```$", readme, flags=re.M | re.S)
+    return block
+
+
+def test_readme_example_config_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, readme_ini())
     for command, report in [("spectrum", "spectrum.json"), ("fixedpoint", "fixedpoint.json"),
                             ("metric", "metric.json")]:
         assert main([command, "--config", cfg, "--out-dir", str(tmp_path)]) == 0

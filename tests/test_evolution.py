@@ -187,11 +187,16 @@ def test_eigenstate_matches_generator_decomposition(pick):
     assert np.abs(_row(state, 0) - expected).max() <= 1e-12
 
 
-def test_eigenstate_index_out_of_range():
+def test_eigenstate_index_out_of_range(monkeypatch):
+    calls = []
+    original = evolution.decompose
+    monkeypatch.setattr(evolution, "decompose", lambda H: calls.append(H) or original(H))
     system = assemble_fv(np.array([[4.0]]))
     for index in (-1, 2):
         with pytest.raises(ValueError, match="index"):
             eigenstate(system, index)
+    # the index is refused before H is decomposed
+    assert calls == []
 
 
 def test_zero_frequency_is_degenerate():

@@ -191,6 +191,9 @@ def test_trace_argument_validation():
         collect_physical(ConstantMass(1.0), GRID, [0], [(2.0, 1.0)], steps=8)
     with pytest.raises(ValueError):
         collect_physical(ConstantMass(1.0), GRID, [500], [(1.0, 2.0)], steps=4)
+    # checked before sampling, so also when every window fails to sample
+    with pytest.raises(ValueError, match="branch index 999"):
+        collect_physical(HOQuadratic(1.0, 2.0), Grid(-5.0, 5.0, 40), [999], [(1.0, 3.0)])
 
 
 # ---------------------------------------------------------------- root solving
