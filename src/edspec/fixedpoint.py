@@ -8,13 +8,18 @@ so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
 every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): branches are
 labelled by Sturm index.  The sign of f_n(z) = E_n(z) - z is the inertia of
 H(z) - z: f_n(z) > 0 exactly when at most n pivots of its LDL^T
-factorization are negative (``count_below``, O(N)), and that count is the
-only sign the search takes.  A window is sampled once for all branches and
-takes one count per sample, which signs every branch at once; each change
-of sign between two samples is bisected by the count.  A root that falls
-on a sample is bisected like any other, from the bracket on the side its
-count puts it.  Eigenvalues are solved only for a near miss, on a window
-where branch n changes sign nowhere: E_n(z_k) at every sample, by
+factorization are negative (``tridiagonal.count_below``, LAPACK's
+``dlaebz``), and that count is the only sign the search takes.  A search
+makes one band family of its (kind, grid, model): a count writes the bands
+of H(z) - s through ``operators.write_bands`` into the family's own
+buffers, so it builds no ``Tridiagonal`` (a GeneralMassSquared, which may
+be complex, is counted from the bands ``build_problem`` builds).  A window
+is sampled once for all branches and takes one count per sample, which
+signs every branch at once; each change of sign between two samples is
+bisected by the count.  A root that falls on a sample is bisected like any
+other, from the bracket on the side its count puts it.  Bands and
+eigenvalues are built and solved only for a near miss, on a window where
+branch n changes sign nowhere: E_n(z_k) at every sample, by
 index-selective bisection of the same count (``eigpair_bands``, through
 ``Eigenvalues``, which on the dense fallback solves a sample's spectrum
 once for all branches).  Each level's ket comes from one selective
@@ -34,8 +39,9 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 # unused by the search; bench/test_bench.py asserts that this module binds
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
-from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
-from .tridiagonal import Eigenvalues, eigpair_bands
+from .operators import (GeneralMassSquared, Grid, HOQuadratic, MassModel, Tridiagonal,
+                        build_problem, write_bands)
+from .tridiagonal import Eigenvalues, SturmCount, count_below, eigpair_bands
 
 #: Default number of samples per search window.
 WINDOW_STEPS = 64
@@ -43,9 +49,6 @@ WINDOW_STEPS = 64
 REFINE_TOL = 1e-10
 #: Roots closer than 1e-8 * (1 + |z|) are merged (tangency guard).
 MERGE_FACTOR = 1e-8
-
-#: z -> the bands of a real symmetric tridiagonal H(z).
-BandFamily = Callable[[float], Tridiagonal]
 
 
 @dataclass(frozen=True)
@@ -89,49 +92,19 @@ class CollectResult:
     diagnostics: list
 
 
-def count_below(T: Tridiagonal, shift: float) -> int:
-    """Number of eigenvalues below ``shift`` of a real symmetric tridiagonal.
+class BandFamily:
+    """z -> the bands of a real symmetric tridiagonal H(z), and the inertia counts of H(z) - s."""
 
-    Counts the negative pivots of the LDL^T factorization of T - shift
-    (Sylvester's law of inertia).  A pivot of magnitude at most pivmin is
-    replaced by -pivmin, as in LAPACK's bisection, so a zero pivot counts as
-    negative and the next pivot stays finite.
-    """
-    e2 = T.off_diagonal * T.off_diagonal
-    pivmin = np.finfo(float).tiny * max(1.0, float(e2.max(initial=0.0)))
-    count = 0
-    pivot = 1.0
-    for d, e2_prev in zip((T.diagonal - shift).tolist(), [0.0] + e2.tolist()):
-        pivot = d - e2_prev / pivot
-        if abs(pivot) <= pivmin:
-            pivot = -pivmin
-        if pivot < 0.0:
-            count += 1
-    return count
+    def __init__(self, bands: Callable[[float], Tridiagonal]):
+        self._bands = bands
 
+    def __call__(self, z: float) -> Tridiagonal:
+        return self._bands(z)
 
-class _SampledWindow:
-    """Bands of H(z) at the samples of one window, shared by its branches.
-
-    The inertia count of a sample is taken once for all branches; its
-    eigenvalues E_n are solved only for a near miss.
-    """
-
-    def __init__(self, bands: BandFamily, z_samples: np.ndarray):
-        self.bands = bands
-        self.z_samples = z_samples
-        self._sample_bands = [bands(float(z)) for z in z_samples]
-        self._eigenvalues = [Eigenvalues(T) for T in self._sample_bands]
-
-    @cached_property
-    def counts(self) -> np.ndarray:
-        """Number of eigenvalues of H(z_k) below z_k at each sample."""
-        return np.array([count_below(T, float(z))
-                         for T, z in zip(self._sample_bands, self.z_samples)])
-
-    def e_values(self, n: int) -> np.ndarray:
-        """E_n(z_k) at each sample."""
-        return np.array([values[n] for values in self._eigenvalues])
+    def count(self, z: float, shift: float) -> int:
+        """Number of eigenvalues of H(z) below ``shift``."""
+        T = self(z)
+        return count_below(T.diagonal, T.off_diagonal, shift)
 
 
 def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
@@ -146,10 +119,65 @@ def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagona
     return T
 
 
-def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: float,
+class _ModelFamily(BandFamily):
+    """H(z) of one stationary form of one model on one grid.
+
+    A count of a constant or oscillator mass writes H(z) - s into the
+    buffers of its own ``SturmCount`` and builds no ``Tridiagonal``; a
+    GeneralMassSquared, which may be complex, is counted from its bands.
+    """
+
+    def __init__(self, kind: str, grid: Grid, model: MassModel):
+        super().__init__(partial(_real_bands, kind, grid, model))
+        self.kind = kind
+        self.model = model
+        self._write = partial(write_bands, kind, grid, model)
+        self._sturm = None if isinstance(model, GeneralMassSquared) else \
+            SturmCount(grid.n_points)
+
+    def count(self, z: float, shift: float) -> int:
+        sturm = self._sturm
+        if sturm is None:
+            return super().count(z, shift)
+        diagonal, off_diagonal = self._write(z, sturm.shifted)
+        np.subtract(diagonal, shift, out=diagonal)
+        square = off_diagonal * off_diagonal
+        sturm.squares.fill(square)
+        return sturm(square)
+
+
+class _SampledWindow:
+    """Inertia counts of H(z) at the samples of one window, shared by its branches.
+
+    The count of a sample is taken once for all branches; its bands and
+    eigenvalues E_n are built only for a near miss.
+    """
+
+    def __init__(self, bands: BandFamily, z_samples: np.ndarray):
+        self.bands = bands
+        self.z_samples = z_samples
+        #: Number of eigenvalues of H(z_k) below z_k at each sample.
+        self.counts = np.array([bands.count(z, z) for z in z_samples.tolist()])
+
+    @cached_property
+    def _sample_bands(self) -> list[Tridiagonal]:
+        return [self.bands(z) for z in self.z_samples.tolist()]
+
+    @cached_property
+    def _eigenvalues(self) -> list[Eigenvalues]:
+        return [Eigenvalues(T) for T in self._sample_bands]
+
+    def e_values(self, n: int) -> np.ndarray:
+        """E_n(z_k) at each sample."""
+        return np.array([values[n] for values in self._eigenvalues])
+
+
+def _sample_window(bands: _ModelFamily, z_lo: float, z_hi: float,
                    steps: int) -> _SampledWindow:
     # only the schrodinger form divides by 2 m(z), which vanishes at z = E0
-    if kind == "schrodinger" and isinstance(model, HOQuadratic) and z_lo <= model.E0 <= z_hi:
+    model = bands.model
+    if bands.kind == "schrodinger" and isinstance(model, HOQuadratic) \
+            and z_lo <= model.E0 <= z_hi:
         raise DegenerateMass(
             f"window [{z_lo}, {z_hi}] contains the mass singularity z = {model.E0}; "
             "split the window around it"
@@ -158,8 +186,7 @@ def _sample_window(kind: str, grid: Grid, model: MassModel, z_lo: float, z_hi: f
         raise ValueError(f"steps must be >= 2, got {steps}")
     if not z_lo < z_hi:
         raise ValueError(f"need z_lo < z_hi, got [{z_lo}, {z_hi}]")
-    return _SampledWindow(partial(_real_bands, kind, grid, model),
-                          np.linspace(z_lo, z_hi, steps))
+    return _SampledWindow(bands, np.linspace(z_lo, z_hi, steps))
 
 
 def _bisect(bands: BandFamily, n: int, lo: float, hi: float, above_lo: bool,
@@ -177,7 +204,7 @@ def _bisect(bands: BandFamily, n: int, lo: float, hi: float, above_lo: bool,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        if (count_below(bands(mid), mid) <= n) == above_lo:
+        if (bands.count(mid, mid) <= n) == above_lo:
             lo = mid
         else:
             hi = mid
@@ -256,13 +283,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     for n in n_list:
         if not 0 <= n < grid.n_points:
             raise ValueError(f"branch index {n} outside spectrum of size {grid.n_points}")
+    bands = _ModelFamily(kind, grid, model)
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
         try:
-            sampled.append(_sample_window(kind, grid, model, lo, hi, steps))
+            sampled.append(_sample_window(bands, lo, hi, steps))
         except SolverError as exc:
             sampled.append(exc)
-    bands = partial(_real_bands, kind, grid, model)
     levels: list[PhysicalLevel] = []
     failures: list[CollectFailure] = []
     diagnostics: list[WindowDiagnostics] = []

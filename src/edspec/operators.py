@@ -18,12 +18,16 @@ Conventions
   ``build_problem``, are
     schrodinger:  (1/(2 m(z))) * (-d^2/dx^2) + x^2
     kleingordon:  -d^2/dx^2 + m^2(z, x)
+  ``write_bands`` is their one band writer: ``build_problem`` wraps what it
+  writes as a ``Tridiagonal``, and the level search writes the bands of
+  many z into buffers of its own.
 * The two-component block system built on these forms lives in
   ``evolution``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Union
@@ -61,11 +65,22 @@ class Grid:
         """The n_points nodes, computed once per grid and read-only."""
         return self._points
 
+    def squares(self) -> np.ndarray:
+        """x_i^2 at the n_points nodes, computed once per grid and read-only."""
+        return self._squares
+
     @cached_property
     def _points(self) -> np.ndarray:
         x = np.linspace(self.x_min, self.x_max, self.n_points)
         x.flags.writeable = False
         return x
+
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        x = self._points
+        squares = x * x
+        squares.flags.writeable = False
+        return squares
 
 
 @dataclass(frozen=True)
@@ -152,24 +167,25 @@ def mass_squared(model: MassModel, z: float, x: float) -> complex:
     return value
 
 
-def _schrodinger_bands(grid: Grid, model: MassModel, z: float):
+def _schrodinger_bands(grid: Grid, model: MassModel, z: float, out):
     two_m = mass_2m(model, z)
     if two_m <= MASS_EPSILON:
         raise DegenerateMass(f"2 m(z) = {two_m} at z = {z} is below {MASS_EPSILON}")
     inv_h2 = 1.0 / grid.h ** 2
-    x = grid.points()
-    return 2.0 * inv_h2 / two_m + x * x, np.full(grid.n_points - 1, -inv_h2 / two_m)
+    return np.add(2.0 * inv_h2 / two_m, grid.squares(), out=out), -inv_h2 / two_m
 
 
-def _kleingordon_bands(grid: Grid, model: MassModel, z: float):
+def _kleingordon_bands(grid: Grid, model: MassModel, z: float, out):
     if isinstance(model, GeneralMassSquared):
         values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
         if np.iscomplexobj(values) and not values.imag.any():
             values = values.real
+        out = None          # the diagonal takes the values' type, complex or real
     else:  # independent of x: evaluated once for every node
-        values = np.full(grid.n_points, mass_squared(model, z, grid.x_min))
+        values = mass_squared(model, z, grid.x_min)
+        out = np.empty(grid.n_points) if out is None else out
     inv_h2 = 1.0 / grid.h ** 2
-    return 2.0 * inv_h2 + values, np.full(grid.n_points - 1, -inv_h2)
+    return np.add(2.0 * inv_h2, values, out=out), -inv_h2
 
 
 _BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
@@ -178,17 +194,32 @@ _BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
 PROBLEM_KINDS = tuple(_BANDS)
 
 
+def write_bands(kind: str, grid: Grid, model: MassModel, z: float,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """Diagonal of the stationary form named by ``kind`` at z, and its off-diagonal value.
+
+    Every form's off-diagonal is one value at every position.  The diagonal
+    of a constant or oscillator mass is written into ``out`` when given (a
+    float64 array of ``grid.n_points``), so a caller that writes many z
+    allocates nothing; a GeneralMassSquared's, which may be complex, is
+    always a new array.  Coefficients that overflow or come out non-finite
+    raise EvaluationFailure.
+    """
+    if kind not in _BANDS:
+        raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
+    try:
+        diagonal, off_diagonal = _BANDS[kind](grid, model, z, out)
+    except OverflowError:
+        raise EvaluationFailure(f"the {kind} coefficients overflow at z = {z}") from None
+    if not (math.isfinite(off_diagonal) and np.isfinite(diagonal).all()):
+        raise EvaluationFailure(f"H({z}) has non-finite entries")
+    return diagonal, off_diagonal
+
+
 def build_problem(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
     """Bands of the stationary form named by ``kind`` at frozen parameter z.
 
     Coefficients that overflow or come out non-finite raise EvaluationFailure.
     """
-    if kind not in _BANDS:
-        raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
-    try:
-        diagonal, off_diagonal = _BANDS[kind](grid, model, z)
-    except OverflowError:
-        raise EvaluationFailure(f"the {kind} coefficients overflow at z = {z}") from None
-    if not (np.isfinite(diagonal).all() and np.isfinite(off_diagonal).all()):
-        raise EvaluationFailure(f"H({z}) has non-finite entries")
-    return Tridiagonal(diagonal, off_diagonal)
+    diagonal, off_diagonal = write_bands(kind, grid, model, z)
+    return Tridiagonal(diagonal, np.full(grid.n_points - 1, off_diagonal))

@@ -1,8 +1,8 @@
 """Eigenproblems of real symmetric tridiagonal matrices given by their bands.
 
-Both solvers take the diagonal ``d`` (length N) and the off-diagonal ``e``
-(length N - 1) and never assemble the N x N matrix.  They call LAPACK's
-tridiagonal drivers:
+Every function takes the diagonal ``d`` (length N) and the off-diagonal
+``e`` (length N - 1) and never assembles the N x N matrix.  They call
+LAPACK's tridiagonal routines:
 
 * ``eigh_bands``: ``dstevd``, the whole spectrum by divide and conquer
   (Cuppen, Numer. Math. 36, 1981; Gu & Eisenstat, SIAM J. Matrix Anal.
@@ -12,21 +12,34 @@ tridiagonal drivers:
   (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  It costs O(N) per
   bisection step where the whole spectrum costs O(N^2), and its absolute
   tolerance is pinned at ``2 * dlamch('S')``, LAPACK's most accurate
-  setting.
+  setting;
+* ``count_below``: ``dlaebz`` with ``IJOB = 1``, the number of eigenvalues
+  below a shift s, as the number of negative pivots of the LDL^T
+  factorization of T - s (Sylvester's law of inertia), in O(N) (Kahan,
+  Accurate eigenvalues of a symmetric tridiagonal matrix, Stanford CS-41,
+  1966).  It is handed the shifted diagonal d - s and shifts by 0, so each
+  pivot is (d_j - s) - e_{j-1}^2 / p_{j-1}, rounded as written; a pivot of
+  magnitude below pivmin = tiny * max(1, max e^2) is replaced by -pivmin,
+  so a zero pivot counts as negative and the next pivot stays finite.
+  ``SturmCount`` holds the arguments of counts of one size, so a caller
+  that writes the bands of many shifted matrices allocates nothing per
+  count.
 
 ``dstevd`` is the driver that numpy's dense ``eigh`` runs after its
 Householder reduction, which leaves a tridiagonal matrix unchanged, so
 ``eigh_bands`` agrees with numpy's bit for bit on the builds checked (see
 the tests); ``eigpair_bands`` agrees with the dense solvers to a few
-eps * ||T||, its bisection being the more accurate of the two.  The drivers are reached through ``ctypes`` in the ILP64
-OpenBLAS that numpy's pip wheels bundle: resolving the LAPACKE symbols
-through numpy's own ``_umath_linalg`` extension finds the library numpy
-already loaded, whatever its hashed file name.  The symbols are resolved on
-first use, not at import.  Where numpy links another LAPACK (MKL,
-Accelerate, conda builds) the symbols are absent and both functions fall
-back to numpy's dense solvers on the assembled matrix.  ``Eigenvalues``
-serves E_n of one matrix to a caller that asks for several n: on that
-fallback it solves the dense spectrum once for all of them.
+eps * ||T||, its bisection being the more accurate of the two.  The
+routines are reached through ``ctypes`` in the ILP64 OpenBLAS that numpy's
+pip wheels bundle: resolving the symbols through numpy's own
+``_umath_linalg`` extension finds the library numpy already loaded,
+whatever its hashed file name.  The symbols are resolved on first use, not
+at import.  Where numpy links another LAPACK (MKL, Accelerate, conda
+builds) the symbols are absent: the solvers fall back to numpy's dense
+solvers on the assembled matrix, and the count to the same recurrence in
+Python.  ``Eigenvalues`` serves E_n of one matrix to a caller that asks
+for several n: on that fallback it solves the dense spectrum once for all
+of them.
 """
 
 from __future__ import annotations
@@ -45,23 +58,27 @@ _COL_MAJOR = 102
 #: for fixing its sign, so that rounding cannot flip the ket of a symmetric
 #: problem, whose mirrored components are equal in magnitude.
 _SIGN_TIE = 1e-8
+#: The smallest normal float64, the unit of the count's pivot floor.
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 class _Drivers(NamedTuple):
     stevd: Callable[..., int]
     stevx: Callable[..., int]
+    laebz: Callable[..., None]
     abstol: float           # dstevx's absolute tolerance, 2 * dlamch('S')
 
 
 @functools.cache
 def _lapack() -> _Drivers | None:
-    """The LAPACKE drivers of numpy's OpenBLAS, or None."""
+    """The LAPACK routines of numpy's OpenBLAS, or None."""
     try:
         from numpy.linalg import _umath_linalg
 
         lib = ctypes.CDLL(_umath_linalg.__file__)
         stevd = lib.scipy_LAPACKE_dstevd64_
         stevx = lib.scipy_LAPACKE_dstevx64_
+        laebz = lib.scipy_dlaebz_64_
         lamch = lib.scipy_LAPACKE_dlamch64_
     except (ImportError, OSError, AttributeError):
         return None
@@ -79,7 +96,11 @@ def _lapack() -> _Drivers | None:
     stevx.restype = ctypes.c_int64
     lamch.argtypes = [ctypes.c_char]
     lamch.restype = ctypes.c_double
-    return _Drivers(stevd, stevx, 2.0 * lamch(b"S"))
+    # IJOB .. NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB,
+    # WORK, IWORK, INFO: Fortran passes every argument by address
+    laebz.argtypes = [ctypes.c_void_p] * 20
+    laebz.restype = None
+    return _Drivers(stevd, stevx, laebz, 2.0 * lamch(b"S"))
 
 
 def _work_copies(d, e) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +170,72 @@ def eigpair_bands(d, e, n: int, vectors: bool = False):
     if found[0] != 1:
         raise np.linalg.LinAlgError(f"LAPACK dstevx found {found[0]} eigenvalues, not 1")
     return (float(values[0]), _fix_sign(ket)) if vectors else float(values[0])
+
+
+class SturmCount:
+    """Counts of eigenvalues below a shift s, for real symmetric tridiagonals of one size.
+
+    The caller writes d - s into ``shifted`` and e * e into the first N - 1
+    entries of ``squares``, then calls the counter with the largest of
+    those squares, which sets pivmin; the call returns the number of
+    eigenvalues of T below s.  With the LAPACK binding a count is one
+    ``dlaebz`` call on arguments whose addresses are taken here, once;
+    without it, the same recurrence in Python.  Every count rewrites the
+    counter's buffers, so a counter serves one caller at a time.
+    """
+
+    def __init__(self, size: int):
+        if size < 1:
+            raise ValueError(f"need a matrix of size >= 1, got {size}")
+        self.shifted = np.zeros(size)
+        self.squares = np.zeros(size)       # dlaebz reads E2(1..N-1), not E2(N)
+        lapack = _lapack()
+        self._laebz = None if lapack is None else lapack.laebz
+        # IJOB = 1 (count), NITMAX, N, MMAX = MINP = 1 (one interval), NBMIN,
+        # NVAL, MOUT, NAB(1, 1:2) (the counts below its ends), IWORK, INFO
+        self._ints = np.array([1, 0, size, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
+        # ABSTOL, RELTOL, PIVMIN, AB(1, 1:2) = 0 (the interval's ends: the
+        # diagonal comes shifted), C, WORK
+        self._reals = np.zeros(7)
+
+        def at(block: np.ndarray, k: int) -> ctypes.c_void_p:
+            return ctypes.c_void_p(block.ctypes.data + k * block.itemsize)
+
+        ints = [at(self._ints, k) for k in range(12)]
+        reals = [at(self._reals, k) for k in range(7)]
+        squares = at(self.squares, 0)       # also passed as E, which IJOB = 1 does not read
+        self._args = (*ints[:6], *reals[:3], at(self.shifted, 0), squares, squares, ints[6],
+                      reals[3], reals[5], ints[7], ints[8], reals[6], ints[10], ints[11])
+
+    def __call__(self, largest_square: float) -> int:
+        pivmin = _TINY * max(1.0, largest_square)
+        if self._laebz is not None:
+            self._reals[2] = pivmin
+            self._laebz(*self._args)
+            return int(self._ints[8])
+        count = 0
+        pivot = 1.0
+        for d, e2 in zip(self.shifted.tolist(), [0.0] + self.squares[:-1].tolist()):
+            pivot = d - e2 / pivot
+            if abs(pivot) < pivmin:
+                pivot = -pivmin
+            if pivot < 0.0:
+                count += 1
+        return count
+
+
+def count_below(d, e, shift: float) -> int:
+    """Number of eigenvalues below ``shift`` of the real symmetric tridiagonal with bands d, e.
+
+    Counts the negative pivots of the LDL^T factorization of T - shift, as
+    ``SturmCount`` does for bands it is handed: a pivot of magnitude below
+    pivmin counts as negative.
+    """
+    d, e = _work_copies(d, e)
+    counter = SturmCount(d.shape[0])
+    np.subtract(d, shift, out=counter.shifted)
+    np.multiply(e, e, out=counter.squares[:-1])
+    return counter(float(counter.squares.max()))
 
 
 class Eigenvalues:

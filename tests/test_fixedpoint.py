@@ -4,17 +4,19 @@ import pytest
 import edspec
 from edspec.closed_form import HOParams, spectrum_minus, spectrum_plus
 import edspec.fixedpoint as fixedpoint_module
+import edspec.operators as operators
 import edspec.tridiagonal as tridiagonal
 from edspec.errors import RefinementStall
 from edspec.fixedpoint import (
     REFINE_TOL,
     WINDOW_STEPS,
+    BandFamily,
     _close,
+    _ModelFamily,
     _roots,
     _sample_window,
     _SampledWindow,
     collect_physical,
-    count_below,
 )
 from edspec.operators import (
     ConstantMass,
@@ -24,7 +26,7 @@ from edspec.operators import (
     Tridiagonal,
     build_problem,
 )
-from edspec.tridiagonal import eigpair_bands
+from edspec.tridiagonal import count_below, eigpair_bands
 
 
 GRID = Grid(-10.0, 10.0, 120)
@@ -46,36 +48,46 @@ def test_package_exports_resolve():
 # ---------------------------------------------------------------- branches
 
 def test_constant_mass_branch_is_flat():
-    window = _sample_window("schrodinger", GRID, ConstantMass(0.5), 0.1, 5.0, 16)
+    window = _sample_window(_ModelFamily("schrodinger", GRID, ConstantMass(0.5)), 0.1, 5.0, 16)
     e_values = window.e_values(2)
     assert e_values.max() - e_values.min() < 1e-10
 
 
-def test_count_below_is_the_inertia(rng):
+def _count_paths(monkeypatch):
+    """The count paths that run here, with ``count_below`` sent down each in turn.
+
+    LAPACK's ``dlaebz`` where numpy bundles it, then the Python recurrence of
+    the fallback, which stays patched in until the test ends.
+    """
+    if tridiagonal._lapack() is not None:
+        yield "dlaebz"
+    monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
+    yield "python"
+
+
+def test_count_below_is_the_inertia(rng, monkeypatch):
+    cases = []
     for size in (1, 2, 5, 17, 40):
         for _ in range(10):
-            d = rng.standard_normal(size)
-            e = rng.standard_normal(size - 1)
-            T = Tridiagonal(d, e)
+            T = Tridiagonal(rng.standard_normal(size), rng.standard_normal(size - 1))
             w = np.linalg.eigvalsh(np.asarray(T))
-            for s in rng.uniform(w[0] - 1.0, w[-1] + 1.0, 8):
-                assert count_below(T, s) == np.sum(w < s)
+            cases.append((T, w, rng.uniform(w[0] - 1.0, w[-1] + 1.0, 8)))
+    for path in _count_paths(monkeypatch):
+        for T, w, shifts in cases:
+            d, e = T.diagonal, T.off_diagonal
+            for s in shifts:
+                assert count_below(d, e, s) == np.sum(w < s), path
             gap = 1e-10 * (1.0 + np.abs(w).max())
             for k, s in enumerate(w):
                 # at a computed eigenvalue rounding decides its side ...
-                assert np.sum(w < s) <= count_below(T, s) <= np.sum(w <= s)
+                assert np.sum(w < s) <= count_below(d, e, s) <= np.sum(w <= s), path
                 # ... and a hair away from it the count is exact
-                assert count_below(T, s - gap) == np.sum(w < s - gap)
-                assert count_below(T, s + gap) == np.sum(w < s + gap)
+                assert count_below(d, e, s - gap) == np.sum(w < s - gap), path
+                assert count_below(d, e, s + gap) == np.sum(w < s + gap), path
 
 
-def test_count_sign_agrees_with_the_selective_eigenvalue(rng):
-    # the search signs f_n(s) = E_n - s by count_below(T, s) <= n; dstevx
-    # bisects the same count for E_n, so the two signs may differ only within
-    # a few eps * ||T|| of E_n, where rounding decides the count
-    if tridiagonal._lapack() is None:
-        pytest.skip("numpy links no bundled LAPACK; the dense fallback solves no dstevx")
-    eps = np.finfo(float).eps
+def _count_bands(rng):
+    """Random bands of several sizes, and oscillator bands of both forms."""
     bands = [Tridiagonal(rng.standard_normal(size), rng.standard_normal(size - 1))
              for size in (1, 2, 5, 17, 40, 120) for _ in range(4)]
     bands += [build_problem(kind, grid, model, z)
@@ -83,8 +95,18 @@ def test_count_sign_agrees_with_the_selective_eigenvalue(rng):
               for grid, model in ((GRID, HOQuadratic(1.0, 0.0)),
                                   (Grid(-8.0, 8.0, 300), HOQuadratic(6.0, 1.2)))
               for z in (0.3, 1.7, 4.0)]
-    near = far = 0
-    for T in bands:
+    return bands
+
+
+def test_count_sign_agrees_with_the_selective_eigenvalue(rng, monkeypatch):
+    # the search signs f_n(s) = E_n - s by count_below(d, e, s) <= n; dstevx
+    # bisects the same count for E_n, so the two signs may differ only within
+    # a few eps * ||T|| of E_n, where rounding decides the count
+    if tridiagonal._lapack() is None:
+        pytest.skip("numpy links no bundled LAPACK; the dense fallback solves no dstevx")
+    eps = np.finfo(float).eps
+    cases = []
+    for T in _count_bands(rng):
         d, e = T.diagonal, T.off_diagonal
         norm = np.abs(d).max() + 2.0 * np.abs(e).max(initial=0.0)      # >= ||T||_2
         for n in range(0, len(d), max(1, len(d) // 6)):
@@ -93,25 +115,48 @@ def test_count_sign_agrees_with_the_selective_eigenvalue(rng):
                 [e_n, np.nextafter(e_n, np.inf), np.nextafter(e_n, -np.inf)],
                 e_n + eps * norm * np.arange(-8, 9),
                 rng.uniform(e_n - 1.0, e_n + 1.0, 4)])
+            cases.append((d, e, n, e_n, 4.0 * eps * norm, shifts))
+    for path in _count_paths(monkeypatch):
+        near = far = 0
+        for d, e, n, e_n, rounding, shifts in cases:
             for s in shifts:
-                if (count_below(T, s) <= n) != (e_n > s):
-                    assert abs(e_n - s) <= 4.0 * eps * norm, (n, e_n, s)
-                if abs(e_n - s) <= 4.0 * eps * norm:
+                if (count_below(d, e, s) <= n) != (e_n > s):
+                    assert abs(e_n - s) <= rounding, (path, n, e_n, s)
+                if abs(e_n - s) <= rounding:
                     near += 1
                 else:
                     far += 1
-    assert near > 500 and far > 500
+        assert near > 500 and far > 500
 
 
-@pytest.mark.parametrize("d, e, s", [
-    ([1.0, 1.0], [2.0], 1.0),                 # first pivot 1 - 1 = 0
-    ([1.0, 1.0, 5.0], [1.0, 2.0], 0.0),       # second pivot 1 - 1/1 = 0
-], ids=["first-pivot", "inner-pivot"])
-def test_count_below_survives_zero_pivot(d, e, s):
-    T = Tridiagonal(np.array(d), np.array(e))
-    w = np.linalg.eigvalsh(np.asarray(T))
-    assert np.abs(w - s).min() > 0.1            # s is no eigenvalue
-    assert count_below(T, s) == np.sum(w < s)
+def test_compiled_and_python_counts_agree(rng, monkeypatch):
+    # the two paths round every pivot alike, so they agree at every shift,
+    # also at an eigenvalue and its neighbouring floats, where rounding
+    # decides the count
+    if tridiagonal._lapack() is None:
+        pytest.skip("numpy links no bundled LAPACK: only the Python count runs")
+    cases = []
+    for T in _count_bands(rng):
+        w = np.linalg.eigvalsh(np.asarray(T))[:10]
+        shifts = np.concatenate([w, np.nextafter(w, np.inf), np.nextafter(w, -np.inf),
+                                 rng.uniform(w[0] - 1.0, w[-1] + 1.0, 4)])
+        cases.append((T.diagonal, T.off_diagonal, shifts))
+    counts = {path: [count_below(d, e, s) for d, e, shifts in cases for s in shifts]
+              for path in _count_paths(monkeypatch)}
+    assert counts["dlaebz"] == counts["python"]
+    assert len(counts["python"]) > 900
+
+
+@pytest.mark.parametrize("d, e, s, distance", [
+    ([1.0, 1.0], [2.0], 1.0, 0.1),                # first pivot 1 - 1 = 0
+    ([1.0, 1.0, 5.0], [1.0, 2.0], 0.0, 0.1),      # second pivot 1 - 1/1 = 0
+    ([np.finfo(float).tiny], [], 0.0, 0.0),       # pivot tiny = pivmin, kept as it is
+], ids=["first-pivot", "inner-pivot", "tiny-pivot"])
+def test_count_below_survives_zero_pivot(monkeypatch, d, e, s, distance):
+    w = np.linalg.eigvalsh(np.asarray(Tridiagonal(np.array(d), np.array(e))))
+    assert np.abs(w - s).min() > distance        # s is no eigenvalue
+    for path in _count_paths(monkeypatch):
+        assert count_below(d, e, s) == np.sum(w < s), path
 
 
 @pytest.mark.parametrize("kind, model, window", [
@@ -157,7 +202,8 @@ def test_complex_mass_squared_is_refused_by_the_index_search():
 
 def test_ho_branch_decreases_with_z():
     # effective mass grows with |z - E0|, so every frozen level falls
-    window = _sample_window("schrodinger", GRID, HOQuadratic(1.0, 0.0), 0.5, 5.0, 24)
+    window = _sample_window(_ModelFamily("schrodinger", GRID, HOQuadratic(1.0, 0.0)), 0.5, 5.0,
+                            24)
     assert (np.diff(window.e_values(0)) < 0).all()
 
 
@@ -203,7 +249,8 @@ def _fixed_points(energy, z_lo, z_hi, steps, refine_tol=REFINE_TOL):
     def bands(z):
         return Tridiagonal(np.array([energy(z)]), np.empty(0))
 
-    return _roots(_SampledWindow(bands, np.linspace(z_lo, z_hi, steps)), 0, refine_tol)[0]
+    window = _SampledWindow(BandFamily(bands), np.linspace(z_lo, z_hi, steps))
+    return _roots(window, 0, refine_tol)[0]
 
 
 def test_constant_branch_single_root():
@@ -595,3 +642,32 @@ def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
         assert (level.multi_index, level.energy, level.residual) == \
             (expected.multi_index, expected.energy, expected.residual)
         assert np.array_equal(level.right_ket, expected.right_ket)
+
+
+@pytest.mark.parametrize("kind, model, windows", [
+    ("schrodinger", HOQuadratic(12.0, 1.0), [(0.02, 0.95), (1.05, 4.0)]),
+    ("kleingordon", HOQuadratic(1.0, 1.0), [(0.05, 0.6), (0.7, 2.5)]),
+])
+def test_counts_build_no_bands(monkeypatch, kind, model, windows):
+    # a count writes H(z) - s into the search's own buffers: bands are built
+    # once per sample of a window with a near miss, whatever the number of
+    # its branches that miss, and once per level for its ket
+    built, calls = [], []
+    build = fixedpoint_module.build_problem
+
+    class Counted(Tridiagonal):
+        def __init__(self, diagonal, off_diagonal):
+            built.append(diagonal.tobytes())
+            super().__init__(diagonal, off_diagonal)
+
+    def counted_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(operators, "Tridiagonal", Counted)
+    monkeypatch.setattr(fixedpoint_module, "build_problem", counted_build)
+    result = collect_physical(model, GRID, [0, 1, 2], windows, kind, steps=16)
+    missed = {d.window for d in result.diagnostics if d.near_miss is not None}
+    assert not result.failures and len(result.levels) >= 3 and len(missed) == 1
+    assert sum(d.bisection_steps for d in result.diagnostics) > 80
+    assert len(calls) == len(built) == 16 * len(missed) + len(result.levels)
