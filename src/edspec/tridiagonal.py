@@ -187,8 +187,8 @@ class SturmCount:
     def __init__(self, size: int):
         if size < 1:
             raise ValueError(f"need a matrix of size >= 1, got {size}")
-        self.shifted = np.zeros(size)
-        self.squares = np.zeros(size)       # dlaebz reads E2(1..N-1), not E2(N)
+        self._shifted = np.zeros(size)
+        self._squares = np.zeros(size)      # dlaebz reads E2(1..N-1), not E2(N)
         lapack = _lapack()
         self._laebz = None if lapack is None else lapack.laebz
         # IJOB = 1 (count), NITMAX, N, MMAX = MINP = 1 (one interval), NBMIN,
@@ -203,9 +203,18 @@ class SturmCount:
 
         ints = [at(self._ints, k) for k in range(12)]
         reals = [at(self._reals, k) for k in range(7)]
-        squares = at(self.squares, 0)       # also passed as E, which IJOB = 1 does not read
-        self._args = (*ints[:6], *reals[:3], at(self.shifted, 0), squares, squares, ints[6],
+        squares = at(self._squares, 0)      # also passed as E, which IJOB = 1 does not read
+        self._args = (*ints[:6], *reals[:3], at(self._shifted, 0), squares, squares, ints[6],
                       reals[3], reals[5], ints[7], ints[8], reals[6], ints[10], ints[11])
+
+    # read-only attributes: dlaebz reads the arrays at the addresses taken above
+    @property
+    def shifted(self) -> np.ndarray:
+        return self._shifted
+
+    @property
+    def squares(self) -> np.ndarray:
+        return self._squares
 
     def __call__(self, largest_square: float) -> int:
         pivmin = _TINY * max(1.0, largest_square)
@@ -215,7 +224,7 @@ class SturmCount:
             return int(self._ints[8])
         count = 0
         pivot = 1.0
-        for d, e2 in zip(self.shifted.tolist(), [0.0] + self.squares[:-1].tolist()):
+        for d, e2 in zip(self._shifted.tolist(), [0.0] + self._squares[:-1].tolist()):
             pivot = d - e2 / pivot
             if abs(pivot) < pivmin:
                 pivot = -pivmin

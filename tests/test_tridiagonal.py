@@ -106,7 +106,8 @@ def test_selective_driver_runs_in_a_subprocess():
         d, e = np.array([2.0, -1.0, 0.5, 3.0]), np.array([1.0, 0.3, -0.7])
         value, ket = tri.eigpair_bands(d, e, 1, vectors=True)
         print(json.dumps({"bound": tri._lapack() is not None, "value": value,
-                          "alone": tri.eigpair_bands(d, e, 1), "ket": ket.tolist()}))
+                          "alone": tri.eigpair_bands(d, e, 1), "ket": ket.tolist(),
+                          "count": tri.count_below(d, e, 0.6)}))
     """)
     src = str(Path(tri.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -120,6 +121,7 @@ def test_selective_driver_runs_in_a_subprocess():
     assert abs(out["value"] - w[1]) <= 32 * EPS * np.abs(T).sum(axis=0).max()
     assert out["alone"] == out["value"]
     np.testing.assert_allclose(out["ket"], _sign_fixed(v[:, 1]), rtol=0, atol=1e-12)
+    assert out["count"] == np.sum(w < 0.6)
 
 
 def _sign_fixed(ket):
