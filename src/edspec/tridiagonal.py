@@ -37,9 +37,10 @@ whatever its hashed file name.  The symbols are resolved on first use, not
 at import.  Where numpy links another LAPACK (MKL, Accelerate, conda
 builds) the symbols are absent: the solvers fall back to numpy's dense
 solvers on the assembled matrix, and the count to the same recurrence in
-Python.  ``Eigenvalues`` serves E_n of one matrix to a caller that asks
-for several n: on that fallback it solves the dense spectrum once for all
-of them.
+Python; a library that exports the drivers but not ``dlaebz`` keeps the
+drivers and counts in Python.  ``Eigenvalues`` serves E_n of one matrix to
+a caller that asks for several n: on the dense fallback it solves the
+dense spectrum once for all of them.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ _TINY = float(np.finfo(np.float64).tiny)
 class _Drivers(NamedTuple):
     stevd: Callable[..., int]
     stevx: Callable[..., int]
-    laebz: Callable[..., None]
+    laebz: Callable[..., None] | None      # dlaebz, where the library exports it
     abstol: float           # dstevx's absolute tolerance, 2 * dlamch('S')
 
 
@@ -78,10 +79,12 @@ def _lapack() -> _Drivers | None:
         lib = ctypes.CDLL(_umath_linalg.__file__)
         stevd = lib.scipy_LAPACKE_dstevd64_
         stevx = lib.scipy_LAPACKE_dstevx64_
-        laebz = lib.scipy_dlaebz_64_
         lamch = lib.scipy_LAPACKE_dlamch64_
     except (ImportError, OSError, AttributeError):
         return None
+    # a Fortran auxiliary, which a build may leave unexported: without it only
+    # the count falls back to Python
+    laebz = getattr(lib, "scipy_dlaebz_64_", None)
     vector = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     index = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     stevd.argtypes = [ctypes.c_int, ctypes.c_char, ctypes.c_int64, vector, vector,
@@ -96,10 +99,11 @@ def _lapack() -> _Drivers | None:
     stevx.restype = ctypes.c_int64
     lamch.argtypes = [ctypes.c_char]
     lamch.restype = ctypes.c_double
-    # IJOB .. NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB,
-    # WORK, IWORK, INFO: Fortran passes every argument by address
-    laebz.argtypes = [ctypes.c_void_p] * 20
-    laebz.restype = None
+    if laebz is not None:
+        # IJOB .. NBMIN, ABSTOL, RELTOL, PIVMIN, D, E, E2, NVAL, AB, C, MOUT, NAB,
+        # WORK, IWORK, INFO: Fortran passes every argument by address
+        laebz.argtypes = [ctypes.c_void_p] * 20
+        laebz.restype = None
     return _Drivers(stevd, stevx, laebz, 2.0 * lamch(b"S"))
 
 

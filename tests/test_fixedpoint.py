@@ -53,13 +53,18 @@ def test_constant_mass_branch_is_flat():
     assert e_values.max() - e_values.min() < 1e-10
 
 
+def _compiled_count() -> bool:
+    drivers = tridiagonal._lapack()
+    return drivers is not None and drivers.laebz is not None
+
+
 def _count_paths(monkeypatch):
     """The count paths that run here, with ``count_below`` sent down each in turn.
 
     LAPACK's ``dlaebz`` where numpy bundles it, then the Python recurrence of
     the fallback, which stays patched in until the test ends.
     """
-    if tridiagonal._lapack() is not None:
+    if _compiled_count():
         yield "dlaebz"
     monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
     yield "python"
@@ -133,8 +138,8 @@ def test_compiled_and_python_counts_agree(rng, monkeypatch):
     # the two paths round every pivot alike, so they agree at every shift,
     # also at an eigenvalue and its neighbouring floats, where rounding
     # decides the count
-    if tridiagonal._lapack() is None:
-        pytest.skip("numpy links no bundled LAPACK: only the Python count runs")
+    if not _compiled_count():
+        pytest.skip("numpy's LAPACK exports no dlaebz: only the Python count runs")
     cases = []
     for T in _count_bands(rng):
         w = np.linalg.eigvalsh(np.asarray(T))[:10]
@@ -647,7 +652,10 @@ def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
 @pytest.mark.parametrize("kind, model, windows", [
     ("schrodinger", HOQuadratic(12.0, 1.0), [(0.02, 0.95), (1.05, 4.0)]),
     ("kleingordon", HOQuadratic(1.0, 1.0), [(0.05, 0.6), (0.7, 2.5)]),
-])
+    # the same mass-squared as the oscillator's, evaluated at every node
+    ("kleingordon", GeneralMassSquared(lambda z, x: (0.5 * (z - 1.0) ** 2) ** 2),
+     [(0.05, 0.6), (0.7, 2.5)]),
+], ids=["schrodinger", "kleingordon", "general"])
 def test_counts_build_no_bands(monkeypatch, kind, model, windows):
     # a count writes H(z) - s into the search's own buffers: bands are built
     # once per sample of a window with a near miss, whatever the number of

@@ -96,6 +96,39 @@ def test_fast_path_resolves_on_bundled_openblas():
     assert tri._lapack() is not None
 
 
+def test_library_without_dlaebz_keeps_the_drivers(monkeypatch):
+    # dlaebz is a Fortran auxiliary that a build may leave unexported: its
+    # absence sends the count to Python, not the solvers to the dense fallback
+    if tri._lapack() is None:
+        pytest.skip("numpy links no bundled LAPACK; the dense fallback is the path")
+    CDLL = tri.ctypes.CDLL
+
+    class WithoutCount:
+        def __init__(self, path):
+            self._lib = CDLL(path)
+
+        def __getattr__(self, name):
+            if name == "scipy_dlaebz_64_":
+                raise AttributeError(name)
+            return getattr(self._lib, name)
+
+    monkeypatch.setattr(tri.ctypes, "CDLL", WithoutCount)
+    drivers = tri._lapack.__wrapped__()
+    assert drivers is not None and drivers.laebz is None
+    assert drivers.abstol == tri._lapack().abstol
+    d, e = _random_bands(40, 3)
+    expected = (tri.eigh_bands(d, e), tri.eigpair_bands(d, e, 7, vectors=True))
+    w = np.linalg.eigvalsh(np.asarray(Tridiagonal(d, e)))
+    monkeypatch.setattr(tri, "_lapack", lambda: drivers)
+    values, kets = tri.eigh_bands(d, e)
+    assert kets.flags.f_contiguous and not kets.flags.c_contiguous      # dstevd's layout
+    assert np.array_equal(values, expected[0][0]) and np.array_equal(kets, expected[0][1])
+    value, ket = tri.eigpair_bands(d, e, 7, vectors=True)
+    assert value == expected[1][0] and np.array_equal(ket, expected[1][1])
+    for s in np.concatenate([0.5 * (w[:-1] + w[1:])[::5], [w[0] - 1.0, w[-1] + 1.0]]):
+        assert tri.count_below(d, e, s) == np.sum(w < s)
+
+
 def test_selective_driver_runs_in_a_subprocess():
     # a faulty ctypes prototype can crash the interpreter; in a child process
     # that fails this test alone instead of the whole test run
