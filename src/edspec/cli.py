@@ -72,14 +72,13 @@ def cmd_spectrum(cfg: RunConfig, out_dir: Path) -> int:
 
 
 def _closed_form_table(model: HOQuadratic, levels) -> list[dict]:
-    params = cf.HOParams(model.A, model.E0)
     factor = cf.NUMERIC_TO_CLOSED
     table = []
     for level in levels:
         n, j = level.multi_index
         scaled = factor * level.energy
-        candidates = [("plus", cf.spectrum_plus(params, n))]
-        pair = cf.spectrum_minus(params, n)
+        candidates = [("plus", cf.spectrum_plus(model, n))]
+        pair = cf.spectrum_minus(model, n)
         if pair is not None:
             candidates.append(("minus_upper", pair[0]))
             candidates.append(("minus_lower", pair[1]))

@@ -1,7 +1,7 @@
 """Closed-form spectrum of the exactly solvable energy-dependent oscillator.
 
-For the mass ansatz 2 m(E) = A^2 (E - E0)^2 the bound-state energies form
-two families,
+For the mass ansatz 2 m(E) = A^2 (E - E0)^2, ``operators.HOQuadratic``, the
+bound-state energies form two families,
 
     E_n(+)    = E0 + sqrt(E0^2 + (8n + 4)/A),       n = 0, 1, ...
     E_{+-n}(-) = E0 +- sqrt(E0^2 - (8n + 4)/A),     n = 0, ..., n_max
@@ -21,18 +21,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .operators import HOQuadratic
+
 #: Multiply full-line numeric fixed-point energies by this to land on the table.
 NUMERIC_TO_CLOSED = 2.0
-
-
-@dataclass(frozen=True)
-class HOParams:
-    A: float
-    E0: float
-
-    def __post_init__(self):
-        if not self.A > 0:
-            raise ValueError(f"A must be positive, got {self.A}")
 
 
 @dataclass(frozen=True)
@@ -42,30 +34,30 @@ class ClosedSpectrum:
     n_max: int | None
 
 
-def n_max(params: HOParams) -> int | None:
+def n_max(model: HOQuadratic) -> int | None:
     """Largest index of the finite family, floor((A*E0^2 - 4)/8); None if empty.
 
     The boundary A*E0^2 = 8n + 4 is included (degenerate pair at E0).
     """
-    q = (params.A * params.E0 ** 2 - 4.0) / 8.0
+    q = (model.A * model.E0 ** 2 - 4.0) / 8.0
     if q < 0.0:
         return None
     return int(math.floor(q))
 
 
-def _minus_present(params: HOParams, n: int) -> bool:
-    nmax = n_max(params)
+def _minus_present(model: HOQuadratic, n: int) -> bool:
+    nmax = n_max(model)
     return nmax is not None and n <= nmax
 
 
-def spectrum_plus(params: HOParams, n: int) -> float:
+def spectrum_plus(model: HOQuadratic, n: int) -> float:
     """E0 + sqrt(E0^2 + (8n + 4)/A); defined for every n >= 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    return params.E0 + math.sqrt(params.E0 ** 2 + (8 * n + 4) / params.A)
+    return model.E0 + math.sqrt(model.E0 ** 2 + (8 * n + 4) / model.A)
 
 
-def spectrum_minus(params: HOParams, n: int) -> tuple[float, float] | None:
+def spectrum_minus(model: HOQuadratic, n: int) -> tuple[float, float] | None:
     """Pair E0 +- sqrt(E0^2 - (8n + 4)/A), or None when absent.
 
     Presence is decided by the same predicate as ``n_max`` so the two can
@@ -73,28 +65,28 @@ def spectrum_minus(params: HOParams, n: int) -> tuple[float, float] | None:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not _minus_present(params, n):
+    if not _minus_present(model, n):
         return None
-    radicand = max(params.E0 ** 2 - (8 * n + 4) / params.A, 0.0)
+    radicand = max(model.E0 ** 2 - (8 * n + 4) / model.A, 0.0)
     root = math.sqrt(radicand)
-    return (params.E0 + root, params.E0 - root)
+    return (model.E0 + root, model.E0 - root)
 
 
-def full_spectrum(params: HOParams, n_cut: int) -> ClosedSpectrum:
+def full_spectrum(model: HOQuadratic, n_cut: int) -> ClosedSpectrum:
     """Plus family for n = 0..n_cut plus the whole finite minus family."""
     if n_cut < 0:
         raise ValueError(f"n_cut must be >= 0, got {n_cut}")
-    plus = [(n, spectrum_plus(params, n)) for n in range(n_cut + 1)]
-    nmax = n_max(params)
+    plus = [(n, spectrum_plus(model, n)) for n in range(n_cut + 1)]
+    nmax = n_max(model)
     minus = []
     if nmax is not None:
         for n in range(nmax + 1):
-            pair = spectrum_minus(params, n)
+            pair = spectrum_minus(model, n)
             minus.append((n, pair[0], pair[1]))
     return ClosedSpectrum(plus_family=plus, minus_family=minus, n_max=nmax)
 
 
-def quadratic_residual(params: HOParams, n: int, energy: float, family: str) -> float:
+def quadratic_residual(model: HOQuadratic, n: int, energy: float, family: str) -> float:
     """Scaled defect of (E - E0)^2 = E0^2 +- (8n + 4)/A for an emitted energy.
 
     The defect is normalized by the magnitude of the defining quadratic,
@@ -102,10 +94,10 @@ def quadratic_residual(params: HOParams, n: int, energy: float, family: str) -> 
     against a vanishing radicand.
     """
     if family == "plus":
-        target = params.E0 ** 2 + (8 * n + 4) / params.A
+        target = model.E0 ** 2 + (8 * n + 4) / model.A
     elif family == "minus":
-        target = params.E0 ** 2 - (8 * n + 4) / params.A
+        target = model.E0 ** 2 - (8 * n + 4) / model.A
     else:
         raise ValueError(f"family must be 'plus' or 'minus', got {family!r}")
-    scale = max(1.0, params.E0 ** 2, (8 * n + 4) / params.A)
-    return abs((energy - params.E0) ** 2 - target) / scale
+    scale = max(1.0, model.E0 ** 2, (8 * n + 4) / model.A)
+    return abs((energy - model.E0) ** 2 - target) / scale

@@ -1,36 +1,35 @@
 """Eigenvalue branches E_n(z) and fixed points of z = E_n(z).
 
 ``collect_physical`` is the level search.  It takes a discretized model
-whose ``build_problem`` gives a real symmetric tridiagonal H(z): both
-stationary forms of the constant and oscillator masses, and the
-Klein-Gordon form of any real mass-squared.  The off-diagonals are nonzero,
+whose stationary form H(z) is real symmetric tridiagonal: both stationary
+forms of the constant and oscillator masses, and the Klein-Gordon form of
+any real mass-squared.  The off-diagonals are nonzero,
 so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
 every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): branches are
 labelled by Sturm index.  The sign of f_n(z) = E_n(z) - z is the inertia of
 H(z) - z: f_n(z) > 0 exactly when at most n pivots of its LDL^T
 factorization are negative (``tridiagonal.count_below``, LAPACK's
 ``dlaebz``), and that count is the only sign the search takes.  A search
-makes one band family of its (kind, grid, model): a count writes the bands
-of H(z) - s through ``operators.write_bands`` into the family's own
-buffers, so it builds no ``Tridiagonal``.  A window is sampled once for
-all branches and takes one count per sample, which signs every branch at
-once; each change of sign between two samples is bisected by the count.
-A root that falls on a sample is bisected like any other, from the
-bracket on the side its count puts it.  Bands and
-eigenvalues are built and solved only for a near miss, on a window where
-branch n changes sign nowhere: E_n(z_k) at every sample, by
-index-selective bisection of the same count (``eigpair_bands``, through
-``Eigenvalues``, which on the dense fallback solves a sample's spectrum
-once for all branches).  Each level's ket comes from one selective
-eigenpair solve (bisection, then inverse iteration) at the root.  A
-complex mass-squared raises ValueError.
+makes one band family of its (kind, grid, model), the one holder of H(z):
+every band of the search comes from ``operators.write_bands``, a count's
+written as H(z) - s into the family's own buffers.  A window is sampled
+once for all branches and takes one count per sample, which signs every
+branch at once; each change of sign between two samples is bisected by
+the count.  A root that falls on a sample is bisected like any other, from
+the bracket on the side its count puts it.  Eigenvalues are solved only
+for a near miss, on a window where branch n changes sign nowhere: E_n(z_k)
+at every sample, by index-selective bisection of the same count
+(``eigpair_bands``, through ``Eigenvalues``, which on the dense fallback
+solves a sample's spectrum once for all branches).  Each level's ket comes
+from one selective eigenpair solve (bisection, then inverse iteration) at
+the root.  A complex mass-squared raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +38,8 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
 from . import operators
-from .operators import Grid, HOQuadratic, MassModel, Tridiagonal, build_problem
-from .tridiagonal import Eigenvalues, SturmCount, count_below, eigpair_bands
+from .operators import Grid, HOQuadratic, MassModel
+from .tridiagonal import Eigenvalues, SturmCount, eigpair_bands
 
 #: Default number of samples per search window.
 WINDOW_STEPS = 64
@@ -91,21 +90,6 @@ class CollectResult:
     diagnostics: list
 
 
-class BandFamily:
-    """z -> the bands of a real symmetric tridiagonal H(z), and the inertia counts of H(z) - s."""
-
-    def __init__(self, bands: Callable[[float], Tridiagonal]):
-        self._bands = bands
-
-    def __call__(self, z: float) -> Tridiagonal:
-        return self._bands(z)
-
-    def count(self, z: float, shift: float) -> int:
-        """Number of eigenvalues of H(z) below ``shift``."""
-        T = self(z)
-        return count_below(T.diagonal, T.off_diagonal, shift)
-
-
 def _refuse_complex(kind: str, z: float, diagonal: np.ndarray) -> None:
     """Refuses the complex symmetric form of a complex mass-squared."""
     if np.iscomplexobj(diagonal):
@@ -116,31 +100,30 @@ def _refuse_complex(kind: str, z: float, diagonal: np.ndarray) -> None:
         )
 
 
-def _real_bands(kind: str, grid: Grid, model: MassModel, z: float) -> Tridiagonal:
-    """``build_problem``, refusing the complex symmetric form of a complex mass-squared."""
-    T = build_problem(kind, grid, model, z)
-    _refuse_complex(kind, z, T.diagonal)
-    return T
+class _ModelFamily:
+    """H(z) of one stationary form of one model on one grid, and the inertia counts of H(z) - s.
 
-
-class _ModelFamily(BandFamily):
-    """H(z) of one stationary form of one model on one grid.
-
-    A count writes H(z) - s into the buffers of its own ``SturmCount`` and
-    builds no ``Tridiagonal``.
+    A count writes H(z) - s into the buffers of its own ``SturmCount``;
+    ``bands`` writes H(z) into new arrays.
     """
 
     def __init__(self, kind: str, grid: Grid, model: MassModel):
-        super().__init__(partial(_real_bands, kind, grid, model))
         self.kind = kind
         self.model = model
-        # an in-place write builds no band value: reached through its module,
-        # which alone binds it, the benchmark's tracer (bench/spans.py) leaves
-        # it unwrapped and counts build_problem alone as an operators build
+        # reached through its module, which alone binds it: the benchmark's
+        # tracer (bench/spans.py) wraps only what another module binds, and
+        # counts build_problem alone as an operators build
         self._write = partial(operators.write_bands, kind, grid, model)
         self._sturm = SturmCount(grid.n_points)
 
+    def bands(self, z: float) -> tuple[np.ndarray, np.ndarray]:
+        """The diagonal and off-diagonal of H(z), as new arrays."""
+        diagonal, off_diagonal = self._write(z)
+        _refuse_complex(self.kind, z, diagonal)
+        return diagonal, np.full(diagonal.shape[0] - 1, off_diagonal)
+
     def count(self, z: float, shift: float) -> int:
+        """Number of eigenvalues of H(z) below ``shift``."""
         sturm = self._sturm
         # the diagonal of a constant or oscillator mass is written into
         # sturm.shifted, a GeneralMassSquared's is a new array
@@ -155,47 +138,39 @@ class _ModelFamily(BandFamily):
 class _SampledWindow:
     """Inertia counts of H(z) at the samples of one window, shared by its branches.
 
-    The count of a sample is taken once for all branches; its bands and
-    eigenvalues E_n are built only for a near miss.
+    The count of a sample is taken once for all branches; its eigenvalues
+    E_n are solved only for a near miss.
     """
 
-    def __init__(self, bands: BandFamily, z_samples: np.ndarray):
-        self.bands = bands
+    def __init__(self, family: _ModelFamily, z_samples: np.ndarray):
+        self.family = family
         self.z_samples = z_samples
         #: Number of eigenvalues of H(z_k) below z_k at each sample.
-        self.counts = np.array([bands.count(z, z) for z in z_samples.tolist()])
-
-    @cached_property
-    def _sample_bands(self) -> list[Tridiagonal]:
-        return [self.bands(z) for z in self.z_samples.tolist()]
+        self.counts = np.array([family.count(z, z) for z in z_samples.tolist()])
 
     @cached_property
     def _eigenvalues(self) -> list[Eigenvalues]:
-        return [Eigenvalues(T) for T in self._sample_bands]
+        return [Eigenvalues(*self.family.bands(z)) for z in self.z_samples.tolist()]
 
     def e_values(self, n: int) -> np.ndarray:
         """E_n(z_k) at each sample."""
         return np.array([values[n] for values in self._eigenvalues])
 
 
-def _sample_window(bands: _ModelFamily, z_lo: float, z_hi: float,
+def _sample_window(family: _ModelFamily, z_lo: float, z_hi: float,
                    steps: int) -> _SampledWindow:
     # only the schrodinger form divides by 2 m(z), which vanishes at z = E0
-    model = bands.model
-    if bands.kind == "schrodinger" and isinstance(model, HOQuadratic) \
+    model = family.model
+    if family.kind == "schrodinger" and isinstance(model, HOQuadratic) \
             and z_lo <= model.E0 <= z_hi:
         raise DegenerateMass(
             f"window [{z_lo}, {z_hi}] contains the mass singularity z = {model.E0}; "
             "split the window around it"
         )
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
-    if not z_lo < z_hi:
-        raise ValueError(f"need z_lo < z_hi, got [{z_lo}, {z_hi}]")
-    return _SampledWindow(bands, np.linspace(z_lo, z_hi, steps))
+    return _SampledWindow(family, np.linspace(z_lo, z_hi, steps))
 
 
-def _bisect(bands: BandFamily, n: int, lo: float, hi: float, above_lo: bool,
+def _bisect(family: _ModelFamily, n: int, lo: float, hi: float, above_lo: bool,
             refine_tol: float) -> tuple[float, int]:
     """Root of f_n between lo and hi, whose signs differ, and the counts it took.
 
@@ -210,7 +185,7 @@ def _bisect(bands: BandFamily, n: int, lo: float, hi: float, above_lo: bool,
                 f"bisection exhausted float resolution at z = {mid} "
                 f"before reaching tolerance {refine_tol}"
             )
-        if (bands.count(mid, mid) <= n) == above_lo:
+        if (family.count(mid, mid) <= n) == above_lo:
             lo = mid
         else:
             hi = mid
@@ -240,7 +215,7 @@ def _roots(window: _SampledWindow, n: int, refine_tol: float) -> tuple[list[floa
     roots: list[float] = []
     evals = 0
     for k in np.flatnonzero(above[:-1] != above[1:]):
-        root, used = _bisect(window.bands, n, float(z[k]), float(z[k + 1]), bool(above[k]),
+        root, used = _bisect(window.family, n, float(z[k]), float(z[k + 1]), bool(above[k]),
                              refine_tol)
         evals += used
         if not (roots and _close(root, roots[-1])):
@@ -248,9 +223,8 @@ def _roots(window: _SampledWindow, n: int, refine_tol: float) -> tuple[list[floa
     return roots, evals
 
 
-def _level(bands: BandFamily, n: int, z: float, j: int) -> PhysicalLevel:
-    T = bands(z)
-    diagonal, off = T.diagonal, T.off_diagonal
+def _level(family: _ModelFamily, n: int, z: float, j: int) -> PhysicalLevel:
+    diagonal, off = family.bands(z)
     ket = eigpair_bands(diagonal, off, n, vectors=True)[1]
     r = (diagonal - z) * ket
     r[:-1] += off * ket[1:]
@@ -282,18 +256,24 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     once.  The roots are then indexed j = 0, 1, ... in ascending energy.
     Windows are not deduplicated here: the same window listed twice yields
     coincident levels, so the run configuration rejects such a list.
-    A branch index outside 0..N-1 raises ValueError before any sampling.
+    A branch index outside 0..N-1, ``steps`` below 2 and a window without
+    z_lo < z_hi raise ValueError before any sampling.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2, got {steps}")
     for n in n_list:
         if not 0 <= n < grid.n_points:
             raise ValueError(f"branch index {n} outside spectrum of size {grid.n_points}")
-    bands = _ModelFamily(kind, grid, model)
+    for lo, hi in z_windows:
+        if not lo < hi:
+            raise ValueError(f"need z_lo < z_hi, got [{lo}, {hi}]")
+    family = _ModelFamily(kind, grid, model)
     sampled: list[_SampledWindow | SolverError] = []
     for lo, hi in z_windows:
         try:
-            sampled.append(_sample_window(bands, lo, hi, steps))
+            sampled.append(_sample_window(family, lo, hi, steps))
         except SolverError as exc:
             sampled.append(exc)
     levels: list[PhysicalLevel] = []
@@ -333,5 +313,5 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
             if kept and window != kept[-1][1] and _close(z, kept[-1][0], refine_tol):
                 continue
             kept.append((z, window))
-        levels.extend(_level(bands, n, z, j) for j, (z, _) in enumerate(kept))
+        levels.extend(_level(family, n, z, j) for j, (z, _) in enumerate(kept))
     return CollectResult(levels=levels, failures=failures, diagnostics=diagnostics)

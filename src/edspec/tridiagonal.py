@@ -38,9 +38,9 @@ at import.  Where numpy links another LAPACK (MKL, Accelerate, conda
 builds) the symbols are absent: the solvers fall back to numpy's dense
 solvers on the assembled matrix, and the count to the same recurrence in
 Python; a library that exports the drivers but not ``dlaebz`` keeps the
-drivers and counts in Python.  ``Eigenvalues`` serves E_n of one matrix to
-a caller that asks for several n: on the dense fallback it solves the
-dense spectrum once for all of them.
+drivers and counts in Python.  ``Eigenvalues`` serves E_n of the matrix
+with bands d, e to a caller that asks for several n: on the dense fallback
+it solves the dense spectrum once for all of them.
 """
 
 from __future__ import annotations
@@ -252,20 +252,20 @@ def count_below(d, e, shift: float) -> int:
 
 
 class Eigenvalues:
-    """The eigenvalues E_n (n = 0, 1, ...) of one matrix, each solved when first asked for.
+    """The eigenvalues E_n (n = 0, 1, ...) of bands d, e, each solved when first asked for.
 
     With the LAPACK binding E_n is one ``eigpair_bands`` solve.  Without it
     that solve is the whole dense spectrum, so the first request keeps all of
     it, from the same ``eigvalsh`` call, for every later n.
     """
 
-    def __init__(self, T: Tridiagonal):
-        self._bands = T
+    def __init__(self, d, e):
+        self._bands = d, e
         self._values: dict[int, float] = {}
 
     def __getitem__(self, n: int) -> float:
         if n not in self._values:
-            d, e = self._bands.diagonal, self._bands.off_diagonal
+            d, e = self._bands
             # an index outside the spectrum is refused by eigpair_bands
             if _lapack() is not None or not 0 <= n < len(d):
                 self._values[n] = eigpair_bands(d, e, n)

@@ -64,20 +64,20 @@ def criterion_closed_form(seed: int = 0) -> CriterionResult:
     worst = 0.0
     presence_ok = True
     for _ in range(1000):
-        params = cf.HOParams(A=rng.uniform(0.1, 20.0), E0=rng.uniform(-5.0, 5.0))
-        nmax = cf.n_max(params)
+        model = HOQuadratic(A=rng.uniform(0.1, 20.0), E0=rng.uniform(-5.0, 5.0))
+        nmax = cf.n_max(model)
         for n in range(6):
             worst = max(worst, cf.quadratic_residual(
-                params, n, cf.spectrum_plus(params, n), "plus"))
+                model, n, cf.spectrum_plus(model, n), "plus"))
         top = -1 if nmax is None else nmax
         for n in range(top + 3):
-            pair = cf.spectrum_minus(params, n)
+            pair = cf.spectrum_minus(model, n)
             expected = nmax is not None and n <= nmax
             if (pair is not None) != expected:
                 presence_ok = False
             if pair is not None:
                 for value in pair:
-                    worst = max(worst, cf.quadratic_residual(params, n, value, "minus"))
+                    worst = max(worst, cf.quadratic_residual(model, n, value, "minus"))
     passed = presence_ok and worst <= 1e-12
     return CriterionResult(
         name="closed-form-self-consistency",
@@ -93,8 +93,8 @@ def criterion_emergence() -> CriterionResult:
     observed = []
     for n in range(4):
         threshold = (8 * n + 4) / e0 ** 2
-        below = cf.full_spectrum(cf.HOParams(threshold - 1e-9, e0), 0).minus_family
-        at = cf.full_spectrum(cf.HOParams(threshold, e0), 0).minus_family
+        below = cf.full_spectrum(HOQuadratic(threshold - 1e-9, e0), 0).minus_family
+        at = cf.full_spectrum(HOQuadratic(threshold, e0), 0).minus_family
         observed.append({"threshold_A": threshold, "count_below": len(below),
                          "count_at": len(at)})
         if len(below) != n or len(at) != n + 1:
@@ -134,14 +134,13 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
 
     # Convergence study: A=1, E0=0, branches 0..2; exact limits sqrt(2n+1).
     model = HOQuadratic(1.0, 0.0)
-    params = cf.HOParams(1.0, 0.0)
     abs_errors = {n: [] for n in range(3)}
     finest_rel = []
     for size in sizes:
         grid = Grid(BOX[0], BOX[1], size)
         found = _pipeline_roots(model, grid, range(3), [(0.5, 4.0)])
         for n, roots in found.items():
-            closed = cf.spectrum_plus(params, n)
+            closed = cf.spectrum_plus(model, n)
             exact = closed / factor
             abs_errors[n].append(abs(roots[0] - exact) if roots else np.inf)
             if size == sizes[-1]:
@@ -159,11 +158,10 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
 
     # Both families at the finest grid: A=1.5, E0=2 has one minus pair.
     model2 = HOQuadratic(1.5, 2.0)
-    params2 = cf.HOParams(1.5, 2.0)
     grid = Grid(BOX[0], BOX[1], sizes[-1])
     roots2 = _pipeline_roots(model2, grid, [0], [(0.05, 1.9), (2.1, 6.0)])[0]
-    pair = cf.spectrum_minus(params2, 0)
-    closed2 = [pair[1], pair[0], cf.spectrum_plus(params2, 0)]
+    pair = cf.spectrum_minus(model2, 0)
+    closed2 = [pair[1], pair[0], cf.spectrum_plus(model2, 0)]
     if len(roots2) == 3:
         both_rel = [abs(factor * z - c) / c for z, c in zip(roots2, closed2)]
     else:

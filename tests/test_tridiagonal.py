@@ -229,7 +229,7 @@ def test_eigenvalues_by_index_are_those_of_eigpair(fallback, monkeypatch):
     if fallback:
         monkeypatch.setattr(tri, "_lapack", lambda: None)
     d, e = _random_bands(50, 1)
-    values = tri.Eigenvalues(Tridiagonal(d, e))
+    values = tri.Eigenvalues(d, e)
     for n in (3, 0, 49, 3):
         assert values[n] == tri.eigpair_bands(d, e, n)
     for n in (-1, 50):
