@@ -11,7 +11,7 @@ second-order-in-time case.
 
 __version__ = "0.1.0"
 
-from .closed_form import NUMERIC_TO_CLOSED, ClosedSpectrum
+from .closed_form import NUMERIC_TO_CLOSED
 from .errors import SolverError
 from .evolution import (
     FVModes,
@@ -56,7 +56,7 @@ from .physical_basis import (
 
 __all__ = [
     "__version__",
-    "NUMERIC_TO_CLOSED", "ClosedSpectrum",
+    "NUMERIC_TO_CLOSED",
     "SolverError",
     "FVModes", "FVState", "FVSystem", "assemble_fv", "conservation_report",
     "eigenstate", "evolve",

@@ -7,7 +7,9 @@ bound-state energies form two families,
     E_{+-n}(-) = E0 +- sqrt(E0^2 - (8n + 4)/A),     n = 0, ..., n_max
 
 where the finite second family is non-empty only for A*E0^2 >= 4 and grows
-by one pair at each new n_max = floor((A*E0^2 - 4)/8).
+by one pair at each new n_max = floor((A*E0^2 - 4)/8).  The module is these
+four formulas: ``n_max`` (the one presence rule of the finite family),
+``spectrum_plus``, ``spectrum_minus`` and ``quadratic_residual``.
 
 Both families are stated at twice the energy scale of the unit-coefficient
 full-line realization solved by the numeric pipeline: the direct fixed points
@@ -19,19 +21,11 @@ carries that factor for comparisons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .operators import HOQuadratic
 
 #: Multiply full-line numeric fixed-point energies by this to land on the table.
 NUMERIC_TO_CLOSED = 2.0
-
-
-@dataclass(frozen=True)
-class ClosedSpectrum:
-    plus_family: list          # [(n, E_n_plus)]
-    minus_family: list         # [(n, E_plus_n_minus, E_minus_n_minus)]
-    n_max: int | None
 
 
 def n_max(model: HOQuadratic) -> int | None:
@@ -45,11 +39,6 @@ def n_max(model: HOQuadratic) -> int | None:
     return int(math.floor(q))
 
 
-def _minus_present(model: HOQuadratic, n: int) -> bool:
-    nmax = n_max(model)
-    return nmax is not None and n <= nmax
-
-
 def spectrum_plus(model: HOQuadratic, n: int) -> float:
     """E0 + sqrt(E0^2 + (8n + 4)/A); defined for every n >= 0."""
     if n < 0:
@@ -60,30 +49,17 @@ def spectrum_plus(model: HOQuadratic, n: int) -> float:
 def spectrum_minus(model: HOQuadratic, n: int) -> tuple[float, float] | None:
     """Pair E0 +- sqrt(E0^2 - (8n + 4)/A), or None when absent.
 
-    Presence is decided by the same predicate as ``n_max`` so the two can
-    never disagree; a radicand driven negative only by rounding is clamped.
+    Presence is decided by ``n_max`` alone, so the two can never disagree;
+    a radicand driven negative only by rounding is clamped.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    if not _minus_present(model, n):
+    nmax = n_max(model)
+    if nmax is None or n > nmax:
         return None
     radicand = max(model.E0 ** 2 - (8 * n + 4) / model.A, 0.0)
     root = math.sqrt(radicand)
     return (model.E0 + root, model.E0 - root)
-
-
-def full_spectrum(model: HOQuadratic, n_cut: int) -> ClosedSpectrum:
-    """Plus family for n = 0..n_cut plus the whole finite minus family."""
-    if n_cut < 0:
-        raise ValueError(f"n_cut must be >= 0, got {n_cut}")
-    plus = [(n, spectrum_plus(model, n)) for n in range(n_cut + 1)]
-    nmax = n_max(model)
-    minus = []
-    if nmax is not None:
-        for n in range(nmax + 1):
-            pair = spectrum_minus(model, n)
-            minus.append((n, pair[0], pair[1]))
-    return ClosedSpectrum(plus_family=plus, minus_family=minus, n_max=nmax)
 
 
 def quadratic_residual(model: HOQuadratic, n: int, energy: float, family: str) -> float:

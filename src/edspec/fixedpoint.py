@@ -257,7 +257,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     Windows are not deduplicated here: the same window listed twice yields
     coincident levels, so the run configuration rejects such a list.
     A branch index outside 0..N-1, ``steps`` below 2 and a window without
-    z_lo < z_hi raise ValueError before any sampling.
+    finite bounds z_lo < z_hi raise ValueError before any sampling.
     """
     if not refine_tol > 0:
         raise ValueError(f"refine_tol must be positive, got {refine_tol}")
@@ -267,6 +267,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
         if not 0 <= n < grid.n_points:
             raise ValueError(f"branch index {n} outside spectrum of size {grid.n_points}")
     for lo, hi in z_windows:
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError(f"window bounds must be finite, got [{lo}, {hi}]")
         if not lo < hi:
             raise ValueError(f"need z_lo < z_hi, got [{lo}, {hi}]")
     family = _ModelFamily(kind, grid, model)

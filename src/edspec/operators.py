@@ -52,6 +52,9 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
+        # an infinite bound or width would make h = inf and the kinetic term vanish
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"grid width must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_min < self.x_max:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
@@ -90,6 +93,8 @@ class ConstantMass:
     def __post_init__(self):
         if not self.m > 0:
             raise ValueError(f"constant mass must be positive, got {self.m}")
+        if not math.isfinite(self.m):
+            raise ValueError(f"constant mass must be finite, got {self.m}")
 
 
 @dataclass(frozen=True)
@@ -102,6 +107,8 @@ class HOQuadratic:
     def __post_init__(self):
         if not self.A > 0:
             raise ValueError(f"A must be positive, got {self.A}")
+        if not (math.isfinite(self.A) and math.isfinite(self.E0)):
+            raise ValueError(f"A and E0 must be finite, got A={self.A}, E0={self.E0}")
 
 
 @dataclass(frozen=True)

@@ -72,7 +72,8 @@ def criterion_closed_form(seed: int = 0) -> CriterionResult:
         top = -1 if nmax is None else nmax
         for n in range(top + 3):
             pair = cf.spectrum_minus(model, n)
-            expected = nmax is not None and n <= nmax
+            # presence against the sign of the radicand, not against n_max itself
+            expected = model.E0 ** 2 - (8 * n + 4) / model.A >= 0.0
             if (pair is not None) != expected:
                 presence_ok = False
             if pair is not None:
@@ -86,6 +87,12 @@ def criterion_closed_form(seed: int = 0) -> CriterionResult:
     )
 
 
+def _pair_count(model: HOQuadratic) -> int:
+    """Number of pairs in the finite family, as ``n_max`` decides it."""
+    top = cf.n_max(model)
+    return 0 if top is None else top + 1
+
+
 def criterion_emergence() -> CriterionResult:
     """2. The finite family grows by exactly one pair at each threshold."""
     e0 = 1.0
@@ -93,11 +100,9 @@ def criterion_emergence() -> CriterionResult:
     observed = []
     for n in range(4):
         threshold = (8 * n + 4) / e0 ** 2
-        below = cf.full_spectrum(HOQuadratic(threshold - 1e-9, e0), 0).minus_family
-        at = cf.full_spectrum(HOQuadratic(threshold, e0), 0).minus_family
-        observed.append({"threshold_A": threshold, "count_below": len(below),
-                         "count_at": len(at)})
-        if len(below) != n or len(at) != n + 1:
+        below, at = (_pair_count(HOQuadratic(A, e0)) for A in (threshold - 1e-9, threshold))
+        observed.append({"threshold_A": threshold, "count_below": below, "count_at": at})
+        if below != n or at != n + 1:
             counts_ok = False
     return CriterionResult(
         name="emergence-thresholds",
@@ -170,8 +175,8 @@ def criterion_convergence(grid_sizes=GRID_SIZES) -> CriterionResult:
     details["minus_pair_found"] = len(roots2) == 3
 
     # Functional form: E^2 = E0*E + (8n+4)/(4A) must regress to R^2 > 0.9999.
-    # The window keeps clear of the mass singularity at z = E0, where the
-    # state width varies too fast for coarse continuation steps.
+    # The window keeps clear of the mass singularity at z = E0: a Schrodinger
+    # window holding E0 is a DegenerateMass failure.
     found = _pipeline_roots(model2, grid, range(4), [(2.2, 3.6)], steps=32)
     fit_roots = [got[-1] if got else np.nan for got in found.values()]
     energies = np.array(fit_roots)

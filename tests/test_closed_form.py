@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from edspec import closed_form
 from edspec.closed_form import (
-    full_spectrum,
     n_max,
     quadratic_residual,
     spectrum_minus,
     spectrum_plus,
 )
 from edspec.operators import HOQuadratic
+from edspec.validate import criterion_closed_form
 
 
 def test_plus_family_values():
@@ -40,39 +41,60 @@ def test_n_max_thresholds():
 
 
 def test_n_max_consistent_with_minus_presence():
+    # presence and n_max are each checked against the sign of the radicand
     rng = np.random.default_rng(7)
     for _ in range(300):
         model = HOQuadratic(rng.uniform(0.1, 20.0), rng.uniform(-5.0, 5.0))
         top = n_max(model)
         for n in range(8):
             present = spectrum_minus(model, n) is not None
-            assert present == (top is not None and n <= top)
+            radicand_ok = model.E0 ** 2 - (8 * n + 4) / model.A >= 0.0
+            assert present == radicand_ok
+            assert radicand_ok == (top is not None and n <= top)
 
 
-def test_full_spectrum_plus_only():
-    spec = full_spectrum(HOQuadratic(1.0, 0.0), 2)
-    np.testing.assert_allclose([e for _, e in spec.plus_family],
+def test_criterion_1_catches_an_undercounting_n_max(monkeypatch):
+    true_n_max = closed_form.n_max
+
+    def drops_top_pair(model):
+        top = true_n_max(model)
+        return None if top in (None, 0) else top - 1
+
+    monkeypatch.setattr(closed_form, "n_max", drops_top_pair)
+    result = criterion_closed_form(0)
+    assert not result.passed
+    assert result.details["presence_matches_n_max"] is False
+
+
+def test_plus_only_below_first_threshold():
+    model = HOQuadratic(1.0, 0.0)
+    np.testing.assert_allclose([spectrum_plus(model, n) for n in range(3)],
                                [2.0, math.sqrt(12.0), math.sqrt(20.0)])
-    assert spec.minus_family == []
-    assert spec.n_max is None
+    assert n_max(model) is None
+    assert spectrum_minus(model, 0) is None
 
 
-def test_full_spectrum_emergence_jumps():
+def test_emergence_jumps_by_one_pair():
     e0 = 1.0
     for n in range(4):
         threshold = (8 * n + 4) / e0 ** 2
-        below = full_spectrum(HOQuadratic(threshold - 1e-9, e0), 0)
-        at = full_spectrum(HOQuadratic(threshold, e0), 0)
-        assert len(at.minus_family) == len(below.minus_family) + 1
+        below = HOQuadratic(threshold - 1e-9, e0)
+        at = HOQuadratic(threshold, e0)
+        assert n_max(below) == (None if n == 0 else n - 1)
+        assert n_max(at) == n
+        assert spectrum_minus(below, n) is None
+        assert spectrum_minus(at, n) == (e0, e0)
 
 
 def test_minus_family_band():
     model = HOQuadratic(30.0, -2.0)
-    spec = full_spectrum(model, 0)
-    assert spec.minus_family
-    for _, hi, lo in spec.minus_family:
+    top = n_max(model)
+    assert top is not None
+    for n in range(top + 1):
+        hi, lo = spectrum_minus(model, n)
         assert abs(hi - model.E0) <= abs(model.E0) + 1e-12
         assert abs(lo - model.E0) <= abs(model.E0) + 1e-12
+    assert spectrum_minus(model, top + 1) is None
 
 
 def test_quadratic_self_consistency_sweep():
@@ -95,6 +117,6 @@ def test_argument_validation():
     with pytest.raises(ValueError):
         spectrum_plus(HOQuadratic(1.0, 0.0), -1)
     with pytest.raises(ValueError):
-        full_spectrum(HOQuadratic(1.0, 0.0), -2)
+        spectrum_minus(HOQuadratic(1.0, 0.0), -1)
     with pytest.raises(ValueError):
         quadratic_residual(HOQuadratic(1.0, 0.0), 0, 1.0, "other")

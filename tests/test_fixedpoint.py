@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -256,6 +258,12 @@ def test_trace_argument_validation(monkeypatch):
     monkeypatch.setattr(fixedpoint_module._ModelFamily, "count", no_count)
     with pytest.raises(ValueError, match=r"need z_lo < z_hi, got \[2.0, 2.0\]"):
         collect_physical(HOQuadratic(1.0, 1.0), GRID, [0], [(1.5, 3.0), (2.0, 2.0)])
+
+
+@pytest.mark.parametrize("window", [(1.2, math.inf), (-math.inf, 0.5)], ids=["hi-inf", "lo-inf"])
+def test_non_finite_window_rejected_before_sampling(window):
+    with pytest.raises(ValueError, match="window bounds must be finite"):
+        collect_physical(HOQuadratic(1.0, 1.0), Grid(-8.0, 8.0, 100), [0, 1], [window])
 
 
 # ---------------------------------------------------------------- root solving

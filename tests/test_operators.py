@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,21 @@ def assembled(diagonal, off_diagonal):
 
 
 # ---------------------------------------------------------------- grid
+
+@pytest.mark.parametrize("make", [
+    lambda: Grid(-math.inf, 0.0, 10),
+    lambda: Grid(0.0, math.inf, 10),
+    lambda: Grid(-1e308, 1e308, 10),
+    lambda: ConstantMass(math.inf),
+    lambda: HOQuadratic(math.inf, 1.0),
+    lambda: HOQuadratic(1.0, math.nan),
+    lambda: HOQuadratic(1.0, math.inf),
+], ids=["grid-lo-inf", "grid-hi-inf", "grid-width-overflow",
+        "mass-inf", "A-inf", "E0-nan", "E0-inf"])
+def test_non_finite_grid_and_model_values_rejected(make):
+    with pytest.raises(ValueError, match="must be finite"):
+        make()
+
 
 def test_grid_invariants():
     with pytest.raises(ValueError):
