@@ -17,6 +17,7 @@ from .evolution import (
     FVModes,
     FVState,
     FVSystem,
+    Trajectory,
     assemble_fv,
     conservation_report,
     eigenstate,
@@ -58,8 +59,8 @@ __all__ = [
     "__version__",
     "NUMERIC_TO_CLOSED",
     "SolverError",
-    "FVModes", "FVState", "FVSystem", "assemble_fv", "conservation_report",
-    "eigenstate", "evolve",
+    "FVModes", "FVState", "FVSystem", "Trajectory", "assemble_fv",
+    "conservation_report", "eigenstate", "evolve",
     "CollectResult", "PhysicalLevel", "WindowDiagnostics", "collect_physical",
     "FrozenDecomposition", "classify_spectrum", "decompose",
     "eta_from_decomposition", "eta_inverse_from_decomposition",

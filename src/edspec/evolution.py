@@ -5,8 +5,8 @@ i d/dt (phi1, phi2) = h_sr (phi1, phi2), (phi1, phi2) = (i d/dt psi, psi),
 with generator h_sr = [[0, H], [I, 0]]; a pseudo-metric eta of the inner
 block lifts to the block form [[0, eta], [eta, 0]].  ``FVSystem`` keeps only
 the N x N blocks H and eta, and assembles the 2N x 2N forms only on request,
-as dense references.  ``FVState`` holds states as rows, one per time; a
-trajectory is one of them, and ``eigenstate`` and ``gaussian_state`` give one row.
+as dense references.  ``FVState`` holds states as rows, one per time;
+``eigenstate`` and ``gaussian_state`` give one row.
 
 The system is propagated exactly through one bi-orthogonal decomposition of
 H (``FVSystem.modes``), never through the 2N x 2N generator.  An eigenpair
@@ -18,12 +18,18 @@ each mode evolves in closed form:
     c1(t) = c1 cos(omega t) - i omega c2 sin(omega t)
 
 Both are even in omega, so the branch of the square root is immaterial and
-complex lambda needs no special case.  Conservation tests therefore probe
-the algebraic structure rather than integrator error.  A Hermitian metric M
-conserves <Phi|M|Phi> along the flow exactly when M intertwines h_sr with
-its adjoint and the spectrum is real; for the swap lift [[0, eta], [eta, 0]]
-the pseudo-norm is 2 Re <phi1|eta phi2> and the intertwining residual is
-that of eta with H, both evaluated from the blocks.
+complex lambda needs no special case.  ``evolve`` returns the trajectory in
+these coordinates (``Trajectory``); the states phi = K c are formed only by
+``Trajectory.states``.  Conservation tests therefore probe the algebraic
+structure rather than integrator error.  A Hermitian metric M conserves
+<Phi|M|Phi> along the flow exactly when M intertwines h_sr with its adjoint
+and the spectrum is real; for the swap lift [[0, eta], [eta, 0]] the
+pseudo-norm is 2 Re <phi1|eta phi2> and the intertwining residual is that
+of eta with H, both evaluated from the blocks.  In modal coordinates the
+norms are quadratic forms, ||phi||^2 = c^dagger G c and <phi1|eta phi2> =
+c1^dagger M c2 with G = K^dagger K and M = K^dagger eta K; orthonormal kets
+(a Hermitian H, every real band value among them) without an eta make both
+the identity, and the norms sums over the modes.
 
 A real, positive spectrum of H (a real mass-squared >= 0: every
 ``evolve`` of the command line) has real frequencies.  ``evolve`` then
@@ -59,7 +65,8 @@ BLOCK_METRICS = ("swap", "identity")
 @dataclass(frozen=True)
 class FVState:
     """Two-component states (phi1, phi2) = (i d/dt psi, psi): ``t`` has shape (k,),
-    ``phi1`` and ``phi2`` shape (k, N), k >= 1, and row j is the state at ``t[j]``."""
+    ``phi1`` and ``phi2`` shape (k, N), k >= 1, and row j is the state at ``t[j]``.
+    ``Trajectory.states`` gives a trajectory's states as one of them."""
 
     t: np.ndarray
     phi1: np.ndarray
@@ -95,6 +102,42 @@ class FVModes:
     @property
     def spectrum_real(self) -> bool:
         return bool(np.all(reality_mask(self.frequencies)))
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """A propagated state in the modal coordinates c = L^dagger phi of ``modes``.
+
+    ``t`` has shape (k,), ``c1`` and ``c2`` complex shape (k, N), and row j
+    holds the coefficients at ``t[j]``; ``start`` is the one-row state that
+    was propagated, at ``t[0]``.  ``len`` is the number of rows.
+    """
+
+    t: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    modes: FVModes
+    start: FVState
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def states(self) -> FVState:
+        """The states phi = K c, one row per time; row 0 is ``start``, bit for bit."""
+        kets_t = self.modes.kets.T
+        if not np.iscomplexobj(kets_t):
+            # one copy for both components: the C-order complex copy that a
+            # product with the real kets would make per call, so the same bits
+            kets_t = np.ascontiguousarray(kets_t, dtype=complex)
+
+        def rows(start: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+            out = np.empty(coefficients.shape, complex)
+            out[0] = start
+            np.matmul(coefficients[1:], kets_t, out=out[1:])
+            return out
+
+        return FVState(t=self.t, phi1=rows(self.start.phi1[0], self.c1),
+                       phi2=rows(self.start.phi2[0], self.c2))
 
 
 @dataclass(frozen=True)
@@ -200,9 +243,9 @@ def assemble_fv(H: OperatorMatrix | Tridiagonal, eta: OperatorMatrix | None = No
     return FVSystem(H=H, eta=eta)
 
 
-def _check_dimension(state: FVState, system: FVSystem) -> None:
-    if state.phi1.shape[1] != system.base_dimension:
-        raise DimensionMismatch(f"state dimension {state.phi1.shape[1]} does not match "
+def _check_dimension(n: int, system: FVSystem) -> None:
+    if n != system.base_dimension:
+        raise DimensionMismatch(f"state dimension {n} does not match "
                                 f"system base {system.base_dimension}")
 
 
@@ -244,28 +287,31 @@ def gaussian_state(grid: Grid, center: float, width: float, momentum: float) -> 
     return FVState(t=np.zeros(1), phi1=profile[None].copy(), phi2=profile[None].copy())
 
 
-def _rows(start: np.ndarray, coefficients: np.ndarray, kets: np.ndarray) -> np.ndarray:
-    rows = np.empty((len(coefficients) + 1, len(start)), np.result_type(coefficients, kets))
-    rows[0] = start
-    np.matmul(coefficients, kets.T, out=rows[1:])
+def _modal_rows(c: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                exchange: np.ndarray) -> np.ndarray:
+    """Rows c, then c cos - exchange sin, one per time sample."""
+    rows = np.empty((len(cos) + 1, len(c)), complex)
+    rows[0] = c
+    np.multiply(c, cos, out=rows[1:])
+    rows[1:] -= exchange * sin
     return rows
 
 
-def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVState:
+def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> Trajectory:
     """Exact spectral propagation of the last row of ``state`` over the duration ``t_final``.
 
-    Returns steps+1 rows: row 0 is that start row, bit for bit, and row j sits
-    at ``state.t[-1] + t_final * j / steps``.  A real generator spectrum
-    is propagated on real phases omega t, whose cos and sin are the real
-    parts of the complex phases' (the same bits on IEEE platforms whose
-    complex cos and sin are built from the real ones).  Complex eigenvalues
-    of the generator are allowed (a warning is issued and norms may grow);
-    a degenerate generator spectrum raises, and so does, as ValueError, a
-    ``t_final`` whose phases omega t overflow.
+    Returns steps+1 rows of modal coefficients: row 0 is L^dagger times that
+    start row, and row j sits at ``state.t[-1] + t_final * j / steps``.  A
+    real generator spectrum is propagated on real phases omega t, whose cos
+    and sin are the real parts of the complex phases' (the same bits on IEEE
+    platforms whose complex cos and sin are built from the real ones).
+    Complex eigenvalues of the generator are allowed (a warning is issued
+    and norms may grow); a degenerate generator spectrum raises, and so
+    does, as ValueError, a ``t_final`` whose phases omega t overflow.
     """
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
-    _check_dimension(state, system)
+    _check_dimension(state.phi1.shape[1], system)
     modes = system.modes
     if not modes.spectrum_real:
         warnings.warn("generator spectrum is not entirely real; evolution proceeds but "
@@ -283,10 +329,13 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> FVSt
     if not np.isfinite(phase).all():
         raise ValueError(f"t_final = {t_final} overflows the phases omega t")
     cos, sin = np.cos(phase), np.sin(phase, out=phase)
-    # one row per time sample; one component's coefficients are freed before the next's
-    phi1 = _rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin, modes.kets)
-    phi2 = _rows(state.phi2[-1], c2 * cos - 1j * (c1 / omega) * sin, modes.kets)
-    return FVState(t=np.concatenate([state.t[-1:], state.t[-1] + times]), phi1=phi1, phi2=phi2)
+    return Trajectory(
+        t=np.concatenate([state.t[-1:], state.t[-1] + times]),
+        c1=_modal_rows(c1, cos, sin, 1j * (omega * c2)),
+        c2=_modal_rows(c2, cos, sin, 1j * (c1 / omega)),
+        modes=modes,
+        start=FVState(t=state.t[-1:], phi1=state.phi1[-1:], phi2=state.phi2[-1:]),
+    )
 
 
 def _frobenius_sq(H: OperatorMatrix | Tridiagonal, shift: float = 0.0) -> float:
@@ -341,32 +390,51 @@ class ConservationReport:
     metric_intertwines: bool
 
 
-def conservation_report(trajectory: FVState, metric: str,
+def _forms(a: np.ndarray, b: np.ndarray, matrix: np.ndarray | None) -> np.ndarray:
+    """Re a_j^dagger M b_j for every row j of the (k, N) rows a and b; M = I
+    when ``matrix`` is None."""
+    if matrix is not None:
+        b = b @ matrix.T
+    # numpy's pairwise sum: an einsum's running sum drifts by more ulps
+    return (a.conj() * b).real.sum(axis=1)
+
+
+def conservation_report(trajectory: Trajectory, metric: str,
                         system: FVSystem) -> ConservationReport:
     """Maximal relative drift of the pseudo-norm <Phi|M|Phi> over the rows of ``trajectory``.
 
     ``metric`` names the block metric M, one of ``BLOCK_METRICS``, evaluated
-    from the N x N blocks of ``system``.  PASS means drift within 1e-8, a real generator spectrum
-    (read from ``system.modes``) and a metric that intertwines the generator
-    (relative residual within 1e-10).
+    from the N x N blocks of ``system``.  Both norms are read from the modal
+    rows as quadratic forms in G = K^dagger K and K^dagger eta K, and no
+    state is formed.  Orthonormal kets (``bras is kets``) make G the
+    identity, and without an eta K^dagger eta K too, so no N x N product is
+    formed.  ``trajectory`` must come from ``system``'s modes.  PASS means
+    drift within 1e-8, a real generator spectrum (read from ``system.modes``)
+    and a metric that intertwines the generator (relative residual within
+    1e-10).
     """
     if metric not in BLOCK_METRICS:
         raise ValueError(f"metric must be one of {BLOCK_METRICS}, got {metric!r}")
-    _check_dimension(trajectory, system)
-    phi1, phi2 = trajectory.phi1, trajectory.phi2
-    euclidean = (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
+    _check_dimension(trajectory.c1.shape[1], system)
+    modes = system.modes
+    if trajectory.modes is not modes:
+        raise ValueError("the trajectory was not propagated through this system's modes")
+    kets = modes.kets
+    gram = None if modes.bras is kets else kets.conj().T @ kets
+    euclidean = (_forms(trajectory.c1, trajectory.c1, gram)
+                 + _forms(trajectory.c2, trajectory.c2, gram))
     if metric == "identity":
         values = euclidean
     else:
-        eta_phi2 = phi2 if system.eta is None else phi2 @ system.eta.T
-        values = 2.0 * (phi1.conj() * eta_phi2).sum(axis=1).real
+        pairing = gram if system.eta is None else kets.conj().T @ system.eta @ kets
+        values = 2.0 * _forms(trajectory.c1, trajectory.c2, pairing)
     base = float(abs(values[0]))
     degenerate = base < NORM_FLOOR
     if degenerate and np.all(np.abs(values) < NORM_FLOOR):
         drift = 0.0
     else:
         drift = float(np.abs(values - values[0]).max() / max(base, NORM_FLOOR))
-    spectrum_real = system.modes.spectrum_real
+    spectrum_real = modes.spectrum_real
     residual = _intertwine_residual(metric, system)
     intertwines = residual <= INTERTWINE_TOLERANCE
     return ConservationReport(

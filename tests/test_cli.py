@@ -557,6 +557,58 @@ def test_evolve_eigenstate_decomposes_h_once(tmp_path, monkeypatch):
     assert sizes == [40]
 
 
+@pytest.mark.parametrize("metric", ["swap", "identity"])
+def test_evolve_and_criterion_7_form_no_state(tmp_path, monkeypatch, metric):
+    # both read their norms from the modal rows, so the product K c is never formed;
+    # the trajectory still has one row per time, which the benchmark tracer counts
+    import edspec.cli
+    import edspec.validate
+    from edspec.evolution import Trajectory, evolve
+
+    def no_states(self):
+        raise AssertionError("the states K c were formed")
+
+    lengths = []
+
+    def counting(system, state, t_final, steps):
+        trajectory = evolve(system, state, t_final, steps)
+        lengths.append((len(trajectory), steps + 1))
+        return trajectory
+
+    monkeypatch.setattr(Trajectory, "states", no_states)
+    for module in (edspec.cli, edspec.validate):
+        monkeypatch.setattr(module, "evolve", counting)
+    cfg = write_config(tmp_path, EVOLVE_BASE + f"\n    metric = {metric}\n")
+    assert main(["evolve", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    assert load_json(tmp_path / "evolve.json")["flag"] == ("PASS" if metric == "swap" else "FAIL")
+    assert edspec.validate.criterion_pseudo_unitarity().passed
+    assert lengths == [(51, 51), (201, 201)]
+
+
+def test_evolve_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a swap and an identity run at one and at two OpenBLAS threads, each count
+    # set before numpy loads
+    large = EVOLVE_BASE.replace("n_points = 40", "n_points = 200")
+    configs = {
+        "swap": write_config(tmp_path, large, "swap.ini"),
+        "identity": write_config(tmp_path, _eigenstate(3).replace("n_points = 40", "n_points = 200")
+                                 + "\n    metric = identity\n", "identity.ini"),
+    }
+    outputs = {}
+    for threads in ("1", "2"):
+        script = "from edspec.cli import main\n" + "".join(
+            f"assert main(['evolve', '--config', {cfg!r}, "
+            f"'--out-dir', {str(tmp_path / (name + threads))!r}]) == 0\n"
+            for name, cfg in configs.items())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        outputs[threads] = {(name, report): (tmp_path / (name + threads) / report).read_bytes()
+                            for name in configs for report in ("trajectory.csv", "evolve.json")}
+    assert outputs["1"] == outputs["2"]
+
+
 def _evolve_config_error(tmp_path, capsys, body):
     """The ``config error:`` line of an evolve run that must exit 1 without a warning."""
     cfg = write_config(tmp_path, body)

@@ -8,6 +8,7 @@ from edspec.errors import DegenerateSpectrum, DimensionMismatch
 from edspec.evolution import (
     BLOCK_METRICS,
     FVState,
+    Trajectory,
     assemble_fv,
     conservation_report,
     eigenstate,
@@ -38,6 +39,14 @@ def _row(states, j):
     return np.concatenate([states.phi1[j], states.phi2[j]])
 
 
+def _modal(system, states):
+    """The rows of ``states`` as a trajectory of ``system``: c = L^dagger phi for each."""
+    bras = system.modes.bras.conj()
+    return Trajectory(t=states.t, c1=(states.phi1 @ bras).astype(complex),
+                      c2=(states.phi2 @ bras).astype(complex), modes=system.modes,
+                      start=FVState(t=states.t[:1], phi1=states.phi1[:1], phi2=states.phi2[:1]))
+
+
 def _hermitian_system(n_points=40):
     grid = Grid(-8.0, 8.0, n_points)
     h = build_problem("kleingordon", grid, ConstantMass(1.0), 0.0)
@@ -51,7 +60,7 @@ def test_eigenstate_picks_up_a_phase():
     ket = dec.right_kets[:, 3]
     energy = dec.eigenvalues[3].real
     state = _state(ket[:n], ket[n:])
-    trajectory = evolve(system, state, t_final=2.0, steps=4)
+    trajectory = evolve(system, state, t_final=2.0, steps=4).states()
     expected = np.exp(-1j * energy * 2.0) * ket
     np.testing.assert_allclose(_row(trajectory, -1), expected, atol=1e-8)
 
@@ -61,7 +70,7 @@ def test_single_site_analytic_solution():
     # a = (phi2(0) + phi1(0)/2)/2, b = (phi2(0) - phi1(0)/2)/2
     system = assemble_fv(np.array([[4.0]]))
     state = _state([1.0 + 0.0j], [1.0 + 0.0j])
-    trajectory = evolve(system, state, t_final=1.0, steps=10)
+    trajectory = evolve(system, state, t_final=1.0, steps=10).states()
     a, b = 0.75, 0.25
     for t, row1, row2 in zip(trajectory.t, trajectory.phi1, trajectory.phi2):
         phi2 = a * np.exp(-2j * t) + b * np.exp(2j * t)
@@ -76,8 +85,9 @@ def test_zero_time_returns_initial_state():
     state = _state(np.zeros(n, complex), np.ones(n, complex))
     trajectory = evolve(system, state, t_final=0.0, steps=0)
     assert len(trajectory) == 1
+    states = trajectory.states()
     for field in ("t", "phi1", "phi2"):
-        assert getattr(trajectory, field).tobytes() == getattr(state, field).tobytes()
+        assert getattr(states, field).tobytes() == getattr(state, field).tobytes()
 
 
 @pytest.mark.parametrize("steps", [1, 7])
@@ -86,10 +96,16 @@ def test_trajectory_has_a_row_per_step_and_starts_at_the_state(steps):
     state = gaussian_state(grid, center=0.5, width=1.0, momentum=1.0)
     trajectory = evolve(system, state, t_final=2.0, steps=steps)
     assert len(trajectory) == steps + 1
-    assert trajectory.phi1.shape == trajectory.phi2.shape == (steps + 1, grid.n_points)
-    assert trajectory.t[0] == state.t[0]
-    assert trajectory.phi1[0].tobytes() == state.phi1[0].tobytes()
-    assert trajectory.phi2[0].tobytes() == state.phi2[0].tobytes()
+    assert trajectory.c1.shape == trajectory.c2.shape == (steps + 1, grid.n_points)
+    # modal row 0 is L^dagger times the start row
+    bras = system.modes.bras
+    assert trajectory.c1[0].tobytes() == (bras.conj().T @ state.phi1[0]).tobytes()
+    assert trajectory.c2[0].tobytes() == (bras.conj().T @ state.phi2[0]).tobytes()
+    states = trajectory.states()
+    assert states.phi1.shape == states.phi2.shape == (steps + 1, grid.n_points)
+    assert states.t[0] == state.t[0]
+    assert states.phi1[0].tobytes() == state.phi1[0].tobytes()
+    assert states.phi2[0].tobytes() == state.phi2[0].tobytes()
 
 
 def test_evolve_continues_the_clock():
@@ -98,15 +114,15 @@ def test_evolve_continues_the_clock():
     start = evolve(system, gaussian_state(grid, center=0.5, width=1.0, momentum=1.0),
                    t_final=1.0, steps=1)
     assert start.t.tolist() == [0.0, 1.0]
-    assert evolve(system, start, t_final=2.0, steps=2).t.tolist() == [1.0, 2.0, 3.0]
+    assert evolve(system, start.states(), t_final=2.0, steps=2).t.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_group_property():
     grid, system = _hermitian_system()
     state = gaussian_state(grid, center=0.5, width=1.0, momentum=1.0)
-    direct = evolve(system, state, t_final=3.0, steps=3)
-    partway = evolve(system, state, t_final=1.0, steps=1)
-    resumed = evolve(system, partway, t_final=2.0, steps=2)
+    direct = evolve(system, state, t_final=3.0, steps=3).states()
+    partway = evolve(system, state, t_final=1.0, steps=1).states()
+    resumed = evolve(system, partway, t_final=2.0, steps=2).states()
     np.testing.assert_allclose(_row(resumed, -1), _row(direct, -1), atol=1e-8)
 
 
@@ -165,7 +181,7 @@ def test_trajectory_matches_matrix_exponential(mass_squared):
     state = gaussian_state(grid, center=0.5, width=1.2, momentum=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        trajectory = evolve(system, state, t_final=3.0, steps=6)
+        trajectory = evolve(system, state, t_final=3.0, steps=6).states()
     reference = _expm_trajectory(system, state, 3.0, 6)
     scale = max(np.abs(v).max() for v in reference)
     assert len(trajectory) == len(reference)
@@ -222,8 +238,8 @@ def test_negative_mass_squared_warns():
 # ---------------------------------------------------------------- real phases
 
 def _complex_phase_rows(system, state, t_final, steps):
-    """``evolve``'s rows by complex phases omega t on the same ``system.modes``,
-    with the phases."""
+    """The states of ``evolve`` by complex phases omega t on the same ``system.modes``,
+    each component's coefficients times the uncast kets in one product, with the phases."""
     modes = system.modes
     omega = modes.frequencies
     c1 = modes.bras.conj().T @ state.phi1[-1]
@@ -231,8 +247,16 @@ def _complex_phase_rows(system, state, t_final, steps):
     times = t_final * np.arange(1, steps + 1) / steps if steps else np.empty(0)
     phase = np.outer(times, omega)
     cos, sin = np.cos(phase), np.sin(phase)
-    phi1 = evolution._rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin, modes.kets)
-    phi2 = evolution._rows(state.phi2[-1], c2 * cos - 1j * (c1 / omega) * sin, modes.kets)
+
+    def rows(start, coefficients):
+        out = np.empty((len(coefficients) + 1, len(start)),
+                       np.result_type(coefficients, modes.kets))
+        out[0] = start
+        np.matmul(coefficients, modes.kets.T, out=out[1:])
+        return out
+
+    phi1 = rows(state.phi1[-1], c1 * cos - 1j * (omega * c2) * sin)
+    phi2 = rows(state.phi2[-1], c2 * cos - 1j * (c1 / omega) * sin)
     return phi1, phi2, phase
 
 
@@ -260,7 +284,7 @@ def test_real_phases_keep_the_complex_phase_bits(model, n, start):
         state = eigenstate(system, n)
     same_trig = True
     for steps in (0, 1, 50):
-        trajectory = evolve(system, state, t_final=3.7, steps=steps)
+        trajectory = evolve(system, state, t_final=3.7, steps=steps).states()
         phi1, phi2, phase = _complex_phase_rows(system, state, 3.7, steps)
         same_trig &= (np.array_equal(np.cos(phase.real), np.cos(phase).real)
                       and np.array_equal(np.sin(phase.real), np.sin(phase).real))
@@ -332,7 +356,8 @@ def test_identity_metric_is_euclidean():
     v = np.array([1.0, 2.0j])
     state = _state(v[:1], v[1:])
     system = assemble_fv(np.array([[4.0]]))
-    assert conservation_report(state, "identity", system).pseudo_norms[0] == pytest.approx(5.0)
+    trajectory = evolve(system, state, t_final=0.0, steps=0)
+    assert conservation_report(trajectory, "identity", system).pseudo_norms[0] == pytest.approx(5.0)
 
 
 def test_swap_metric_signature():
@@ -341,7 +366,7 @@ def test_swap_metric_signature():
     system = assemble_fv(np.diag([1.0, 4.0]))
     plus_and_minus = FVState(t=np.zeros(2), phi1=np.array([v, v]), phi2=np.array([v, -v]))
     norm2 = float(np.linalg.norm(v) ** 2)
-    values = conservation_report(plus_and_minus, "swap", system).pseudo_norms
+    values = conservation_report(_modal(system, plus_and_minus), "swap", system).pseudo_norms
     assert values[0] == pytest.approx(2.0 * norm2)
     assert values[1] == pytest.approx(-2.0 * norm2)
 
@@ -349,8 +374,9 @@ def test_swap_metric_signature():
 def test_dimension_mismatch():
     state = _state(np.ones(3), np.ones(3))
     system = assemble_fv(np.diag([1.0, 4.0]))
+    trajectory = evolve(assemble_fv(np.diag([1.0, 4.0, 9.0])), state, t_final=1.0, steps=2)
     with pytest.raises(DimensionMismatch):
-        conservation_report(state, "identity", system)
+        conservation_report(trajectory, "identity", system)
     with pytest.raises(DimensionMismatch):
         evolve(system, state, t_final=1.0, steps=2)
 
@@ -383,15 +409,17 @@ def test_euclidean_norms_follow_the_per_state_formula():
     state = gaussian_state(grid, center=0.0, width=1.2, momentum=1.5)
     trajectory = evolve(system, state, t_final=10.0, steps=100)
     report = conservation_report(trajectory, "swap", system)
-    # the sum over each component, as the identity pseudo-norm sums it
-    per_state = [(np.abs(trajectory.phi1[j]) ** 2).sum() + (np.abs(trajectory.phi2[j]) ** 2).sum()
-                 for j in range(len(trajectory))]
-    assert report.euclidean_norms.tobytes() == np.array(per_state).tobytes()
     identity = conservation_report(trajectory, "identity", system)
     assert report.euclidean_norms.tobytes() == identity.pseudo_norms.tobytes()
-    # the stacked 2N vector's norm, squared, sums in another order
-    stacked = [np.linalg.norm(_row(trajectory, j)) ** 2 for j in range(len(trajectory))]
-    np.testing.assert_allclose(report.euclidean_norms, stacked, rtol=8 * EPS, atol=0)
+    # orthonormal kets: the sum over the modes of each component, |c1|^2 + |c2|^2
+    per_row = [(np.abs(trajectory.c1[j]) ** 2).sum() + (np.abs(trajectory.c2[j]) ** 2).sum()
+               for j in range(len(trajectory))]
+    np.testing.assert_allclose(report.euclidean_norms, per_row, rtol=8 * EPS, atol=0)
+    # the stacked 2N state's norm, squared, to the kets' orthonormality
+    states = trajectory.states()
+    stacked = [np.linalg.norm(_row(states, j)) ** 2 for j in range(len(states))]
+    n = system.base_dimension
+    np.testing.assert_allclose(report.euclidean_norms, stacked, rtol=4 * n * EPS, atol=0)
     assert np.abs(report.euclidean_norms - 2.0).max() > 1e-3
 
 
@@ -429,7 +457,7 @@ def test_block_metric_matches_dense_form(system, metric):
     # five states, drawn phi1 then phi2 each
     draws = [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(10)]
     states = FVState(t=np.zeros(5), phi1=np.array(draws[0::2]), phi2=np.array(draws[1::2]))
-    report = conservation_report(states, metric, system)
+    report = conservation_report(_modal(system, states), metric, system)
     dense = np.array([np.vdot(_row(states, j), M @ _row(states, j)).real for j in range(5)])
     np.testing.assert_allclose(report.pseudo_norms, dense, rtol=1e-12)
     residual = (np.linalg.norm(M @ h - h.conj().T @ M)
@@ -447,8 +475,12 @@ def test_band_norms_match_the_dense_form(mass, metric):
     bands = build_problem("kleingordon", Grid(-8.0, 8.0, 60), mass, 0.3)
     n = bands.shape[0]
     state = _state(np.ones(n), np.linspace(-1.0, 1.0, n))
-    band = conservation_report(state, metric, assemble_fv(bands)).intertwine_residual
-    dense = conservation_report(state, metric, assemble_fv(np.asarray(bands))).intertwine_residual
+
+    def residual(system):
+        return conservation_report(_modal(system, state), metric, system).intertwine_residual
+
+    band = residual(assemble_fv(bands))
+    dense = residual(assemble_fv(np.asarray(bands)))
     if metric == "swap" and isinstance(mass, ConstantMass):
         # a real symmetric H commutes with the swap metric exactly, either way
         assert band == dense == 0.0
@@ -482,3 +514,56 @@ def test_one_decomposition_serves_a_system(decompositions):
 def test_pseudo_unitarity_criterion_decomposes_once(decompositions):
     assert criterion_pseudo_unitarity().passed
     assert len(decompositions) == 1
+
+
+# ---------------------------------------------------------------- modal norms
+
+def _norm_cases():
+    rng = np.random.default_rng(29)
+    n = 24
+    grid = Grid(-6.0, 6.0, n)
+    bands = build_problem("kleingordon", grid, HOQuadratic(1.0, 2.0), 0.6)
+    general = build_problem("kleingordon", grid,
+                            GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.1j * x), 0.0)
+    h, eta = pseudo_hermitian_pair(rng, n)
+    w = rng.standard_normal((n, n))
+    band_eta = np.eye(n) + 0.1 * (w @ w.T) / n
+    return grid, [
+        pytest.param(assemble_fv(bands), id="real-band"),
+        pytest.param(assemble_fv(np.asarray(bands)), id="dense-real-symmetric"),
+        pytest.param(assemble_fv(np.asarray(general)), id="complex-general"),
+        pytest.param(assemble_fv(h, eta), id="explicit-eta"),
+        pytest.param(assemble_fv(bands, band_eta), id="real-band-explicit-eta"),
+    ]
+
+
+_NORM_GRID, _NORM_SYSTEMS = _norm_cases()
+
+
+@pytest.mark.parametrize("system", _NORM_SYSTEMS)
+def test_modal_norms_match_the_ket_space_norms(system):
+    # the quadratic forms in G = K^dagger K and K^dagger eta K against the formed states
+    n = system.base_dimension
+    state = gaussian_state(_NORM_GRID, center=0.3, width=1.1, momentum=1.2)
+    state = FVState(t=state.t, phi1=state.phi1, phi2=(0.5 - 0.2j) * state.phi2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        trajectory = evolve(system, state, t_final=2.5, steps=20)
+    states = trajectory.states()
+    phi1, phi2 = states.phi1, states.phi2
+    eta = np.eye(n) if system.eta is None else system.eta
+    euclidean = (np.abs(phi1) ** 2).sum(axis=1) + (np.abs(phi2) ** 2).sum(axis=1)
+    swap = 2.0 * (phi1.conj() * (phi2 @ eta.T)).sum(axis=1).real
+    scale = euclidean.max()
+    for metric, expected in (("identity", euclidean), ("swap", swap)):
+        report = conservation_report(trajectory, metric, system)
+        assert np.abs(report.euclidean_norms - euclidean).max() <= 4 * n * EPS * scale
+        assert np.abs(report.pseudo_norms - expected).max() <= 4 * n * EPS * scale
+
+
+def test_report_refuses_another_systems_trajectory():
+    grid, system = _hermitian_system(16)
+    _, twin = _hermitian_system(16)
+    trajectory = evolve(system, gaussian_state(grid, 0.0, 1.0, 0.0), t_final=1.0, steps=2)
+    with pytest.raises(ValueError, match="modes"):
+        conservation_report(trajectory, "swap", twin)
