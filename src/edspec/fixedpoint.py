@@ -17,12 +17,13 @@ once for all branches and takes one count per sample, which signs every
 branch at once; each change of sign between two samples is bisected by
 the count.  A root that falls on a sample is bisected like any other, from
 the bracket on the side its count puts it.  Eigenvalues are solved only
-for a near miss, on a window where branch n changes sign nowhere: E_n(z_k)
-at every sample, by index-selective bisection of the same count
-(``eigpair_bands``, through ``Eigenvalues``, which on the dense fallback
-solves a sample's spectrum once for all branches).  Each level's ket comes
-from one selective eigenpair solve (bisection, then inverse iteration) at
-the root.  A complex mass-squared raises ValueError.
+for a near miss, min_k |E_n(z_k) - z_k| on a window where branch n changes
+sign nowhere, and there only at the samples no count excludes: a count of
+a sample's bands at z_k +- t proves |E_n(z_k) - z_k| > t, and E_n(z_k) is
+solved, by index-selective bisection of the same count (``eigpair_bands``),
+where no count proves the sample farther than one already solved.  Each
+level's ket comes from one selective eigenpair solve (bisection, then
+inverse iteration) at the root.  A complex mass-squared raises ValueError.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 from .frozen_spectrum import decompose  # noqa: F401
 from . import operators
 from .operators import Grid, HOQuadratic, MassModel
-from .tridiagonal import Eigenvalues, SturmCount, eigpair_bands
+from .tridiagonal import SturmCount, eigpair_bands
 
 #: Default number of samples per search window.
 WINDOW_STEPS = 64
@@ -47,6 +48,9 @@ WINDOW_STEPS = 64
 REFINE_TOL = 1e-10
 #: Roots closer than 1e-8 * (1 + |z|) are merged (tangency guard).
 MERGE_FACTOR = 1e-8
+#: An exclusion count's margin per unit of ||H(z)||_1 + |z|: well above the
+#: 4 eps ||H||_1 within which a count and dstevx may disagree.
+_MARGIN = 64.0 * float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,8 @@ class _ModelFamily:
     """H(z) of one stationary form of one model on one grid, and the inertia counts of H(z) - s.
 
     A count writes H(z) - s into the buffers of its own ``SturmCount``;
-    ``bands`` writes H(z) into new arrays.
+    ``bands`` writes H(z) into new arrays, and so does ``written`` unless
+    handed a buffer for the diagonal.
     """
 
     def __init__(self, kind: str, grid: Grid, model: MassModel):
@@ -116,19 +121,26 @@ class _ModelFamily:
         self._write = partial(operators.write_bands, kind, grid, model)
         self._sturm = SturmCount(grid.n_points)
 
+    def written(self, z: float, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        """The diagonal of H(z), in ``out`` or a new array, and its off-diagonal value."""
+        diagonal, off_diagonal = self._write(z, out)
+        _refuse_complex(self.kind, z, diagonal)
+        return diagonal, off_diagonal
+
     def bands(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal and off-diagonal of H(z), as new arrays."""
-        diagonal, off_diagonal = self._write(z)
-        _refuse_complex(self.kind, z, diagonal)
+        diagonal, off_diagonal = self.written(z)
         return diagonal, np.full(diagonal.shape[0] - 1, off_diagonal)
 
     def count(self, z: float, shift: float) -> int:
         """Number of eigenvalues of H(z) below ``shift``."""
+        # the diagonal of a constant or oscillator mass is written into the
+        # counter's own buffer, a GeneralMassSquared's is a new array
+        return self.count_written(*self.written(z, self._sturm.shifted), shift)
+
+    def count_written(self, diagonal: np.ndarray, off_diagonal: float, shift: float) -> int:
+        """Number of eigenvalues below ``shift`` of the H(z) that ``written`` gave."""
         sturm = self._sturm
-        # the diagonal of a constant or oscillator mass is written into
-        # sturm.shifted, a GeneralMassSquared's is a new array
-        diagonal, off_diagonal = self._write(z, sturm.shifted)
-        _refuse_complex(self.kind, z, diagonal)
         np.subtract(diagonal, shift, out=sturm.shifted)
         square = off_diagonal * off_diagonal
         sturm.squares.fill(square)
@@ -138,8 +150,8 @@ class _ModelFamily:
 class _SampledWindow:
     """Inertia counts of H(z) at the samples of one window, shared by its branches.
 
-    The count of a sample is taken once for all branches; its eigenvalues
-    E_n are solved only for a near miss.
+    The count of a sample is taken once for all branches; its bands are
+    written once more, for all branches, only for a near miss.
     """
 
     def __init__(self, family: _ModelFamily, z_samples: np.ndarray):
@@ -149,12 +161,50 @@ class _SampledWindow:
         self.counts = np.array([family.count(z, z) for z in z_samples.tolist()])
 
     @cached_property
-    def _eigenvalues(self) -> list[Eigenvalues]:
-        return [Eigenvalues(*self.family.bands(z)) for z in self.z_samples.tolist()]
+    def _bands(self) -> list[tuple[np.ndarray, float]]:
+        return [self.family.written(z) for z in self.z_samples.tolist()]
 
-    def e_values(self, n: int) -> np.ndarray:
-        """E_n(z_k) at each sample."""
-        return np.array([values[n] for values in self._eigenvalues])
+    def near_miss(self, n: int) -> float:
+        """min_k |E_n(z_k) - z_k| over the samples, where f_n changes sign nowhere.
+
+        E_n(z_k) is solved (``eigpair_bands``) only at the samples that no
+        inertia count excludes.  The count of H(z_k) at z_k + t + m_k, where
+        f_n > 0, or at z_k - t - m_k, where f_n < 0, proves
+        |E_n(z_k) - z_k| > t: the margin m_k = 64 eps (||H(z_k)||_1 + |z_k|)
+        covers the few eps ||H|| by which a count and the solver disagree.
+        A sample is dropped once a count proves it farther than the nearest
+        solved one, and the next one solved is found by halving t over the
+        samples left, so the value is the minimum over all samples, bit for
+        bit.
+        """
+        z = self.z_samples.tolist()
+        above = bool(self.counts[0] <= n)
+        side = 1.0 if above else -1.0
+        margins = [_MARGIN * (float(np.abs(diagonal).max()) + 2.0 * abs(off) + abs(zk))
+                   for (diagonal, off), zk in zip(self._bands, z)]
+
+        def beyond(k: int, t: float) -> bool:
+            shift = z[k] + side * (t + margins[k])
+            return (self.family.count_written(*self._bands[k], shift) <= n) == above
+
+        def solve(k: int) -> float:
+            diagonal, off = self._bands[k]
+            return abs(eigpair_bands(diagonal, np.full(len(diagonal) - 1, off), n) - z[k])
+
+        best, left = solve(0), range(1, len(z))
+        while left := [k for k in left if not beyond(k, best)]:
+            # halve t over the samples left, down to the one whose E_n is nearest
+            group, lo, hi = left, 0.0, best
+            while len(group) > 1 and hi - lo > min(margins):
+                t = 0.5 * (lo + hi)
+                if closer := [k for k in group if not beyond(k, t)]:
+                    group, hi = closer, t
+                else:
+                    lo = t
+            k = group[0]
+            left.remove(k)
+            best = min(best, solve(k))
+        return best
 
 
 def _sample_window(family: _ModelFamily, z_lo: float, z_hi: float,
@@ -246,7 +296,8 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
     sampled once for all branches, with one inertia count per sample; each
     (branch, window) pair is then solved independently, by bisecting the
     count, and the eigenvalues E_n of a window's samples are solved only
-    where branch n changes sign nowhere.  Solver failures are recorded per
+    where branch n changes sign nowhere, at the samples no count excludes
+    from its near miss.  Solver failures are recorded per
     pair and the remaining levels are returned, and every solved pair leaves
     a ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are one level when they lie within
@@ -299,8 +350,7 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                     message=str(error),
                 ))
                 continue
-            near_miss = None if roots else float(
-                np.abs(entry.e_values(n) - entry.z_samples).min())
+            near_miss = None if roots else entry.near_miss(n)
             diagnostics.append(WindowDiagnostics(
                 branch_index=n,
                 window=window,

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import edspec.tridiagonal as tridiagonal
 from edspec.cli import main
 from edspec.frozen_spectrum import decompose
 from edspec.operators import ConstantMass, Grid, build_problem
@@ -274,6 +275,30 @@ def test_fixedpoint_reports_window_diagnostics(tmp_path):
     assert hit["near_miss"] is None and hit["bisection_steps"] > 0
     assert miss["window"] == [6.5, 9.0] and miss["bisection_steps"] == 0
     assert miss["near_miss"] > 0.0
+
+
+#: Near misses of an oscillator report with six root-free (branch, window)
+#: pairs, as LAPACK's dstevx solved them at every sample of each window
+#: before exclusion counts left most samples unsolved.
+PINNED_NEAR_MISSES = ["null", "null", "6.2160622426361787e+00", "4.5570977584732741e-01",
+                      "null", "5.6517855512283797e+00", "1.4493355021607588e+00", "null",
+                      "5.0947786032015339e+00"]
+
+
+def test_fixedpoint_near_miss_tokens_are_pinned(tmp_path):
+    cfg = write_config(tmp_path, HO_FIXEDPOINT.replace("branches = 0", "branches = 0, 1, 2")
+                       .replace("windows = 3.1:6.0", "windows = 0.2:2.5, 3.1:6.0, 6.5:9.0"))
+    assert main(["fixedpoint", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    text = (tmp_path / "fixedpoint.json").read_text(encoding="utf-8")
+    tokens = re.findall(r'"near_miss": ([^,\n]+),', text)
+    if tridiagonal._lapack() is not None:
+        assert tokens == PINNED_NEAR_MISSES
+    else:
+        # the dense fallback's eigenvalues agree with dstevx's to a few eps ||H||
+        assert [t == "null" for t in tokens] == [t == "null" for t in PINNED_NEAR_MISSES]
+        np.testing.assert_allclose([float(t) for t in tokens if t != "null"],
+                                   [float(t) for t in PINNED_NEAR_MISSES if t != "null"],
+                                   rtol=1e-11)
 
 
 def test_fixedpoint_imports_no_scipy(tmp_path):

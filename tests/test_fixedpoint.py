@@ -8,7 +8,7 @@ from edspec.closed_form import spectrum_minus, spectrum_plus
 import edspec.fixedpoint as fixedpoint_module
 import edspec.operators as operators
 import edspec.tridiagonal as tridiagonal
-from edspec.errors import RefinementStall
+from edspec.errors import DegenerateMass, RefinementStall
 from edspec.fixedpoint import (
     REFINE_TOL,
     WINDOW_STEPS,
@@ -48,9 +48,20 @@ def test_package_exports_resolve():
 
 # ---------------------------------------------------------------- branches
 
+def _e_values(window, n):
+    """E_n(z_k) at every sample of a window, one ``eigpair_bands`` solve each."""
+    return np.array([tridiagonal.eigpair_bands(*window.family.bands(z), n)
+                     for z in window.z_samples.tolist()])
+
+
+def _all_samples_near_miss(window, n):
+    """The near miss as min_k |E_n(z_k) - z_k| over every sample, each one solved."""
+    return float(np.abs(_e_values(window, n) - window.z_samples).min())
+
+
 def test_constant_mass_branch_is_flat():
     window = _sample_window(_ModelFamily("schrodinger", GRID, ConstantMass(0.5)), 0.1, 5.0, 16)
-    e_values = window.e_values(2)
+    e_values = _e_values(window, 2)
     assert e_values.max() - e_values.min() < 1e-10
 
 
@@ -210,7 +221,7 @@ def test_ho_branch_decreases_with_z():
     # effective mass grows with |z - E0|, so every frozen level falls
     window = _sample_window(_ModelFamily("schrodinger", GRID, HOQuadratic(1.0, 0.0)), 0.5, 5.0,
                             24)
-    assert (np.diff(window.e_values(0)) < 0).all()
+    assert (np.diff(_e_values(window, 0)) < 0).all()
 
 
 def test_window_containing_singularity_rejected():
@@ -579,7 +590,7 @@ def _eigenvalue_sign_roots(window, n, refine_tol):
     is bisected by the sign of the eigenvalue at the midpoint.
     """
     z = window.z_samples
-    f = window.e_values(n) - z
+    f = _e_values(window, n) - z
     raw, evals = [], 0
     for k in range(len(z)):
         if f[k] == 0.0:
@@ -619,6 +630,7 @@ def test_count_signs_match_eigenvalue_signs(monkeypatch):
         result = collect_physical(model, grid, n_list, windows, kind, steps=steps)
         with monkeypatch.context() as patch:
             patch.setattr(fixedpoint_module, "_roots", _eigenvalue_sign_roots)
+            patch.setattr(_SampledWindow, "near_miss", _all_samples_near_miss)
             reference = collect_physical(model, grid, n_list, windows, kind, steps=steps)
         levels = [(lv.multi_index, lv.energy) for lv in reference.levels]
         failures = [(f.branch_index, f.window, f.error) for f in reference.failures]
@@ -633,11 +645,7 @@ def test_count_signs_match_eigenvalue_signs(monkeypatch):
 
 
 class _Solves(list):
-    """(diagonal, branch) of each eigenvalue solve; ``kets`` those of the eigenpair solves.
-
-    With the LAPACK binding a solve is one eigenvalue of one sample; without
-    it, the dense spectrum of one sample, recorded with branch None.
-    """
+    """(diagonal, branch) of each eigenvalue solve; ``kets`` those of the eigenpair solves."""
 
     def __init__(self):
         super().__init__()
@@ -648,19 +656,14 @@ class _Solves(list):
 def solves(monkeypatch):
     """The level search's eigenvalue and eigenpair solves, with the bands they solve."""
     calls = _Solves()
-    solve, spectrum = tridiagonal.eigpair_bands, np.linalg.eigvalsh
+    solve = tridiagonal.eigpair_bands
 
     def counted(d, e, n, vectors=False):
         (calls.kets if vectors else calls).append((np.asarray(d).tobytes(), n))
         return solve(d, e, n, vectors)
 
-    def counted_spectrum(T):
-        calls.append((np.diag(T).tobytes(), None))
-        return spectrum(T)
-
     monkeypatch.setattr(tridiagonal, "eigpair_bands", counted)
     monkeypatch.setattr(fixedpoint_module, "eigpair_bands", counted)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_spectrum)
     return calls
 
 
@@ -685,12 +688,15 @@ def test_root_free_window_solves_each_sample_once(solves, n_list):
     result = collect_physical(HOQuadratic(1.0, 0.0), GRID, n_list, [(0.2, 0.9)], steps=16)
     assert not result.levels and not result.failures
     assert all(d.near_miss > 0.0 for d in result.diagnostics)
-    # sixteen solves per branch, each of a different (sample, branch) pair;
-    # on the dense fallback one spectrum per sample serves every branch
-    per_sample = len(n_list) if tridiagonal._lapack() is not None else 1
-    assert len(solves) == len(set(solves)) == 16 * per_sample
-    assert len({d for d, _ in solves}) == 16
+    # counts exclude all but at most three of the sixteen samples of each
+    # branch, and no (sample, branch) pair is solved twice
+    assert len(solves) == len(set(solves)) <= 3 * len(n_list)
+    assert sorted({n for _, n in solves}) == n_list
     assert not solves.kets
+    window = _sample_window(_ModelFamily("schrodinger", GRID, HOQuadratic(1.0, 0.0)),
+                            0.2, 0.9, 16)
+    assert [d.near_miss for d in result.diagnostics] == [
+        _all_samples_near_miss(window, n) for n in n_list]
 
 
 def test_bisection_makes_no_solves(solves):
@@ -703,23 +709,22 @@ def test_bisection_makes_no_solves(solves):
 
 
 def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
-    # branches 1 and 2 have no root in the first window, so their near
-    # misses need every sample there; branch 0 brackets roots, which need none
+    # branches 1 and 2 have no root in the first window, so each has a near
+    # miss there; branch 0 brackets roots, which need no solve
     args = (HOQuadratic(1.0, 2.0), Grid(-8.0, 8.0, 60), [0, 1, 2], [(0.1, 1.85), (2.1, 8.0)])
     monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
     with monkeypatch.context() as patch:
-        # the fallback as it was: one dense eigvalsh per (sample, branch)
-        patch.setattr(fixedpoint_module._SampledWindow, "e_values",
-                      lambda self, n: np.array([eigpair_bands(*self.family.bands(z), n)
-                                                for z in self.z_samples.tolist()]))
+        # the near miss solved at every sample: one dense eigvalsh per
+        # (sample, branch)
+        patch.setattr(_SampledWindow, "near_miss", _all_samples_near_miss)
         reference = collect_physical(*args, steps=16)
     assert len(solves) == 2 * 16
     del solves[:]
     result = collect_physical(*args, steps=16)
     assert [d.near_miss is not None for d in result.diagnostics] == [False, False, True,
                                                                      False, True, False]
-    # one spectrum per sample of the first window serves both branches
-    assert len(solves) == len(set(solves)) == 16
+    # the counts leave at most three samples of each of the two to solve
+    assert len(solves) == len(set(solves)) <= 2 * 3
     assert result.diagnostics == reference.diagnostics and not result.failures
     assert len(result.levels) == len(reference.levels)
     for level, expected in zip(result.levels, reference.levels):
@@ -735,12 +740,13 @@ def test_dense_fallback_solves_each_sample_once(monkeypatch, solves):
     ("kleingordon", GeneralMassSquared(lambda z, x: (0.5 * (z - 1.0) ** 2) ** 2),
      [(0.05, 0.6), (0.7, 2.5)]),
 ], ids=["schrodinger", "kleingordon", "general"])
-def test_counts_build_no_bands(monkeypatch, kind, model, windows):
+def test_counts_build_no_bands(monkeypatch, solves, kind, model, windows):
     # every band of the search comes from write_bands: a count writes
-    # H(z) - s into the search's own buffers, and new arrays are written once
-    # per sample of a window with a near miss, whatever the number of its
-    # branches that miss, and once per level for its ket.  No Tridiagonal is
-    # built, but for the dense fallback's matrix of each of those solves
+    # H(z) - s into the search's own buffers, or shifts a near-miss sample's
+    # bands into them, and new arrays are written once per sample of a window
+    # with a near miss, whatever the number of its branches that miss, and
+    # once per level for its ket.  No Tridiagonal is built, but for the dense
+    # fallback's matrix of each solve
     built, in_place, new = [], [], []
     write, construct = operators.write_bands, Tridiagonal.__init__
 
@@ -759,8 +765,145 @@ def test_counts_build_no_bands(monkeypatch, kind, model, windows):
     assert not result.failures and len(result.levels) >= 3 and len(missed) == 1
     bisection_steps = sum(d.bisection_steps for d in result.diagnostics)
     assert bisection_steps > 80
-    assert len(built) == (0 if tridiagonal._lapack() is not None else len(result.levels) + 16)
+    assert len(built) == (0 if tridiagonal._lapack() is not None
+                          else len(solves) + len(solves.kets))
     assert len(in_place) == 16 * len(windows) + bisection_steps
     (window,) = missed
     assert sorted(new) == sorted([*np.linspace(*window, 16).tolist(),
                                   *(lv.energy for lv in result.levels)])
+
+
+# ---------------------------------------------------------------- near misses
+
+def _near_miss_paths(monkeypatch):
+    """The paths a near miss runs, with the search's solver and counter sent down each in turn.
+
+    LAPACK's ``dlaebz`` counts; the Python count beside LAPACK's ``dstevx``,
+    as where a library exports the drivers but not ``dlaebz``; and the dense
+    fallback with the Python count, which stays patched in until the test
+    ends.  The paths of ``_count_paths`` are the first and the last.
+    """
+    drivers = tridiagonal._lapack()
+    if drivers is not None:
+        if drivers.laebz is not None:
+            yield "dlaebz"
+        monkeypatch.setattr(tridiagonal, "_lapack", lambda: drivers._replace(laebz=None))
+        yield "python"
+    monkeypatch.setattr(tridiagonal, "_lapack", lambda: None)
+    yield "dense"
+
+
+def _root_free_draws(rng, pairs):
+    """Random windows, at least ``pairs`` root-free (branch, window) pairs among them.
+
+    Both forms, constant and oscillator masses, N 10-200 and 2-40 samples;
+    each draw is (kind, model, grid, window, steps, branches), its branches
+    those that change sign nowhere on the window.
+    """
+    draws, found = [], 0
+    while found < pairs:
+        kind = ("schrodinger", "kleingordon")[len(draws) % 2]
+        if len(draws) % 4 < 2:
+            model = ConstantMass(float(rng.uniform(0.2, 3.0)))
+        else:
+            model = HOQuadratic(float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 3.0)))
+        half_width = float(rng.uniform(3.0, 10.0))
+        grid = Grid(-half_width, half_width, int(np.exp(rng.uniform(np.log(10), np.log(201)))))
+        steps = int(np.exp(rng.uniform(np.log(2), np.log(41))))
+        lo, hi = np.sort(rng.uniform(0.02, 8.0, 2)).tolist()
+        try:
+            window = _sample_window(_ModelFamily(kind, grid, model), lo, hi, steps)
+        except DegenerateMass:
+            continue
+        above = window.counts[None, :] <= np.arange(min(grid.n_points, 12))[:, None]
+        branches = np.flatnonzero(above.all(axis=1) | ~above.any(axis=1))
+        branches = rng.permutation(branches)[:6].tolist()
+        draws.append((kind, model, grid, (lo, hi), steps, branches))
+        found += len(branches)
+    return draws
+
+
+def _reference_near_misses(sampled, branches):
+    """min_k |E_n(z_k) - z_k| over every sample for each branch, E_n from ``eigpair_bands``.
+
+    On the dense fallback ``eigpair_bands`` is an entry of the dense spectrum
+    of the sample, so one ``eigvalsh`` per sample serves every branch.
+    """
+    z = sampled.z_samples
+    bands = [sampled.family.bands(zk) for zk in z.tolist()]
+    if tridiagonal._lapack() is not None:
+        values = [[tridiagonal.eigpair_bands(d, e, n) for n in branches] for d, e in bands]
+    else:
+        values = [np.linalg.eigvalsh(np.asarray(Tridiagonal(d, e)))[branches] for d, e in bands]
+    return np.abs(np.array(values) - z[:, None]).min(axis=0).tolist()
+
+
+def test_near_miss_is_the_minimum_over_all_samples(monkeypatch, solves):
+    # the near miss solves E_n only at the samples no exclusion count drops,
+    # yet it is min_k |E_n(z_k) - z_k| over every sample bit for bit.  The
+    # draws are dealt in turn to the paths that run here, and each path sees
+    # both forms, both masses and f_n of either sign
+    draws = _root_free_draws(np.random.default_rng(20261021), 2000)
+    paths = 1 + (tridiagonal._lapack() is not None) + _compiled_count()
+    checked = 0
+    for turn, path in enumerate(_near_miss_paths(monkeypatch)):
+        seen, signs, near_miss_solves = set(), [], 0
+        for kind, model, grid, window, steps, branches in draws[turn::paths]:
+            sampled = _sample_window(_ModelFamily(kind, grid, model), *window, steps)
+            expected = _reference_near_misses(sampled, branches)
+            solved = len(solves)
+            for n, value in zip(branches, expected):
+                assert sampled.near_miss(n) == value, (path, kind, model, grid, window, n)
+                signs.append(bool(sampled.counts[0] <= n))
+            near_miss_solves += len(solves) - solved
+            seen.add((kind, type(model).__name__))
+        assert len(seen) == 4 and 0.2 < np.mean(signs) < 0.8, path
+        assert near_miss_solves < 2 * len(signs), path
+        checked += len(signs)
+    assert checked >= 2000
+
+
+def test_near_miss_on_a_shared_window_endpoint_stays_zero(monkeypatch):
+    # the family of test_root_on_shared_window_endpoint_counts_once: the
+    # window whose samples all read the count's side of E1 misses it by
+    # exactly 0.0, at the shared sample, which no count can exclude
+    grid, model = Grid(-5.0, 5.0, 24), ConstantMass(0.5)
+    for path in _near_miss_paths(monkeypatch):
+        T = build_problem("schrodinger", grid, model, 0.0)
+        e1 = eigpair_bands(T.diagonal, T.off_diagonal, 1)
+        result = collect_physical(model, grid, [1], [(0.5 * e1, e1), (e1, 2.0 * e1)])
+        assert sorted((d.bisection_steps > 0, d.near_miss) for d in result.diagnostics) == [
+            (False, 0.0), (True, None)], path
+
+
+def test_near_miss_of_a_two_sample_window(monkeypatch, solves):
+    # f_n > 0 below the oscillator's roots, f_n < 0 above them
+    family = _ModelFamily("schrodinger", GRID, HOQuadratic(1.0, 0.0))
+    for path in _near_miss_paths(monkeypatch):
+        for window in ((0.2, 0.9), (2.5, 4.0)):
+            sampled = _sample_window(family, *window, 2)
+            expected = _reference_near_misses(sampled, [0, 1])
+            del solves[:]
+            assert [sampled.near_miss(n) for n in (0, 1)] == expected, (path, window)
+            assert len(solves) == len(set(solves)) <= 4, (path, window)
+
+
+def test_near_miss_solves_both_samples_of_a_near_tie(monkeypatch, solves):
+    # f_n(z) = lambda_n + 0.3 + (z - 2)^2, a dip at z = 2 between the samples
+    # 1.9 and 2.1: their distances differ only by rounding, within the margin
+    # of the exclusion counts, so neither may be dropped for the other
+    model = GeneralMassSquared(lambda z, x: z + 0.3 + (z - 2.0) ** 2)
+    family = _ModelFamily("kleingordon", Grid(-5.0, 5.0, 40), model)
+    for path in _near_miss_paths(monkeypatch):
+        sampled = _sample_window(family, 1.7, 2.3, 4)
+        z = sampled.z_samples.tolist()
+        for n in (0, 3):
+            distances = [abs(eigpair_bands(*family.bands(zk), n) - zk) for zk in z]
+            norm = max(np.abs(d).max() + 2.0 * np.abs(e).max()
+                       for d, e in map(family.bands, z))
+            assert abs(distances[1] - distances[2]) < 64 * np.finfo(float).eps * norm
+            assert min(distances[1:3]) < min(distances[0], distances[3])
+            del solves[:]
+            assert sampled.near_miss(n) == min(distances), (path, n)
+            tie = {family.bands(z[k])[0].tobytes() for k in (1, 2)}
+            assert tie <= {d for d, _ in solves}, (path, n)

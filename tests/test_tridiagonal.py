@@ -225,19 +225,6 @@ def test_eigpair_index_outside_spectrum_rejected(fallback, monkeypatch):
 
 
 @pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "dense-fallback"])
-def test_eigenvalues_by_index_are_those_of_eigpair(fallback, monkeypatch):
-    if fallback:
-        monkeypatch.setattr(tri, "_lapack", lambda: None)
-    d, e = _random_bands(50, 1)
-    values = tri.Eigenvalues(d, e)
-    for n in (3, 0, 49, 3):
-        assert values[n] == tri.eigpair_bands(d, e, n)
-    for n in (-1, 50):
-        with pytest.raises(ValueError, match="outside the spectrum"):
-            values[n]
-
-
-@pytest.mark.parametrize("fallback", [False, True], ids=["lapack", "dense-fallback"])
 def test_eigpair_failure_raises_linalg_error(fallback, monkeypatch):
     if fallback:
         monkeypatch.setattr(tri, "_lapack", lambda: None)
