@@ -17,6 +17,7 @@ which need the grid or the decomposition, are refused once it exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -239,7 +240,9 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built on the first ``main`` call of a process."""
     parser = argparse.ArgumentParser(
         prog="edspec",
         description="Energy-dependent eigenvalue problems: frozen spectra, "
@@ -250,7 +253,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out-dir", default=".", help="directory for reports")
     parser.add_argument("--seed", type=int,
                         help="seed for the randomized fixtures of validate (default 0)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     out_dir = Path(args.out_dir)
     try:

@@ -39,7 +39,7 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
 from . import operators
-from .operators import Grid, HOQuadratic, MassModel
+from .operators import GeneralMassSquared, Grid, HOQuadratic, MassModel
 from .tridiagonal import SturmCount, eigpair_bands
 
 #: Default number of samples per search window.
@@ -94,16 +94,6 @@ class CollectResult:
     diagnostics: list
 
 
-def _refuse_complex(kind: str, z: float, diagonal: np.ndarray) -> None:
-    """Refuses the complex symmetric form of a complex mass-squared."""
-    if np.iscomplexobj(diagonal):
-        raise ValueError(
-            f"the {kind} form at z = {z} has a complex mass-squared and is not real "
-            "symmetric; the level search needs a real mass-squared (spectrum and "
-            "evolve accept a complex one)"
-        )
-
-
 class _ModelFamily:
     """H(z) of one stationary form of one model on one grid, and the inertia counts of H(z) - s.
 
@@ -120,11 +110,18 @@ class _ModelFamily:
         # counts build_problem alone as an operators build
         self._write = partial(operators.write_bands, kind, grid, model)
         self._sturm = SturmCount(grid.n_points)
+        # only a GeneralMassSquared's diagonal can be complex
+        self._may_be_complex = isinstance(model, GeneralMassSquared)
 
     def written(self, z: float, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
         """The diagonal of H(z), in ``out`` or a new array, and its off-diagonal value."""
         diagonal, off_diagonal = self._write(z, out)
-        _refuse_complex(self.kind, z, diagonal)
+        if self._may_be_complex and np.iscomplexobj(diagonal):
+            raise ValueError(
+                f"the {self.kind} form at z = {z} has a complex mass-squared and is not real "
+                "symmetric; the level search needs a real mass-squared (spectrum and "
+                "evolve accept a complex one)"
+            )
         return diagonal, off_diagonal
 
     def bands(self, z: float) -> tuple[np.ndarray, np.ndarray]:

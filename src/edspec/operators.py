@@ -85,6 +85,10 @@ class Grid:
         squares.flags.writeable = False
         return squares
 
+    @cached_property
+    def _largest_square(self) -> float:
+        return float(self._squares.max())
+
 
 @dataclass(frozen=True)
 class ConstantMass:
@@ -174,16 +178,25 @@ def mass_squared(model: MassModel, z: float, x: float) -> complex:
     return value
 
 
+# Each writer returns the diagonal, the off-diagonal value and the diagonal's
+# largest entry, computed as that entry is, or None where only a scan of the
+# diagonal can tell whether it is finite.
+
 def _schrodinger_bands(grid: Grid, model: MassModel, z: float, out):
     two_m = mass_2m(model, z)
     if two_m <= MASS_EPSILON:
         raise DegenerateMass(f"2 m(z) = {two_m} at z = {z} is below {MASS_EPSILON}")
     inv_h2 = 1.0 / grid.h ** 2
-    return np.add(2.0 * inv_h2 / two_m, grid.squares(), out=out), -inv_h2 / two_m
+    kinetic = 2.0 * inv_h2 / two_m
+    # kinetic + x^2 rounds monotonically in x^2, so its largest entry is the
+    # one at the largest x^2
+    return (np.add(kinetic, grid.squares(), out=out), -inv_h2 / two_m,
+            kinetic + grid._largest_square)
 
 
 def _kleingordon_bands(grid: Grid, model: MassModel, z: float, out):
-    if isinstance(model, GeneralMassSquared):
+    general = isinstance(model, GeneralMassSquared)
+    if general:
         values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
         if np.iscomplexobj(values) and not values.imag.any():
             values = values.real
@@ -192,7 +205,8 @@ def _kleingordon_bands(grid: Grid, model: MassModel, z: float, out):
         values = mass_squared(model, z, grid.x_min)
         out = np.empty(grid.n_points) if out is None else out
     inv_h2 = 1.0 / grid.h ** 2
-    return np.add(2.0 * inv_h2, values, out=out), -inv_h2
+    diagonal = np.add(2.0 * inv_h2, values, out=out)
+    return diagonal, -inv_h2, None if general else float(diagonal[0])
 
 
 _BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
@@ -210,15 +224,17 @@ def write_bands(kind: str, grid: Grid, model: MassModel, z: float,
     float64 array of ``grid.n_points``), so a caller that writes many z
     allocates nothing; a GeneralMassSquared's, which may be complex, is
     always a new array.  Coefficients that overflow or come out non-finite
-    raise EvaluationFailure.
+    raise EvaluationFailure: a constant or oscillator diagonal is checked at
+    its largest entry, a GeneralMassSquared's at every node.
     """
     if kind not in _BANDS:
         raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")
     try:
-        diagonal, off_diagonal = _BANDS[kind](grid, model, z, out)
+        diagonal, off_diagonal, largest = _BANDS[kind](grid, model, z, out)
     except OverflowError:
         raise EvaluationFailure(f"the {kind} coefficients overflow at z = {z}") from None
-    if not (math.isfinite(off_diagonal) and np.isfinite(diagonal).all()):
+    finite = np.isfinite(diagonal).all() if largest is None else math.isfinite(largest)
+    if not (math.isfinite(off_diagonal) and finite):
         raise EvaluationFailure(f"H({z}) has non-finite entries")
     return diagonal, off_diagonal
 

@@ -13,17 +13,19 @@ LAPACK's tridiagonal routines:
   bisection step where the whole spectrum costs O(N^2), and its absolute
   tolerance is pinned at ``2 * dlamch('S')``, LAPACK's most accurate
   setting;
-* ``count_below``: ``dlaebz`` with ``IJOB = 1``, the number of eigenvalues
-  below a shift s, as the number of negative pivots of the LDL^T
-  factorization of T - s (Sylvester's law of inertia), in O(N) (Kahan,
-  Accurate eigenvalues of a symmetric tridiagonal matrix, Stanford CS-41,
-  1966).  It is handed the shifted diagonal d - s and shifts by 0, so each
-  pivot is (d_j - s) - e_{j-1}^2 / p_{j-1}, rounded as written; a pivot of
-  magnitude below pivmin = tiny * max(1, max e^2) is replaced by -pivmin,
-  so a zero pivot counts as negative and the next pivot stays finite.
-  ``SturmCount`` holds the arguments of counts of one size, so a caller
-  that writes the bands of many shifted matrices allocates nothing per
-  count.
+* ``count_below``: the number of eigenvalues below a shift s, as the number
+  of negative pivots of the LDL^T factorization of T - s (Sylvester's law
+  of inertia), in O(N) (Kahan, Accurate eigenvalues of a symmetric
+  tridiagonal matrix, Stanford CS-41, 1966).  It is one bisection step of
+  ``dlaebz`` (``IJOB = 3``, ``NITMAX = 1``) on the one interval [0, 0], so
+  one recurrence runs, at the point 0.  It is handed the shifted diagonal
+  d - s, so each pivot is (d_j - s) - e_{j-1}^2 / p_{j-1}, rounded as
+  written.  With pivmin = tiny * max(1, max e^2) and pivmin- the float
+  just below it, a pivot below pivmin counts as negative and is replaced
+  by min(p, -pivmin-), so a zero pivot counts and the next pivot stays
+  finite.  ``SturmCount`` holds the arguments of counts of one size, so a
+  caller that writes the bands of many shifted matrices allocates nothing
+  per count.
 
 ``dstevd`` is the driver that numpy's dense ``eigh`` runs after its
 Householder reduction, which leaves a tridiagonal matrix unchanged, so
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -181,8 +184,15 @@ class SturmCount:
     entries of ``squares``, then calls the counter with the largest of
     those squares, which sets pivmin; the call returns the number of
     eigenvalues of T below s.  With the LAPACK binding a count is one
-    ``dlaebz`` call on arguments whose addresses are taken here, once;
-    without it, the same recurrence in Python.  Every count rewrites the
+    ``dlaebz`` bisection step (``IJOB = 3``, ``NITMAX = 1``) on the interval
+    [0, 0] with target count -1, on arguments whose addresses are taken
+    here, once: it runs the recurrence once, at 0, and writes the count to
+    ``NAB(1, 2)``, 0 to ``AB(1, 2)`` and 1 to ``MOUT``, so the next count
+    finds its arguments as this one did.  ``dlaebz`` counts a pivot
+    ``<= PIVMIN`` and is handed pivmin-, the float below pivmin, so a pivot
+    counts exactly when it is below pivmin.  Without the binding the same
+    recurrence runs in Python, rounded alike.  A ``dlaebz`` that reports an
+    unconverged interval raises ``LinAlgError``.  Every count rewrites the
     counter's buffers, so a counter serves one caller at a time.
     """
 
@@ -193,11 +203,13 @@ class SturmCount:
         self._squares = np.zeros(size)      # dlaebz reads E2(1..N-1), not E2(N)
         lapack = _lapack()
         self._laebz = None if lapack is None else lapack.laebz
-        # IJOB = 1 (count), NITMAX, N, MMAX = MINP = 1 (one interval), NBMIN,
-        # NVAL, MOUT, NAB(1, 1:2) (the counts below its ends), IWORK, INFO
-        self._ints = np.array([1, 0, size, 1, 1, 0, 0, 0, 0, 0, 0, 0], dtype=np.int64)
-        # ABSTOL, RELTOL, PIVMIN, AB(1, 1:2) = 0 (the interval's ends: the
-        # diagonal comes shifted), C, WORK
+        # IJOB = 3 (bisection), NITMAX = 1 (one step), N, MMAX = MINP = 1 (one
+        # interval), NBMIN = 0 (the serial loop), NVAL = -1 (below every
+        # count, so each count lands in NAB(1, 2)), MOUT, NAB(1, 1:2), IWORK,
+        # INFO
+        self._ints = np.array([3, 1, size, 1, 1, 0, -1, 0, 0, 0, 0, 0], dtype=np.int64)
+        # ABSTOL, RELTOL, PIVMIN, AB(1, 1:2) = 0 (the interval), C = 0 (the
+        # point counted: the diagonal comes shifted), WORK
         self._reals = np.zeros(7)
 
         def at(block: np.ndarray, k: int) -> ctypes.c_void_p:
@@ -205,7 +217,7 @@ class SturmCount:
 
         ints = [at(self._ints, k) for k in range(12)]
         reals = [at(self._reals, k) for k in range(7)]
-        squares = at(self._squares, 0)      # also passed as E, which IJOB = 1 does not read
+        squares = at(self._squares, 0)      # also passed as E, which IJOB = 3 does not read
         self._args = (*ints[:6], *reals[:3], at(self._shifted, 0), squares, squares, ints[6],
                       reals[3], reals[5], ints[7], ints[8], reals[6], ints[10], ints[11])
 
@@ -220,18 +232,19 @@ class SturmCount:
 
     def __call__(self, largest_square: float) -> int:
         pivmin = _TINY * max(1.0, largest_square)
+        floor = math.nextafter(pivmin, 0.0)         # pivmin-
         if self._laebz is not None:
-            self._reals[2] = pivmin
+            self._reals[2] = floor
             self._laebz(*self._args)
-            return int(self._ints[8])
+            _check(int(self._ints[11]), "dlaebz")
+            return int(self._ints[9])
         count = 0
         pivot = 1.0
         for d, e2 in zip(self._shifted.tolist(), [0.0] + self._squares[:-1].tolist()):
             pivot = d - e2 / pivot
-            if abs(pivot) < pivmin:
-                pivot = -pivmin
-            if pivot < 0.0:
+            if pivot <= floor:
                 count += 1
+                pivot = min(pivot, -floor)
         return count
 
 
@@ -239,8 +252,9 @@ def count_below(d, e, shift: float) -> int:
     """Number of eigenvalues below ``shift`` of the real symmetric tridiagonal with bands d, e.
 
     Counts the negative pivots of the LDL^T factorization of T - shift, as
-    ``SturmCount`` does for bands it is handed: a pivot of magnitude below
-    pivmin counts as negative.
+    ``SturmCount`` does for bands it is handed: a pivot below pivmin counts
+    as negative and is replaced by min(p, -pivmin-), pivmin- being the float
+    just below pivmin.
     """
     d, e = _work_copies(d, e)
     counter = SturmCount(d.shape[0])

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import edspec.tridiagonal as tridiagonal
+from edspec import cli
 from edspec.cli import main
 from edspec.frozen_spectrum import decompose
 from edspec.operators import ConstantMass, Grid, build_problem
@@ -20,6 +21,24 @@ def write_config(tmp_path, body, name="run.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(body), encoding="utf-8")
     return str(path)
+
+
+def test_command_line_is_parsed_by_one_parser(capsys):
+    # built on the first call of a process and reused: usage, help and exit
+    # codes stay those of a fresh parser
+    assert cli._parser() is cli._parser()
+    outputs = []
+    for argv in (["nonsense"], ["nonsense"], ["--help"], ["--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        outputs.append((stop.value.code, *capsys.readouterr()))
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    code, out, err = outputs[0]
+    assert code == 2 and not out and err.startswith("usage: edspec ")
+    assert "invalid choice: 'nonsense'" in err
+    code, out, err = outputs[2]
+    assert code == 0 and out.startswith("usage: edspec ") and not err
+    assert "{spectrum,fixedpoint,metric,evolve,validate}" in out
 
 
 CONSTANT_KG = """

@@ -176,6 +176,38 @@ def test_count_below_survives_zero_pivot(monkeypatch, d, e, s, distance):
         assert count_below(d, e, s) == np.sum(w < s), path
 
 
+_TINY = float(np.finfo(float).tiny)
+_BELOW = math.nextafter(_TINY, 0.0)         # pivmin- where pivmin = tiny
+
+
+@pytest.mark.parametrize("d, e, expected", [
+    ([0.0], [], 1),
+    ([-0.0], [], 1),
+    ([_TINY], [], 0),                           # pivmin = tiny (no e^2 above 1)
+    ([-_TINY], [], 1),
+    ([_BELOW], [], 1),
+    ([-_BELOW], [], 1),
+    ([5e-324], [], 1),                          # a positive subnormal
+    ([4.0 * _TINY, 1.0], [2.0], 1),             # pivmin = 4 tiny: kept, then 1 - 2^1022
+    ([-4.0 * _TINY, 1.0], [2.0], 1),            # -pivmin, then 1 + 2^1022
+    ([math.nextafter(4.0 * _TINY, 0.0), 1.0], [2.0], 1),   # pivmin-: replaced
+    # the step after a replaced pivot: 1 - 1 / (-pivmin-) = 1 + 2^1022 (1 + eps)
+    ([0.0, 1.0, 1.0], [1.0, 1.0], 1),
+    # ... and one whose sign the replacement decides: det = -1, so one
+    # eigenvalue is negative; -2^1022 + 1 / pivmin- = 2^970 > 0 counts 1, where
+    # -2^1022 + 1 / pivmin = 0 would count a second
+    ([0.0, -2.0 ** 1022], [1.0], 1),
+], ids=["zero", "minus-zero", "pivmin", "minus-pivmin", "pivmin-below", "minus-pivmin-below",
+        "subnormal", "pivmin-kept", "minus-pivmin-kept", "pivmin-below-replaced",
+        "after-replaced", "sign-after-replaced"])
+def test_counts_at_the_pivot_guard(monkeypatch, d, e, expected):
+    # a pivot below pivmin counts, and is replaced by min(p, -pivmin-), on
+    # every count path alike; the diagonal comes shifted by 0, so it holds
+    # the pivots exactly
+    counts = {path: count_below(d, e, 0.0) for path in _count_paths(monkeypatch)}
+    assert set(counts.values()) == {expected}, counts
+
+
 @pytest.mark.parametrize("kind, model, window", [
     ("schrodinger", HOQuadratic(1.0, 0.0), (0.5, 4.0)),
     ("kleingordon", HOQuadratic(1.0, 0.0), (0.5, 3.0)),

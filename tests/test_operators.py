@@ -10,7 +10,7 @@ from edspec.errors import (
     SingularMetric,
 )
 from edspec.evolution import assemble_fv
-from edspec.fixedpoint import collect_physical
+from edspec.fixedpoint import _ModelFamily, collect_physical
 from edspec.operators import (
     ConstantMass,
     GeneralMassSquared,
@@ -211,6 +211,37 @@ def test_coefficient_overflow_is_an_evaluation_failure(kind, z):
     # the first two overflow in a float power, the last to an infinite diagonal
     with pytest.raises(EvaluationFailure):
         build_problem(kind, Grid(-4.0, 4.0, 9), HOQuadratic(1.5, 2.0), z)
+
+
+@pytest.mark.parametrize("model", [ConstantMass(0.7), HOQuadratic(1.3, 0.4)],
+                         ids=["constant", "ho"])
+def test_end_node_overflow_is_an_evaluation_failure(model):
+    # x^2 overflows at the end nodes alone: a constant or oscillator
+    # diagonal is checked at its largest entry, which sits there
+    grid = Grid(-1.5e154, 1.5e154, 9)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        squares = grid.squares()
+    assert np.isinf(squares[[0, -1]]).all() and np.isfinite(squares[1:-1]).all()
+    with pytest.raises(EvaluationFailure):
+        build_problem("schrodinger", grid, model, 1.7)
+    with pytest.raises(EvaluationFailure):
+        _ModelFamily("schrodinger", grid, model).count(1.7, 1.7)
+    result = collect_physical(model, grid, [0], [(1.5, 2.5)], "schrodinger", steps=4)
+    assert not result.levels
+    assert [f.error for f in result.failures] == ["EvaluationFailure"]
+
+
+def test_general_mass_diagonal_is_checked_at_every_node():
+    # a GeneralMassSquared diagonal has no known largest entry: one that
+    # overflows at an inner node alone is refused too
+    grid = Grid(-4e-150, 4e-150, 9)         # 2 / h^2 = 2e300
+    middle = grid.points()[4]
+    model = GeneralMassSquared(lambda z, x: np.finfo(float).max if x == middle else 1.0)
+    with np.errstate(over="ignore"):
+        with pytest.raises(EvaluationFailure):
+            build_problem("kleingordon", grid, model, 0.5)
+        with pytest.raises(EvaluationFailure):
+            _ModelFamily("kleingordon", grid, model).count(0.5, 0.5)
 
 
 @pytest.mark.parametrize("kind, model", [

@@ -129,6 +129,37 @@ def test_library_without_dlaebz_keeps_the_drivers(monkeypatch):
         assert tri.count_below(d, e, s) == np.sum(w < s)
 
 
+def test_reused_counter_counts_as_a_fresh_one(rng):
+    # dlaebz writes AB(1, 2), NAB(1, 2) and MOUT back into the counter's
+    # arguments; a counter reused across bands and shifts reads them as a
+    # new one does
+    for size in (1, 2, 7, 60):
+        reused = tri.SturmCount(size)
+        for _ in range(100):
+            d, e = rng.standard_normal(size) * 3.0, rng.standard_normal(size - 1)
+            shift = rng.uniform(-6.0, 6.0)
+            counts = []
+            for counter in (reused, tri.SturmCount(size)):
+                np.subtract(d, shift, out=counter.shifted)
+                np.multiply(e, e, out=counter.squares[:-1])
+                counts.append(counter(float(counter.squares.max())))
+            assert counts[0] == counts[1] == tri.count_below(d, e, shift)
+
+
+def test_unconverged_count_raises_linalg_error():
+    # an interval [-1, 0] whose ends count differently is not settled by one
+    # bisection step, and dlaebz reports it in INFO
+    if tri._lapack() is None or tri._lapack().laebz is None:
+        pytest.skip("numpy's LAPACK exports no dlaebz: only the Python count runs")
+    counter = tri.SturmCount(3)
+    counter.shifted[:] = [-3.0, 1.0, 2.0]
+    counter.squares[:2] = 0.25
+    assert counter(0.25) == 1
+    counter._reals[3] = -1.0        # AB(1, 1)
+    with pytest.raises(np.linalg.LinAlgError, match="dlaebz"):
+        counter(0.25)
+
+
 def test_selective_driver_runs_in_a_subprocess():
     # a faulty ctypes prototype can crash the interpreter; in a child process
     # that fails this test alone instead of the whole test run
