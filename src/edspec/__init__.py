@@ -29,7 +29,6 @@ from .frozen_spectrum import (
     classify_spectrum,
     decompose,
     eta_from_decomposition,
-    eta_inverse_from_decomposition,
 )
 from .operators import (
     ConstantMass,
@@ -52,7 +51,6 @@ from .physical_basis import (
     build_nu,
     levels_from_matrix,
     projector_residual,
-    unit_projector,
 )
 
 __all__ = [
@@ -63,10 +61,10 @@ __all__ = [
     "conservation_report", "eigenstate", "evolve",
     "CollectResult", "PhysicalLevel", "WindowDiagnostics", "collect_physical",
     "FrozenDecomposition", "classify_spectrum", "decompose",
-    "eta_from_decomposition", "eta_inverse_from_decomposition",
+    "eta_from_decomposition",
     "ConstantMass", "GeneralMassSquared", "Grid", "HOQuadratic", "MassModel",
     "OperatorMatrix", "Tridiagonal", "build_problem",
     "MetricSuite", "PhysicalBasis", "build_basis",
     "build_K", "build_L", "build_metrics", "build_mu", "build_nu",
-    "levels_from_matrix", "projector_residual", "unit_projector",
+    "levels_from_matrix", "projector_residual",
 ]

@@ -10,7 +10,7 @@ class DegenerateMass(SolverError):
 
 
 class EvaluationFailure(SolverError):
-    """A mass-squared evaluator was undefined or non-finite at some (z, x)."""
+    """A mass-squared evaluator was undefined, non-finite or complex at some (z, x)."""
 
 
 class NonHermitianMetric(SolverError):

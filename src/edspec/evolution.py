@@ -19,8 +19,8 @@ each mode evolves in closed form:
 
 Both are even in omega, so the branch of the square root is immaterial and
 complex lambda needs no special case.  ``evolve`` returns the trajectory in
-these coordinates (``Trajectory``); the states phi = K c are formed only by
-``Trajectory.states``.  Conservation tests therefore probe the algebraic
+these coordinates (``Trajectory``), and the states phi = K c are never
+formed.  Conservation tests therefore probe the algebraic
 structure rather than integrator error.  A Hermitian metric M conserves
 <Phi|M|Phi> along the flow exactly when M intertwines h_sr with its adjoint
 and the spectrum is real; for the swap lift [[0, eta], [eta, 0]] the
@@ -28,7 +28,7 @@ pseudo-norm is 2 Re <phi1|eta phi2> and the intertwining residual is that
 of eta with H, both evaluated from the blocks.  In modal coordinates the
 norms are quadratic forms, ||phi||^2 = c^dagger G c and <phi1|eta phi2> =
 c1^dagger M c2 with G = K^dagger K and M = K^dagger eta K; orthonormal kets
-(a Hermitian H, every real band value among them) without an eta make both
+(a Hermitian H, every band value among them) without an eta make both
 the identity, and the norms sums over the modes.
 
 A real, positive spectrum of H (a real mass-squared >= 0: every
@@ -66,7 +66,7 @@ BLOCK_METRICS = ("swap", "identity")
 class FVState:
     """Two-component states (phi1, phi2) = (i d/dt psi, psi): ``t`` has shape (k,),
     ``phi1`` and ``phi2`` shape (k, N), k >= 1, and row j is the state at ``t[j]``.
-    ``Trajectory.states`` gives a trajectory's states as one of them."""
+    ``evolve`` propagates the last row."""
 
     t: np.ndarray
     phi1: np.ndarray
@@ -109,35 +109,17 @@ class Trajectory:
     """A propagated state in the modal coordinates c = L^dagger phi of ``modes``.
 
     ``t`` has shape (k,), ``c1`` and ``c2`` complex shape (k, N), and row j
-    holds the coefficients at ``t[j]``; ``start`` is the one-row state that
-    was propagated, at ``t[0]``.  ``len`` is the number of rows.
+    holds the coefficients at ``t[j]``; the state at ``t[j]`` is
+    phi = K c of row j.  ``len`` is the number of rows.
     """
 
     t: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     modes: FVModes
-    start: FVState
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def states(self) -> FVState:
-        """The states phi = K c, one row per time; row 0 is ``start``, bit for bit."""
-        kets_t = self.modes.kets.T
-        if not np.iscomplexobj(kets_t):
-            # one copy for both components: the C-order complex copy that a
-            # product with the real kets would make per call, so the same bits
-            kets_t = np.ascontiguousarray(kets_t, dtype=complex)
-
-        def rows(start: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-            out = np.empty(coefficients.shape, complex)
-            out[0] = start
-            np.matmul(coefficients[1:], kets_t, out=out[1:])
-            return out
-
-        return FVState(t=self.t, phi1=rows(self.start.phi1[0], self.c1),
-                       phi2=rows(self.start.phi2[0], self.c2))
 
 
 @dataclass(frozen=True)
@@ -334,7 +316,6 @@ def evolve(system: FVSystem, state: FVState, t_final: float, steps: int) -> Traj
         c1=_modal_rows(c1, cos, sin, 1j * (omega * c2)),
         c2=_modal_rows(c2, cos, sin, 1j * (c1 / omega)),
         modes=modes,
-        start=FVState(t=state.t[-1:], phi1=state.phi1[-1:], phi2=state.phi2[-1:]),
     )
 
 
@@ -348,9 +329,9 @@ def _frobenius_sq(H: OperatorMatrix | Tridiagonal, shift: float = 0.0) -> float:
 
 
 def _antihermitian_norm(H: OperatorMatrix | Tridiagonal) -> float:
-    """||H - H^dagger||_F; a band value's is 2 ||Im diagonal|| (its off-diagonal is real)."""
+    """||H - H^dagger||_F; 0 for a band value, which is real symmetric."""
     if isinstance(H, Tridiagonal):
-        return 2.0 * float(np.linalg.norm(H.diagonal.imag))
+        return 0.0
     return float(np.linalg.norm(H - H.conj().T))
 
 

@@ -1,9 +1,8 @@
 """Eigenvalue branches E_n(z) and fixed points of z = E_n(z).
 
 ``collect_physical`` is the level search.  It takes a discretized model
-whose stationary form H(z) is real symmetric tridiagonal: both stationary
-forms of the constant and oscillator masses, and the Klein-Gordon form of
-any real mass-squared.  The off-diagonals are nonzero,
+whose stationary form H(z) is real symmetric tridiagonal, as every form
+``operators.write_bands`` writes is.  The off-diagonals are nonzero,
 so the eigenvalues are simple and E_n(z) is the n-th smallest eigenvalue at
 every z (Barth, Martin & Wilkinson, Numer. Math. 9, 1967): branches are
 labelled by Sturm index.  The sign of f_n(z) = E_n(z) - z is the inertia of
@@ -23,7 +22,7 @@ a sample's bands at z_k +- t proves |E_n(z_k) - z_k| > t, and E_n(z_k) is
 solved, by index-selective bisection of the same count (``eigpair_bands``),
 where no count proves the sample farther than one already solved.  Each
 level's ket comes from one selective eigenpair solve (bisection, then
-inverse iteration) at the root.  A complex mass-squared raises ValueError.
+inverse iteration) at the root.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from .errors import DegenerateMass, RefinementStall, SolverError
 # the traced ``decompose``
 from .frozen_spectrum import decompose  # noqa: F401
 from . import operators
-from .operators import GeneralMassSquared, Grid, HOQuadratic, MassModel
+from .operators import Grid, HOQuadratic, MassModel
 from .tridiagonal import SturmCount, eigpair_bands
 
 #: Default number of samples per search window.
@@ -105,24 +104,13 @@ class _ModelFamily:
     def __init__(self, kind: str, grid: Grid, model: MassModel):
         self.kind = kind
         self.model = model
-        # reached through its module, which alone binds it: the benchmark's
-        # tracer (bench/spans.py) wraps only what another module binds, and
-        # counts build_problem alone as an operators build
-        self._write = partial(operators.write_bands, kind, grid, model)
+        # written(z, out=None) gives the diagonal of H(z) and its off-diagonal
+        # value.  write_bands is reached through its module, which alone
+        # binds it: the benchmark's tracer (bench/spans.py) wraps only what
+        # another module binds, and counts build_problem alone as an
+        # operators build
+        self.written = partial(operators.write_bands, kind, grid, model)
         self._sturm = SturmCount(grid.n_points)
-        # only a GeneralMassSquared's diagonal can be complex
-        self._may_be_complex = isinstance(model, GeneralMassSquared)
-
-    def written(self, z: float, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        """The diagonal of H(z), in ``out`` or a new array, and its off-diagonal value."""
-        diagonal, off_diagonal = self._write(z, out)
-        if self._may_be_complex and np.iscomplexobj(diagonal):
-            raise ValueError(
-                f"the {self.kind} form at z = {z} has a complex mass-squared and is not real "
-                "symmetric; the level search needs a real mass-squared (spectrum and "
-                "evolve accept a complex one)"
-            )
-        return diagonal, off_diagonal
 
     def bands(self, z: float) -> tuple[np.ndarray, np.ndarray]:
         """The diagonal and off-diagonal of H(z), as new arrays."""
@@ -131,8 +119,7 @@ class _ModelFamily:
 
     def count(self, z: float, shift: float) -> int:
         """Number of eigenvalues of H(z) below ``shift``."""
-        # the diagonal of a constant or oscillator mass is written into the
-        # counter's own buffer, a GeneralMassSquared's is a new array
+        # H(z) is written into the counter's own buffer, then shifted in place
         return self.count_written(*self.written(z, self._sturm.shifted), shift)
 
     def count_written(self, diagonal: np.ndarray, off_diagonal: float, shift: float) -> int:
@@ -287,14 +274,13 @@ def collect_physical(model: MassModel, grid: Grid, n_list: Sequence[int],
                      refine_tol: float = REFINE_TOL) -> CollectResult:
     """Assemble the physical level set over branches and search windows.
 
-    The branches are labelled by Sturm index, so the stationary form must be
-    real symmetric: a complex mass-squared raises ValueError (``spectrum``
-    and ``evolve`` accept one; this search does not).  Each window is
-    sampled once for all branches, with one inertia count per sample; each
-    (branch, window) pair is then solved independently, by bisecting the
-    count, and the eigenvalues E_n of a window's samples are solved only
-    where branch n changes sign nowhere, at the samples no count excludes
-    from its near miss.  Solver failures are recorded per
+    The branches are labelled by Sturm index, as the stationary form is real
+    symmetric.  Each window is sampled once for all branches, with one
+    inertia count per sample; each (branch, window) pair is then solved
+    independently, by bisecting the count, and the eigenvalues E_n of a
+    window's samples are solved only where branch n changes sign nowhere, at
+    the samples no count excludes from its near miss.  Solver failures, a
+    complex mass-squared among them, are recorded per
     pair and the remaining levels are returned, and every solved pair leaves
     a ``WindowDiagnostics`` record.  Roots of one branch found in different
     windows are one level when they lie within

@@ -1,7 +1,7 @@
 """Bi-orthogonal spectral decomposition of a frozen-parameter operator.
 
-The operator is a dense matrix or an ``operators.Tridiagonal`` band value;
-a real band value is solved from its bands and never assembled.
+The operator is a dense matrix or an ``operators.Tridiagonal`` band value,
+which is real symmetric and is solved from its bands, never assembled.
 
 A diagonalizable H = K diag(E) K^-1 is resolved into right kets |psi_n>
 (the columns of K, eigenvectors of H) and left bras <l_n| (the rows of K^-1,
@@ -14,11 +14,10 @@ unit norm with their largest-magnitude component made real and positive,
 which keeps decompositions reproducible across runs.  ||l_n|| is then the
 condition number of E_n; a decomposition with ||l_n|| > 1e12 is rejected.
 
-From the decomposition, the intertwining metric and its inverse are the
-sign-weighted expansions
+From the decomposition, the intertwining metric is the sign-weighted
+expansion
 
-    eta      = sum_n s_n l_n l_n^dagger        (H^dagger eta = eta H)
-    eta^{-1} = sum_n s_n psi_n psi_n^dagger    (H eta^{-1} = eta^{-1} H^dagger)
+    eta = sum_n s_n l_n l_n^dagger        (H^dagger eta = eta H)
 
 with s_n = +-1; the all-plus choice is the positive candidate metric.
 """
@@ -47,7 +46,7 @@ class FrozenDecomposition:
     (Re E, Im E); ``left_bras[:, n]`` is the vector whose conjugate transpose
     is the n-th bra.  For Hermitian H both are the same array, real
     (float64) when H is real symmetric.  Both are None when ``decompose``
-    ran without vectors.  A real band value's residuals describe kets the
+    ran without vectors.  A band value's residuals describe kets the
     result does not keep, with or without vectors (see ``decompose``).
     """
 
@@ -110,10 +109,10 @@ def reality_mask(w: np.ndarray) -> np.ndarray:
 def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDecomposition:
     """Bi-orthonormalized eigen-decomposition of a diagonalizable matrix.
 
-    A real ``Tridiagonal``, the band value of every stationary form
-    ``operators.build_problem`` builds without a complex mass-squared, is
-    solved from its bands by LAPACK's divide and conquer ``dstevd``
-    (``tridiagonal.eigh_bands``) and never assembled.  Its residuals are
+    A ``Tridiagonal``, the real band value of every stationary form
+    ``operators.build_problem`` builds, is solved from its bands by LAPACK's
+    divide and conquer ``dstevd`` (``tridiagonal.eigh_bands``) and never
+    assembled.  Its residuals are
     read from the columns S of the ``_SAMPLE_END`` lowest and highest kets
     (all of them when N <= 2 * _SAMPLE_END) of the solver's own V, before
     any copy or phasing: max |(V^T V - I)[:, S]| and ||(V^T V - I)[:, S]||_F,
@@ -131,9 +130,9 @@ def decompose(H: OperatorMatrix | Tridiagonal, vectors: bool = True) -> FrozenDe
     ||V^dagger V - I||_F in exact arithmetic.  The general path forms both.
 
     Without ``vectors`` the kets and bras are None and nothing else changes:
-    a real band value skips the C-order copy and phasing of its kets.
+    a band value skips the C-order copy and phasing of its kets.
     """
-    banded = isinstance(H, Tridiagonal) and not np.iscomplexobj(H.diagonal)
+    banded = isinstance(H, Tridiagonal)
     hermitian = banded
     if banded:
         if not (np.isfinite(H.diagonal).all() and np.isfinite(H.off_diagonal).all()):
@@ -240,13 +239,6 @@ def eta_from_decomposition(dec: FrozenDecomposition, signs=None) -> OperatorMatr
     s = _checked_signs(dec, signs)
     eta = (dec.left_bras * s) @ dec.left_bras.conj().T
     return 0.5 * (eta + eta.conj().T)
-
-
-def eta_inverse_from_decomposition(dec: FrozenDecomposition, signs=None) -> OperatorMatrix:
-    """Sign-weighted right-vector expansion sum_n s_n psi_n psi_n^dagger."""
-    s = _checked_signs(dec, signs)
-    inv = (dec.right_kets * s) @ dec.right_kets.conj().T
-    return 0.5 * (inv + inv.conj().T)
 
 
 @dataclass(frozen=True)

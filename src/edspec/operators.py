@@ -8,12 +8,12 @@ Conventions
   -d^2/dx^2 is the 3-point matrix with diagonal 2/h^2 and off-diagonals -1/h^2.
 * Every stationary form is tridiagonal and is carried as a ``Tridiagonal``
   band value, never as a dense matrix: ``np.asarray`` assembles the N x N
-  form where a dense reference needs it.  Its diagonal is real, or complex
-  for a complex mass-squared; the off-diagonal is real.
+  form where a dense reference needs it.  Both bands are real, so every
+  stationary form is real symmetric.
 * Mass models:
     ConstantMass(m)          fixed mass m > 0,
     HOQuadratic(A, E0)       2 m(z) = A^2 (z - E0)^2 (singular at z = E0),
-    GeneralMassSquared(f)    f(z, x) -> m^2, possibly complex valued.
+    GeneralMassSquared(f)    f(z, x) -> m^2, real valued.
 * The one-dimensional stationary forms built here, selected by name through
   ``build_problem``, are
     schrodinger:  (1/(2 m(z))) * (-d^2/dx^2) + x^2
@@ -59,6 +59,10 @@ class Grid:
             raise ValueError(f"x_min must be < x_max, got [{self.x_min}, {self.x_max}]")
         if self.n_points < 3:
             raise ValueError(f"n_points must be >= 3, got {self.n_points}")
+        # the kinetic term divides by h^2
+        if self.h ** 2 == 0.0:
+            raise ValueError(f"grid spacing h = {self.h} squares to 0; widen the grid or "
+                             "use fewer points")
 
     @property
     def h(self) -> float:
@@ -81,7 +85,9 @@ class Grid:
     @cached_property
     def _squares(self) -> np.ndarray:
         x = self._points
-        squares = x * x
+        # an x^2 that overflows is inf, which the band check refuses
+        with np.errstate(over="ignore"):
+            squares = x * x
         squares.flags.writeable = False
         return squares
 
@@ -117,9 +123,9 @@ class HOQuadratic:
 
 @dataclass(frozen=True)
 class GeneralMassSquared:
-    """Pointwise mass-squared model m^2 = evaluator(z, x)."""
+    """Pointwise real mass-squared model m^2 = evaluator(z, x)."""
 
-    evaluator: Callable[[float, float], complex] = field(compare=False)
+    evaluator: Callable[[float, float], float] = field(compare=False)
 
 
 MassModel = Union[ConstantMass, HOQuadratic, GeneralMassSquared]
@@ -127,15 +133,18 @@ MassModel = Union[ConstantMass, HOQuadratic, GeneralMassSquared]
 
 @dataclass(frozen=True)
 class Tridiagonal:
-    """Symmetric tridiagonal matrix held as its bands.
+    """Real symmetric tridiagonal matrix held as its bands.
 
-    ``diagonal`` has length N and ``off_diagonal`` length N - 1.  The matrix
-    is real symmetric when the diagonal is real and complex symmetric (not
-    Hermitian) when it is complex.  ``np.asarray`` assembles the dense form.
+    ``diagonal`` has length N and ``off_diagonal`` length N - 1; a complex
+    band raises ValueError.  ``np.asarray`` assembles the dense form.
     """
 
     diagonal: np.ndarray
     off_diagonal: np.ndarray
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.diagonal) or np.iscomplexobj(self.off_diagonal):
+            raise ValueError("a Tridiagonal is real symmetric; its bands must be real")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,19 +172,27 @@ def mass_2m(model: MassModel, z: float) -> float:
     )
 
 
-def mass_squared(model: MassModel, z: float, x: float) -> complex:
-    """Mass-squared m^2(z, x) entering the kleingordon form."""
+def mass_squared(model: MassModel, z: float, x: float) -> float:
+    """Mass-squared m^2(z, x) entering the kleingordon form.
+
+    An evaluator's value must be finite and real: a complex-typed one with a
+    zero imaginary part is taken as its real part, and any other raises
+    EvaluationFailure.
+    """
     if isinstance(model, ConstantMass):
         return model.m ** 2
     if isinstance(model, HOQuadratic):
         return (0.5 * model.A ** 2 * (z - model.E0) ** 2) ** 2
     try:
-        value = model.evaluator(z, x)
+        value = complex(model.evaluator(z, x))
     except Exception as exc:
         raise EvaluationFailure(f"mass-squared evaluator failed at (z={z}, x={x}): {exc}") from exc
-    if not np.isfinite(complex(value)):
+    if not np.isfinite(value):
         raise EvaluationFailure(f"mass-squared evaluator non-finite at (z={z}, x={x})")
-    return value
+    if value.imag:
+        raise EvaluationFailure(f"mass-squared evaluator complex at (z={z}, x={x}); "
+                                "m^2 must be real")
+    return value.real
 
 
 # Each writer returns the diagonal, the off-diagonal value and the diagonal's
@@ -195,18 +212,16 @@ def _schrodinger_bands(grid: Grid, model: MassModel, z: float, out):
 
 
 def _kleingordon_bands(grid: Grid, model: MassModel, z: float, out):
-    general = isinstance(model, GeneralMassSquared)
-    if general:
-        values = np.array([mass_squared(model, z, xi) for xi in grid.points()])
-        if np.iscomplexobj(values) and not values.imag.any():
-            values = values.real
-        out = None          # the diagonal takes the values' type, complex or real
-    else:  # independent of x: evaluated once for every node
-        values = mass_squared(model, z, grid.x_min)
-        out = np.empty(grid.n_points) if out is None else out
     inv_h2 = 1.0 / grid.h ** 2
-    diagonal = np.add(2.0 * inv_h2, values, out=out)
-    return diagonal, -inv_h2, None if general else float(diagonal[0])
+    out = np.empty(grid.n_points) if out is None else out
+    if isinstance(model, GeneralMassSquared):
+        values = [mass_squared(model, z, xi) for xi in grid.points()]
+        # an entry that overflows is inf, which the scan in write_bands refuses
+        with np.errstate(over="ignore"):
+            return np.add(2.0 * inv_h2, values, out=out), -inv_h2, None
+    # independent of x: evaluated once for every node
+    diagonal = np.add(2.0 * inv_h2, mass_squared(model, z, grid.x_min), out=out)
+    return diagonal, -inv_h2, float(diagonal[0])
 
 
 _BANDS = {"schrodinger": _schrodinger_bands, "kleingordon": _kleingordon_bands}
@@ -220,12 +235,11 @@ def write_bands(kind: str, grid: Grid, model: MassModel, z: float,
     """Diagonal of the stationary form named by ``kind`` at z, and its off-diagonal value.
 
     Every form's off-diagonal is one value at every position.  The diagonal
-    of a constant or oscillator mass is written into ``out`` when given (a
-    float64 array of ``grid.n_points``), so a caller that writes many z
-    allocates nothing; a GeneralMassSquared's, which may be complex, is
-    always a new array.  Coefficients that overflow or come out non-finite
-    raise EvaluationFailure: a constant or oscillator diagonal is checked at
-    its largest entry, a GeneralMassSquared's at every node.
+    is written into ``out`` when given (a float64 array of
+    ``grid.n_points``), so a caller that writes many z allocates nothing.
+    Coefficients that overflow or come out non-finite raise
+    EvaluationFailure: a constant or oscillator diagonal is checked at its
+    largest entry, a GeneralMassSquared's at every node.
     """
     if kind not in _BANDS:
         raise ValueError(f"kind must be one of {PROBLEM_KINDS}, got {kind!r}")

@@ -155,11 +155,6 @@ def projector_residual(basis: PhysicalBasis) -> float:
     return float(np.linalg.norm(w @ basis.left_vectors.conj().T - q.conj().T))
 
 
-def unit_projector(basis: PhysicalBasis) -> np.ndarray:
-    """The R^-1-weighted sum representing the unit projector on the level set."""
-    return basis.double_kets @ basis.left_vectors.conj().T
-
-
 def build_K(basis: PhysicalBasis) -> OperatorMatrix:
     """Energy-independent operator reproducing the right action on the levels."""
     return (basis.right_vectors * basis.energies) @ basis.double_bras.conj().T

@@ -244,9 +244,13 @@ def test_real_general_mass_squared_is_searched_by_index():
 
 
 def test_complex_mass_squared_is_refused_by_the_index_search():
+    # the evaluator's complex value is refused where the bands are written,
+    # and the search records it as the window's failure
     model = GeneralMassSquared(lambda z, x: 0.5 + 0.5 * z + 1e-3j * x)
-    with pytest.raises(ValueError, match="needs a real mass-squared"):
-        collect_physical(model, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
+    result = collect_physical(model, GRID, [0], [(0.5, 2.0)], "kleingordon", steps=8)
+    assert not result.levels and not result.diagnostics
+    assert [(f.error, f.window) for f in result.failures] == [("EvaluationFailure", (0.5, 2.0))]
+    assert "complex" in result.failures[0].message
 
 
 def test_ho_branch_decreases_with_z():

@@ -11,9 +11,15 @@ from edspec.frozen_spectrum import (
     classify_spectrum,
     decompose,
     eta_from_decomposition,
-    eta_inverse_from_decomposition,
 )
-from edspec.operators import GeneralMassSquared, Grid, HOQuadratic, Tridiagonal, build_problem
+from edspec.operators import ConstantMass, Grid, HOQuadratic, Tridiagonal, build_problem
+
+
+def eta_inverse_from_decomposition(dec, signs=None):
+    """Reference eta^-1 = sum_n s_n psi_n psi_n^dagger, the right-vector expansion."""
+    s = np.ones(dec.size) if signs is None else np.asarray(signs, dtype=float)
+    inv = (dec.right_kets * s) @ dec.right_kets.conj().T
+    return 0.5 * (inv + inv.conj().T)
 
 
 def test_hermitian_diagonal():
@@ -389,8 +395,10 @@ def _dense_paths():
     rng = np.random.default_rng(6)
     real = rng.standard_normal((30, 30))
     complex_ = real + 1j * rng.standard_normal((30, 30))
-    complex_band = build_problem("kleingordon", Grid(-6.0, 6.0, 30),
-                                 GeneralMassSquared(lambda z, x: 1.0 + 0.2j * x), 0.0)
+    # the dense Klein-Gordon form of m^2 = 1 + 0.2i x, complex symmetric
+    grid = Grid(-6.0, 6.0, 30)
+    complex_band = (np.asarray(build_problem("kleingordon", grid, ConstantMass(1.0), 0.0))
+                    + np.diag(0.2j * grid.points()))
     return [
         pytest.param(complex_band, id="complex-band"),
         pytest.param(real + real.T, id="real-symmetric"),

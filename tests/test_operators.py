@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from edspec.errors import (
 from edspec.evolution import assemble_fv
 from edspec.fixedpoint import _ModelFamily, collect_physical
 from edspec.operators import (
+    PROBLEM_KINDS,
     ConstantMass,
     GeneralMassSquared,
     Grid,
@@ -65,6 +67,19 @@ def test_grid_invariants():
         Grid(-1.0, 1.0, 2)
     g = Grid(-1.0, 1.0, 3)
     assert g.h == 1.0
+
+
+def test_grid_spacing_that_squares_to_zero_rejected():
+    # the kinetic term divides by h^2, which underflows to 0 here
+    for x_max in (2e-200, 5e-324):
+        with pytest.raises(ValueError, match="squares to 0"):
+            Grid(0.0, x_max, 3)
+    # a subnormal h^2 divides to an infinite kinetic term, which the band check refuses
+    grid = Grid(0.0, 2e-160, 3)
+    assert 0.0 < grid.h ** 2 < np.finfo(float).tiny
+    for kind in PROBLEM_KINDS:
+        with pytest.raises(EvaluationFailure):
+            build_problem(kind, grid, ConstantMass(1.0), 0.0)
 
 
 def test_grid_points_computed_once(monkeypatch):
@@ -157,12 +172,6 @@ def test_kleingordon_harmonic_reduction():
     assert not np.iscomplexobj(h)
 
 
-def test_kleingordon_complex_mass_is_non_hermitian():
-    grid = Grid(-4.0, 4.0, 9)
-    h = dense("kleingordon", grid, GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi), z=0.0)
-    assert np.linalg.norm(h - h.conj().T) > 0
-
-
 def test_kleingordon_evaluator_failure():
     grid = Grid(-4.0, 4.0, 9)
 
@@ -219,7 +228,8 @@ def test_end_node_overflow_is_an_evaluation_failure(model):
     # x^2 overflows at the end nodes alone: a constant or oscillator
     # diagonal is checked at its largest entry, which sits there
     grid = Grid(-1.5e154, 1.5e154, 9)
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         squares = grid.squares()
     assert np.isinf(squares[[0, -1]]).all() and np.isfinite(squares[1:-1]).all()
     with pytest.raises(EvaluationFailure):
@@ -237,11 +247,10 @@ def test_general_mass_diagonal_is_checked_at_every_node():
     grid = Grid(-4e-150, 4e-150, 9)         # 2 / h^2 = 2e300
     middle = grid.points()[4]
     model = GeneralMassSquared(lambda z, x: np.finfo(float).max if x == middle else 1.0)
-    with np.errstate(over="ignore"):
-        with pytest.raises(EvaluationFailure):
-            build_problem("kleingordon", grid, model, 0.5)
-        with pytest.raises(EvaluationFailure):
-            _ModelFamily("kleingordon", grid, model).count(0.5, 0.5)
+    with pytest.raises(EvaluationFailure):
+        build_problem("kleingordon", grid, model, 0.5)
+    with pytest.raises(EvaluationFailure):
+        _ModelFamily("kleingordon", grid, model).count(0.5, 0.5)
 
 
 @pytest.mark.parametrize("kind, model", [
@@ -263,20 +272,80 @@ def test_bands_assemble_the_dense_form(kind, model):
     np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
 
 
-def test_bands_of_complex_mass_are_not_real_symmetric():
+# ---------------------------------------------------------------- real bands
+
+def _real_mass_squared(z, x):
+    return 1.0 + 0.3 * x + 0.1 * x * x + 0.2 * z
+
+
+_REAL_MODELS = [ConstantMass(0.7), HOQuadratic(1.3, 0.4), GeneralMassSquared(_real_mass_squared)]
+
+
+@pytest.mark.parametrize("model", _REAL_MODELS, ids=["constant", "ho", "general"])
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_bands_of_a_real_model_are_real(kind, model):
+    if kind == "schrodinger" and isinstance(model, GeneralMassSquared):
+        # a general mass-squared defines no m(z) for the kinetic term
+        with pytest.raises(EvaluationFailure):
+            build_problem(kind, Grid(-4.0, 4.0, 9), model, 1.7)
+        return
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        grid = Grid(-rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0), int(rng.integers(3, 60)))
+        z = rng.uniform(-3.0, 3.0)
+        T = build_problem(kind, grid, model, z)
+        assert T.diagonal.dtype == T.off_diagonal.dtype == np.float64
+        # the search's writes are the same float64 bands, into its buffer when handed one
+        family = _ModelFamily(kind, grid, model)
+        buffer = np.empty(grid.n_points)
+        diagonal, off_diagonal = family.written(z, buffer)
+        assert diagonal is buffer and type(off_diagonal) is float
+        assert np.array_equal(diagonal, T.diagonal)
+        assert (T.off_diagonal == off_diagonal).all()
+
+
+@pytest.mark.parametrize("typed", [lambda v: v + 0j, lambda v: complex(v, -0.0), np.complex128],
+                         ids=["plus-zero-imag", "minus-zero-imag", "complex128"])
+def test_complex_typed_real_mass_squared_gives_the_real_bands(typed):
+    real = GeneralMassSquared(_real_mass_squared)
+    complex_typed = GeneralMassSquared(lambda z, x: typed(_real_mass_squared(z, x)))
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        grid = Grid(-rng.uniform(1.0, 10.0), rng.uniform(1.0, 10.0), int(rng.integers(3, 60)))
+        z = rng.uniform(-3.0, 3.0)
+        expected = build_problem("kleingordon", grid, real, z)
+        got = build_problem("kleingordon", grid, complex_typed, z)
+        for band in ("diagonal", "off_diagonal"):
+            assert getattr(got, band).dtype == np.float64
+            assert getattr(got, band).tobytes() == getattr(expected, band).tobytes()
+        family, twin = (_ModelFamily("kleingordon", grid, m) for m in (real, complex_typed))
+        for shift in rng.uniform(0.0, float(expected.diagonal.max()) + 1.0, 5):
+            assert twin.count(z, shift) == family.count(z, shift)
+
+
+@pytest.mark.parametrize("imaginary", [1e-3, 1e-300, math.nan],
+                         ids=["small", "tiny", "nan"])
+def test_complex_mass_squared_is_refused(imaginary):
     grid = Grid(-4.0, 4.0, 9)
-    model = GeneralMassSquared(lambda z, xi: xi * xi + 1j * xi)
-    T = build_problem("kleingordon", grid, model, 0.0)
-    assert T.diagonal.dtype == np.complex128 and T.off_diagonal.dtype == np.float64
-    H = np.asarray(T)
-    np.testing.assert_array_equal(H, assembled(T.diagonal, T.off_diagonal))
-    np.testing.assert_array_equal(H, H.T)
-    with pytest.raises(ValueError, match="needs a real mass-squared"):
-        collect_physical(model, grid, [0], [(0.0, 1.0)], "kleingordon", steps=4)
-    with pytest.raises(DegenerateMass):
-        build_problem("schrodinger", grid, HOQuadratic(1.0, 2.0), 2.0)
-    with pytest.raises(EvaluationFailure):
-        build_problem("kleingordon", grid, GeneralMassSquared(lambda z, x: float("nan")), 0.0)
+    model = GeneralMassSquared(lambda z, x: complex(_real_mass_squared(z, x), imaginary))
+    match = "non-finite" if math.isnan(imaginary) else "complex"
+    with pytest.raises(EvaluationFailure, match=match):
+        build_problem("kleingordon", grid, model, 0.5)
+    with pytest.raises(EvaluationFailure, match=match):
+        _ModelFamily("kleingordon", grid, model).count(0.5, 0.5)
+    result = collect_physical(model, grid, [0], [(0.5, 2.0)], "kleingordon", steps=4)
+    assert not result.levels and not result.diagnostics
+    assert [f.error for f in result.failures] == ["EvaluationFailure"]
+
+
+def test_band_value_refuses_a_complex_band():
+    with pytest.raises(ValueError, match="real"):
+        Tridiagonal(np.full(3, 2.0 + 0.5j), np.ones(2))
+    # the type is the invariant: a zero imaginary part is refused too
+    with pytest.raises(ValueError, match="real"):
+        Tridiagonal(np.full(3, 2.0 + 0.0j), np.ones(2))
+    with pytest.raises(ValueError, match="real"):
+        Tridiagonal(np.full(3, 2.0), np.ones(2, complex))
 
 
 def test_band_value_array_protocol():

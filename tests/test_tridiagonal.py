@@ -17,7 +17,6 @@ from edspec.evolution import assemble_fv
 from edspec.frozen_spectrum import _fix_phases, decompose
 from edspec.operators import (
     ConstantMass,
-    GeneralMassSquared,
     Grid,
     HOQuadratic,
     Tridiagonal,
@@ -313,14 +312,6 @@ def test_band_value_decomposes_from_its_bands(name, d, e, fallback, monkeypatch)
         dense = decompose(np.asarray(Tridiagonal(d, e)))
         assert np.array_equal(dec.eigenvalues, dense.eigenvalues)
         assert np.array_equal(dec.right_kets, dense.right_kets)
-
-
-def test_complex_band_value_decomposes_as_its_dense_form():
-    model = GeneralMassSquared(lambda z, x: 1.0 + 0.3 * x + 0.2j * x)
-    T = build_problem("kleingordon", Grid(-6.0, 6.0, 30), model, 0.0)
-    dec, dense = decompose(T), decompose(np.asarray(T))
-    for got, expected in zip(_fields(dec) + (dec.left_bras,), _fields(dense) + (dense.left_bras,)):
-        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("name, d, e", CASES, ids=IDS)
